@@ -311,9 +311,8 @@ def resolve_last_link(
     check_mode(mode)
     root = primary.junctions[-1]
     k = len(primary.languages)
-    depths = primary._anchor_depths()
-    a = depths[root.near]
-    b = depths[root.far]
+    a = primary.anchor_depth(root.near)
+    b = primary.anchor_depth(root.far)
     if root.status == UNRESOLVED:
         total = float(root.total_length)
     else:

@@ -10,6 +10,7 @@ grafted onto the shared lineages at their original positions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -46,6 +47,10 @@ class SegmentNode:
     depth: float
     leaf: str | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.depth):
+            raise DomainError(f"segment node {self.id} needs a finite depth")
+
 
 @dataclass(frozen=True)
 class SegmentEdge:
@@ -54,6 +59,10 @@ class SegmentEdge:
     length: float
     kind: str
     provenance: str = PROV_A
+
+    def __post_init__(self):
+        if not (math.isfinite(self.length) and self.length >= 0):
+            raise DomainError("segment lengths must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,11 +104,12 @@ class SegmentGraph:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise DomainError("segment graph node ids must be unique")
-        if any(e.length < 0 for e in self.edges):
-            raise DomainError("segment lengths must be >= 0")
         g = self.graph()
         if g.number_of_nodes() > 1 and not nx.is_tree(g):
             raise DomainError("segment graph must be a tree")
+        # Kept for queries: this graph and the traversals from leaves asked for.
+        object.__setattr__(self, "_graph", g)
+        object.__setattr__(self, "_traversals", {})
 
     def graph(self) -> nx.Graph:
         g = nx.Graph()
@@ -119,14 +129,17 @@ class SegmentGraph:
                 return node.id
         raise DomainError(f"unknown leaf {label!r}")
 
+    def _from_leaf(self, label: str) -> tuple[dict, dict]:
+        """Path lengths and node paths from a leaf to every node."""
+        if label not in self._traversals:
+            self._traversals[label] = nx.single_source_dijkstra(
+                self._graph, self.node_of_leaf(label), weight="length"
+            )
+        return self._traversals[label]
+
     def distance(self, a: str, b: str) -> float:
         """Unique tree-path distance between two leaves, in svodesh."""
-        return float(
-            nx.shortest_path_length(
-                self.graph(), self.node_of_leaf(a), self.node_of_leaf(b),
-                weight="length",
-            )
-        )
+        return float(self._from_leaf(a)[0][self.node_of_leaf(b)])
 
 
 def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGraph:
@@ -136,7 +149,6 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
     so anchors that coincide with a child anchor reuse its node.
     """
     k = len(dendrogram.languages)
-    depths = dendrogram._anchor_depths()
     nodes: list[SegmentNode] = []
     edges: list[SegmentEdge] = []
     node_for: dict[int, str] = {}
@@ -152,8 +164,8 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
         nid = k + idx
         near_node = node_for[jn.near]
         far_node = node_for[jn.far]
-        a = depths[jn.near]
-        b = depths[jn.far]
+        a = dendrogram.anchor_depth(jn.near)
+        b = dendrogram.anchor_depth(jn.far)
         if jn.status == UNRESOLVED:
             edges.append(
                 SegmentEdge(near_node, far_node, jn.total_length,
@@ -215,13 +227,6 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
     return tuple(runs)
 
 
-def _lca_geometry(dendrogram: Dendrogram, a: str, b: str):
-    node = dendrogram.lca_junction(
-        dendrogram.languages.index(a), dendrogram.languages.index(b)
-    )
-    return dendrogram.junction_at(node)
-
-
 def shared_consistency(
     a: Dendrogram, b: Dendrogram, tolerance: float = 3.0
 ) -> ConsistencyReport:
@@ -245,8 +250,8 @@ def shared_consistency(
             da = leaf_distance(a, *pair)
             db = leaf_distance(b, *pair)
             rows.append(("distance", pair, da, db, abs(da - db)))
-            ja = _lca_geometry(a, *pair)
-            jb = _lca_geometry(b, *pair)
+            ja = a.meeting_junction(*pair)
+            jb = b.meeting_junction(*pair)
             if ja.status == RESOLVED and jb.status == RESOLVED:
                 rows.append(("depth", pair, ja.depth, jb.depth,
                              abs(ja.depth - jb.depth)))
@@ -264,14 +269,11 @@ def shared_consistency(
 
 
 def _shared_edge_set(graph: SegmentGraph, shared: tuple[str, ...]) -> set[frozenset]:
-    g = graph.graph()
     covered: set[frozenset] = set()
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            path = nx.shortest_path(
-                g, graph.node_of_leaf(shared[i]), graph.node_of_leaf(shared[j]),
-                weight="length",
-            )
+    for i, source in enumerate(shared):
+        paths = graph._from_leaf(source)[1]
+        for target in shared[i + 1 :]:
+            path = paths[graph.node_of_leaf(target)]
             covered.update(frozenset(p) for p in zip(path, path[1:]))
     return covered
 
@@ -342,15 +344,12 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     gb = segment_graph(b, PROV_B)
     shared_a = _shared_edge_set(ga, shared)
     shared_b = _shared_edge_set(gb, shared)
+    from_a = [ga._from_leaf(s) for s in shared]
+    from_b = [gb._from_leaf(s) for s in shared]
     ga = _with_provenance(ga, shared_a, PROV_SHARED, PROV_A)
 
     only_b = [e for e in gb.edges if frozenset((e.a, e.b)) not in shared_b]
-    if not only_b:
-        return SegmentGraph(ga.nodes, ga.edges, a.languages.labels,
-                            b.languages.labels, ga.mode)
-
     shared_nodes_b = {n for pair in shared_b for n in pair}
-    gb_nx = gb.graph()
     sub = nx.Graph()
     for e in only_b:
         sub.add_edge(e.a, e.b)
@@ -358,37 +357,19 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     nodes = list(ga.nodes)
     edges = list(ga.edges)
     node_depth_b = {n.id: n for n in gb.nodes}
-    graft_counter = 0
     rename: dict[str, str] = {}
 
-    ga_nx = ga.graph()
     if len(shared) == 2:
-        s0, s1 = shared
-        path_a = nx.shortest_path(ga_nx, ga.node_of_leaf(s0),
-                                  ga.node_of_leaf(s1), weight="length")
-        dist_a = [0.0]
-        for u, v in zip(path_a, path_a[1:]):
-            dist_a.append(dist_a[-1] + ga_nx[u][v]["length"])
-        path_b = nx.shortest_path(gb_nx, gb.node_of_leaf(s0),
-                                  gb.node_of_leaf(s1), weight="length")
-        dist_b = {path_b[0]: 0.0}
-        acc = 0.0
-        for u, v in zip(path_b, path_b[1:]):
-            acc += gb_nx[u][v]["length"]
-            dist_b[v] = acc
+        (lengths_a, paths_a), (lengths_b, paths_b) = from_a[0], from_b[0]
+        path_a = paths_a[ga.node_of_leaf(shared[1])]
+        dist_a = [lengths_a[n] for n in path_a]
+        dist_b = {n: lengths_b[n] for n in paths_b[gb.node_of_leaf(shared[1])]}
     else:
-        shared_nodes_a = {n for pair in shared_a for n in pair}
-        sig_a = {
-            q: tuple(
-                nx.shortest_path_length(ga_nx, q, ga.node_of_leaf(s),
-                                        weight="length")
-                for s in shared
-            )
-            for q in shared_nodes_a
-        }
+        shared_nodes_a = sorted({n for pair in shared_a for n in pair})
+        sig_a = {q: tuple(lengths[q] for lengths, _ in from_a) for q in shared_nodes_a}
 
-    components = sorted(nx.connected_components(sub), key=lambda c: min(c))
-    for comp in components:
+    components = sorted(nx.connected_components(sub), key=min)
+    for counter, comp in enumerate(components):
         attach = sorted(comp & shared_nodes_b)
         if len(attach) != 1:
             raise GraftError(
@@ -403,24 +384,18 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
                 )
             target = min(dist_b[p], dist_a[-1])
             mapped, nodes, edges, path_a, dist_a = _split_point(
-                edges, nodes, path_a, dist_a, target, graft_counter
+                edges, nodes, path_a, dist_a, target, counter
             )
-            graft_counter += 1
         else:
             # With three or more shared leaves, attachment points are located
             # by their distance signature to the shared leaves and snapped to
             # the closest existing node of the reference structure.
-            sig = tuple(
-                nx.shortest_path_length(gb_nx, p, gb.node_of_leaf(s),
-                                        weight="length")
-                for s in shared
+            sig = tuple(lengths[p] for lengths, _ in from_b)
+            miss, mapped = min(
+                (max(abs(x - y) for x, y in zip(sig, qsig)), q)
+                for q, qsig in sig_a.items()
             )
-            mapped, miss = None, None
-            for q, qsig in sig_a.items():
-                dev = max(abs(x - y) for x, y in zip(sig, qsig))
-                if miss is None or dev < miss:
-                    mapped, miss = q, dev
-            if mapped is None or miss > tolerance:
+            if miss > tolerance:
                 raise GraftError(
                     "no reference-frame node matches an attachment point "
                     f"within tolerance (best deviation {miss})"
@@ -429,8 +404,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
 
     # Carry the exclusive nodes and edges over, renaming internals.
     existing = {n.id for n in nodes}
-    for comp in nx.connected_components(sub):
-        for nid in comp:
+    for comp in components:
+        for nid in sorted(comp):
             if nid in rename:
                 continue
             node = node_depth_b[nid]

@@ -12,7 +12,10 @@ of vertical and lateral segment lengths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,6 +226,9 @@ class Junction:
     def __post_init__(self):
         if self.status not in (RESOLVED, UNRESOLVED):
             raise DomainError(f"unknown junction status {self.status!r}")
+        numbers = (self.depth, self.lateral, self.total_length, *(self.depth_range or ()))
+        if not all(x is None or math.isfinite(x) for x in numbers):
+            raise DomainError("junction geometry must be finite")
         if self.lateral < 0:
             raise DomainError("lateral width must be >= 0")
         if self.depth < 0:
@@ -235,6 +241,13 @@ class Junction:
     @property
     def resolved(self) -> bool:
         return self.status == RESOLVED
+
+
+class _TreeIndex(NamedTuple):
+    members: tuple[tuple[int, ...], ...]  # all per node id
+    parent: tuple[int, ...]  # -1 at the root
+    carrier: tuple[int, ...]
+    tables: tuple[dict[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -272,22 +285,40 @@ class Dendrogram:
         # Exactly one root: every node except the last junction is a child.
         if k > 1 and len(seen_child) != k + len(self.junctions) - 1:
             raise DomainError("dendrogram must have exactly one root")
-        depth = self._anchor_depths()
         for idx, jn in enumerate(self.junctions):
-            lo = max(depth[jn.near], depth[jn.far])
+            lo = max(self.anchor_depth(jn.near), self.anchor_depth(jn.far))
             if jn.resolved and jn.depth < lo - 1e-9:
                 raise DomainError(
                     f"junction {idx} depth {jn.depth} above a child anchor ({lo})"
                 )
 
-    # -- structural helpers -------------------------------------------------
+    # -- tree queries -------------------------------------------------------
 
-    def _anchor_depths(self) -> dict[int, float]:
+    def anchor_depth(self, node_id: int) -> float:
+        """Depth of a node's anchor: a leaf's attestation depth or a junction's D."""
         k = len(self.languages)
-        depth = {i: self.languages.depths[i] for i in range(k)}
+        if node_id < k:
+            return self.languages.depths[node_id]
+        return self.junctions[node_id - k].depth
+
+    @cached_property
+    def _index(self) -> _TreeIndex:
+        """Members, parents, carriers and anchor tables, built in one sweep."""
+        k = len(self.languages)
+        members = [(i,) for i in range(k)]
+        parent = [-1] * (k + len(self.junctions))
+        carrier = list(range(k))
+        tables = [{i: 0.0} for i in range(k)]
         for idx, jn in enumerate(self.junctions):
-            depth[k + idx] = jn.depth
-        return depth
+            parent[jn.near] = parent[jn.far] = k + idx
+            members.append(tuple(sorted(members[jn.near] + members[jn.far])))
+            carrier.append(carrier[jn.near])
+            gain_near = jn.depth - self.anchor_depth(jn.near)
+            gain_far = (jn.depth - self.anchor_depth(jn.far)) + jn.lateral
+            table = {leaf: d + gain_near for leaf, d in tables[jn.near].items()}
+            table.update({leaf: d + gain_far for leaf, d in tables[jn.far].items()})
+            tables.append(table)
+        return _TreeIndex(tuple(members), tuple(parent), tuple(carrier), tuple(tables))
 
     def root_id(self) -> int:
         return len(self.languages) + len(self.junctions) - 1
@@ -300,50 +331,36 @@ class Dendrogram:
 
     def members(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids under a node, in language order."""
-        k = len(self.languages)
-        if node_id < k:
-            return (node_id,)
-        jn = self.junction_at(node_id)
-        got = set(self.members(jn.near)) | set(self.members(jn.far))
-        return tuple(sorted(got))
+        return self._index.members[node_id]
 
     def carrier(self, node_id: int) -> int:
         """The leaf whose lineage carries the node's anchor."""
-        while node_id >= len(self.languages):
-            node_id = self.junction_at(node_id).near
-        return node_id
+        return self._index.carrier[node_id]
 
-    def anchor_tables(self) -> dict[int, dict[int, float]]:
-        """Per node: leaf id -> path length from the leaf to the node's anchor.
+    def anchor_tables(self) -> tuple[dict[int, float], ...]:
+        """Per node id: leaf id -> path length from the leaf to the node's anchor.
 
         Unresolved junctions contribute their nominal decomposition here;
         ``leaf_distance`` never consults the table across an unresolved root.
+        The tables are shared by every query on this dendrogram: read only.
         """
-        k = len(self.languages)
-        depth = self._anchor_depths()
-        tables: dict[int, dict[int, float]] = {
-            i: {i: 0.0} for i in range(k)
-        }
-        for idx, jn in enumerate(self.junctions):
-            nid = k + idx
-            gain_near = jn.depth - depth[jn.near]
-            gain_far = (jn.depth - depth[jn.far]) + jn.lateral
-            table = {leaf: d + gain_near for leaf, d in tables[jn.near].items()}
-            table.update(
-                {leaf: d + gain_far for leaf, d in tables[jn.far].items()}
-            )
-            tables[nid] = table
-        return tables
+        return self._index.tables
 
     def lca_junction(self, a: int, b: int) -> int:
         """Node id of the lowest junction containing both leaves."""
-        k = len(self.languages)
-        for idx, jn in enumerate(self.junctions):
-            nid = k + idx
-            mem = self.members(nid)
-            if a in mem and b in mem:
-                return nid
-        raise DomainError("leaves do not share a junction")
+        parent = self._index.parent
+        node = parent[a]
+        while node >= 0 and b not in self.members(node):
+            node = parent[node]
+        if node < 0:
+            raise DomainError("leaves do not share a junction")
+        return node
+
+    def meeting_junction(self, a: str, b: str) -> Junction:
+        """The junction where leaves ``a`` and ``b`` first share a cluster."""
+        return self.junction_at(
+            self.lca_junction(self.languages.index(a), self.languages.index(b))
+        )
 
 
 # -- path-distance operations ---------------------------------------------
@@ -352,11 +369,6 @@ class Dendrogram:
 def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
     """Path length from a leaf up to the anchor of the cluster at ``node_id``."""
     i = dendrogram.languages.index(leaf)
-    k = len(dendrogram.languages)
-    if node_id < k:
-        if node_id != i:
-            raise DomainError(f"leaf {leaf!r} is not in the requested cluster")
-        return 0.0
     table = dendrogram.anchor_tables()[node_id]
     if i not in table:
         raise DomainError(f"leaf {leaf!r} is not in the requested cluster")
@@ -481,6 +493,18 @@ def _expect(doc: dict, key: str, location: str):
     return doc[key]
 
 
+def _expect_number(doc: dict, key: str, location: str, default=None) -> float:
+    """A finite JSON number; ``default`` stands in for an absent optional field."""
+    value = _expect(doc, key, location) if default is None else doc.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"{key} must be a finite number", f"{location}.{key}")
+
+
 def deserialize(text: str) -> Dendrogram:
     """Parse a dendrogram document, enforcing all structural invariants."""
     try:
@@ -508,7 +532,7 @@ def deserialize(text: str) -> Dendrogram:
         if not isinstance(entry, dict):
             raise ParseError("language entry must be an object", loc)
         names.append(str(_expect(entry, "name", loc)))
-        depths.append(float(entry.get("depth", 0.0)))
+        depths.append(_expect_number(entry, "depth", loc, default=0.0))
     try:
         languages = LanguageSet(tuple(names), tuple(depths))
     except DomainError as exc:
@@ -554,8 +578,8 @@ def deserialize(text: str) -> Dendrogram:
 
         near = node_ref(_expect(entry, "near", loc), "near")
         far = node_ref(_expect(entry, "far", loc), "far")
-        depth = float(_expect(entry, "depth", loc))
-        lateral = float(_expect(entry, "lateral", loc))
+        depth = _expect_number(entry, "depth", loc)
+        lateral = _expect_number(entry, "lateral", loc)
         if lateral < 0:
             raise ParseError("lateral width must be >= 0", f"{loc}.lateral")
         status_doc = _expect(entry, "status", loc)
@@ -570,10 +594,10 @@ def deserialize(text: str) -> Dendrogram:
                 raise ParseError(
                     "at most one junction may be unresolved", f"{loc}.status"
                 )
-            total = float(_expect(status_doc, "total_length", f"{loc}.status"))
+            total = _expect_number(status_doc, "total_length", f"{loc}.status")
             depth_range = (
-                float(_expect(status_doc, "depth_min", f"{loc}.status")),
-                float(_expect(status_doc, "depth_max", f"{loc}.status")),
+                _expect_number(status_doc, "depth_min", f"{loc}.status"),
+                _expect_number(status_doc, "depth_max", f"{loc}.status"),
             )
         elif state != RESOLVED:
             raise ParseError(f"unknown state {state!r}", f"{loc}.status")

@@ -182,13 +182,6 @@ def iterate_build(
     return IterationTrace(tuple(passes))
 
 
-def _tracked_junction(dendrogram: Dendrogram, pair: tuple[str, str]):
-    node = dendrogram.lca_junction(
-        dendrogram.languages.index(pair[0]), dendrogram.languages.index(pair[1])
-    )
-    return dendrogram.junction_at(node)
-
-
 def perturb(
     measured: CoincidenceMatrix,
     pair: tuple[str, str],
@@ -216,7 +209,7 @@ def perturb(
         dendrogram = builder.build(
             distances, None, mode=mode, external_means=external_means
         )
-        jn = _tracked_junction(dendrogram, track)
+        jn = dendrogram.meeting_junction(*track)
         rows.append(
             PerturbationRow(
                 delta=float(delta),

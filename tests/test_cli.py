@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +184,29 @@ class TestBuild:
             (14, 34), (19, 34), (19, 36)
         ]
 
+    def test_non_numeric_weight_located(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,2\n2,heavy\n3,2\n4,2\n")
+        code, _, err = run(
+            capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--weights", str(weights), "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: weight 'heavy' is not a number (at {weights}:2)"
+        ]
+
+    def test_non_utf8_matrix_located(self, capsys, tmp_path):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(",a,b\na,-,50\nb,50,-\n".encode() + "\xe9\n".encode("latin-1"))
+        code, _, err = run(
+            capsys, "build", "--input", str(src), "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: file is not UTF-8 text (at {src}:4)"
+        ]
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -307,6 +333,23 @@ class TestMerge:
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
 
+    def test_merged_graph_independent_of_hash_seed(self, capsys, tmp_path):
+        self._build_both(capsys, tmp_path)
+        outputs = []
+        for seed in ("0", "1"):  # two seeds that once ordered nodes differently
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(cli.__file__).parents[1]))
+            outdir = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-m", "isolect", "merge",
+                 "--a", str(tmp_path / "a" / "dendrogram.json"),
+                 "--b", str(tmp_path / "b" / "dendrogram.json"),
+                 "--outdir", str(outdir)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((outdir / "merged.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_consistency_failure_exit_two(self, capsys, tmp_path):
         self._build_both(capsys, tmp_path)
         nudged = tmp_path / "nudged.csv"
@@ -401,6 +444,22 @@ class TestRender:
         )
         assert code == 0
         assert "style=dashed" in out
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", math.nan), ("depth", "abc"), ("lateral", math.inf),
+    ])
+    def test_non_finite_or_non_numeric_number(self, capsys, tmp_path, field, value):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path))
+        path = tmp_path / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        doc["junctions"][0][field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: {field} must be a finite number (at junctions[0].{field})"
+        ]
 
     def test_single_leaf_document(self, capsys, tmp_path):
         doc = {

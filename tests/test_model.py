@@ -1,9 +1,13 @@
 import itertools
+import json
+import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isolect import model
+from isolect import merger, model
 from isolect.errors import DomainError, ParseError
 from isolect.model import (
     Dendrogram,
@@ -284,3 +288,104 @@ class TestDendrogramValidation:
         tree = salish_tree()
         assert tree.languages.labels[tree.carrier(6)] == "2"
         assert tree.languages.labels[tree.carrier(4)] == "3"
+
+    def test_rejects_non_finite_geometry(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                Junction(near=0, far=1, depth=bad, lateral=0)
+            with pytest.raises(DomainError, match="finite"):
+                Junction(near=0, far=1, depth=5, lateral=bad)
+            with pytest.raises(DomainError, match="finite"):
+                Junction(near=0, far=1, depth=5, lateral=0, status=model.UNRESOLVED,
+                         total_length=10, depth_range=(0, bad))
+
+
+class TestNumericFields:
+    """Every number in a dendrogram document must be a finite JSON number."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "abc", None, True, 10**400])
+    @pytest.mark.parametrize("path", [
+        ("languages", 0, "depth"),
+        ("junctions", 0, "depth"),
+        ("junctions", 1, "lateral"),
+    ])
+    def test_rejected_with_location(self, path, value):
+        doc = json.loads(serialize(salish_tree()))
+        doc[path[0]][path[1]][path[2]] = value
+        with pytest.raises(ParseError, match=rf"{path[2]} must be a finite number "
+                           rf"\(at {path[0]}\[{path[1]}\]\.{path[2]}\)"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["total_length", "depth_min", "depth_max"])
+    def test_unresolved_fields_rejected(self, field):
+        doc = json.loads(serialize(two_leaf_tree(20, 0)))
+        doc["junctions"][0]["status"] = {
+            "state": "unresolved", "total_length": 40, "depth_min": 0, "depth_max": 20,
+        }
+        doc["junctions"][0]["status"][field] = "NaN"
+        with pytest.raises(ParseError, match=rf"at junctions\[0\]\.status\.{field}"):
+            deserialize(json.dumps(doc))
+
+
+# -- the tree index against independent oracles -------------------------------
+
+
+@st.composite
+def dendrograms(draw):
+    """Random dendrograms, attested leaves and an unresolved root included."""
+    k = draw(st.integers(2, 9))
+    lengths = st.floats(0, 50)
+    depths = draw(st.lists(st.sampled_from((0.0, 0.0, 7.5, 20.0)), min_size=k,
+                           max_size=k))
+    anchor = list(depths)
+    open_nodes = list(range(k))
+    junctions = []
+    for idx in range(k - 1):
+        i, j = draw(st.lists(st.integers(0, len(open_nodes) - 1), min_size=2,
+                             max_size=2, unique=True))
+        near, far = open_nodes[i], open_nodes[j]
+        open_nodes = [n for n in open_nodes if n not in (near, far)] + [k + idx]
+        low = max(anchor[near], anchor[far])
+        if idx == k - 2 and draw(st.booleans()):
+            jn = Junction(near, far, low, 0.0, status=model.UNRESOLVED,
+                          total_length=draw(st.floats(1, 100)),
+                          depth_range=(low, low))
+        else:
+            jn = Junction(near, far, low + draw(lengths), draw(lengths))
+        junctions.append(jn)
+        anchor.append(jn.depth)
+    langs = LanguageSet(tuple(f"L{i}" for i in range(k)), tuple(depths))
+    return Dendrogram(langs, tuple(junctions))
+
+
+def naive_members(tree: Dendrogram, node: int) -> tuple[int, ...]:
+    k = len(tree.languages)
+    if node < k:
+        return (node,)
+    jn = tree.junctions[node - k]
+    return tuple(sorted(naive_members(tree, jn.near) + naive_members(tree, jn.far)))
+
+
+class TestTreeIndexOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(dendrograms())
+    def test_distances_equal_segment_graph_paths(self, tree):
+        g = merger.segment_graph(tree).graph()
+        labels = tree.languages.labels
+        restored = restore_distance_matrix(tree).values
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                expected = nx.shortest_path_length(g, a, b, weight="length")
+                assert leaf_distance(tree, a, b) == pytest.approx(expected, abs=1e-6)
+                assert restored[i, j] == pytest.approx(expected, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dendrograms())
+    def test_members_and_lca_equal_naive_walk(self, tree):
+        k = len(tree.languages)
+        nodes = range(k + len(tree.junctions))
+        for node in nodes:
+            assert tree.members(node) == naive_members(tree, node)
+        for a, b in itertools.product(range(k), repeat=2):
+            lowest = next(n for n in nodes[k:] if {a, b} <= set(naive_members(tree, n)))
+            assert tree.lca_junction(a, b) == lowest
