@@ -89,14 +89,17 @@ def read_matrix_csv(path, kind: str):
     """
     if kind not in ("coincidence", "distance"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    rows = [r for r in _csv_rows(path) if any(c.strip() for c in r)]
+    rows = [
+        (line, row) for line, row in enumerate(_csv_rows(path), start=1)
+        if any(c.strip() for c in row)
+    ]
     if not rows:
         raise ParseError("empty matrix file", str(path))
-    header = [c.strip() for c in rows[0]]
-    labels = header[1:]
+    header_line, header = rows[0]
+    labels = [c.strip() for c in header[1:]]
     k = len(labels)
     if k == 0:
-        raise ParseError("header row names no languages", f"{path}:1")
+        raise ParseError("header row names no languages", f"{path}:{header_line}")
     if len(rows) != k + 1:
         raise ParseError(
             f"expected {k} data rows for {k} languages, found {len(rows) - 1}",
@@ -104,9 +107,8 @@ def read_matrix_csv(path, kind: str):
         )
     diag_default = 100.0 if kind == "coincidence" else 0.0
     values = np.full((k, k), np.nan)
-    for i, row in enumerate(rows[1:]):
+    for i, (line, row) in enumerate(rows[1:]):
         cells = [c.strip() for c in row]
-        line = i + 2
         if len(cells) != k + 1:
             raise ParseError(
                 f"row has {len(cells) - 1} cells, expected {k}", f"{path}:{line}"
@@ -168,6 +170,7 @@ def cluster_name(dendrogram: model.Dendrogram, node_id: int) -> str:
 
 def build_report(
     dendrogram: model.Dendrogram,
+    graph: merger.SegmentGraph,
     trace: refinement.IterationTrace | None,
     weights_source: str,
     external_means: str,
@@ -212,7 +215,6 @@ def build_report(
         )
     lines.append("")
     lines.append("chain epochs:")
-    graph = merger.segment_graph(dendrogram)
     widths = merger.chain_widths(graph)
     if not widths:
         lines.append("  none (purely vertical tree)")
@@ -279,6 +281,7 @@ def render_dot(graph: merger.SegmentGraph, mode: str) -> str:
             lines.append(
                 f"  {_quote_dot(node.id)} [shape=diamond, label={_quote_dot(node.leaf)}];"
             )
+    node_depth = {n.id: n.depth for n in graph.nodes}
     by_depth: dict[str, list[str]] = {}
     for edge in graph.edges:
         label = format_number(edge.length, mode)
@@ -290,9 +293,7 @@ def render_dot(graph: merger.SegmentGraph, mode: str) -> str:
             f"  {_quote_dot(edge.a)} -- {_quote_dot(edge.b)} [{', '.join(attrs)}];"
         )
         if edge.kind == merger.LATERAL:
-            depth_key = format_number(
-                next(n.depth for n in graph.nodes if n.id == edge.a), mode
-            )
+            depth_key = format_number(node_depth[edge.a], mode)
             by_depth.setdefault(depth_key, []).extend([edge.a, edge.b])
     for depth_key in sorted(by_depth):
         ids = sorted(set(by_depth[depth_key]))
@@ -408,21 +409,14 @@ def cmd_build(args) -> int:
     mode = default_mode(args.mode)
     if args.resolve_tolerance <= 0:
         raise InputError("--resolve-tolerance must be > 0")
+    distances = read_matrix_csv(args.input, args.kind)
     if args.kind == "coincidence":
-        coincidences = read_matrix_csv(args.input, "coincidence")
-        if not coincidences.is_complete():
-            raise InputError(
-                "input matrix has absent entries; build requires a complete "
-                "matrix -- build per subsystem and combine with 'isolect merge'"
-            )
-        distances = chronometry.matrix_to_distances(coincidences, mode)
-    else:
-        distances = read_matrix_csv(args.input, "distance")
-        if not distances.is_complete():
-            raise InputError(
-                "input matrix has absent entries; build requires a complete "
-                "matrix -- build per subsystem and combine with 'isolect merge'"
-            )
+        distances = chronometry.matrix_to_distances(distances, mode)
+    if not distances.is_complete():
+        raise InputError(
+            "input matrix has absent entries; build requires a complete "
+            "matrix -- build per subsystem and combine with 'isolect merge'"
+        )
     weights_arg = _load_weights_arg(args.weights, distances.languages)
     trace = None
     if weights_arg == "iterate":
@@ -440,9 +434,10 @@ def cmd_build(args) -> int:
         weights_source = "unit" if weights_arg == "unit" else f"file {args.weights}"
     outdir = Path(args.outdir)
     atomic_write(outdir / "dendrogram.json", model.serialize(dendrogram))
-    report = build_report(dendrogram, trace, weights_source, args.external_means)
-    atomic_write(outdir / "report.txt", report)
     graph = merger.segment_graph(dendrogram)
+    report = build_report(dendrogram, graph, trace, weights_source,
+                          args.external_means)
+    atomic_write(outdir / "report.txt", report)
     atomic_write(outdir / "tree.dot", render_dot(graph, mode))
     sys.stdout.write(report)
     flagged = sorted(
@@ -690,7 +685,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="fuse two dendrograms sharing leaves")
     p.add_argument("--a", required=True, help="reference dendrogram.json")
     p.add_argument("--b", required=True, help="dendrogram.json to graft")
-    p.add_argument("--tolerance", type=float, default=3.0)
+    p.add_argument("--tolerance", type=float, default=3.0,
+                   help="largest deviation, in svodesh, allowed between the "
+                        "two trees' shared structures")
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_merge)
 

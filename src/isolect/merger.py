@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 
@@ -268,69 +268,62 @@ def shared_consistency(
     return ConsistencyReport(shared, tuple(rows), tolerance, tuple(notes))
 
 
-def _shared_edge_set(graph: SegmentGraph, shared: tuple[str, ...]) -> set[frozenset]:
-    covered: set[frozenset] = set()
-    for i, source in enumerate(shared):
-        paths = graph._from_leaf(source)[1]
-        for target in shared[i + 1 :]:
-            path = paths[graph.node_of_leaf(target)]
-            covered.update(frozenset(p) for p in zip(path, path[1:]))
-    return covered
+def _frame(graph: SegmentGraph, shared: tuple[str, ...]):
+    """The span of the shared leaves, seen from the first of them.
 
-
-def _with_provenance(graph: SegmentGraph, shared_edges: set[frozenset],
-                     shared_label: str, other_label: str) -> SegmentGraph:
-    edges = tuple(
-        SegmentEdge(
-            e.a, e.b, e.length, e.kind,
-            shared_label if frozenset((e.a, e.b)) in shared_edges else other_label,
-        )
-        for e in graph.edges
-    )
-    return SegmentGraph(graph.nodes, edges, graph.leaves_a, graph.leaves_b,
-                        graph.mode)
-
-
-def _split_point(graph_edges, nodes, path, distances, target, counter):
-    """Locate (or create by splitting an edge) the node at ``target`` along a path.
-
-    ``path`` is a node-id list, ``distances`` the cumulative lengths along
-    it.  Returns (node_id, nodes, edges, path, distances); the path stays in
-    sync with the edge list so several grafts can land on one segment.
+    Returns each node's distance from ``shared[0]``, each span node's
+    neighbour towards ``shared[0]``, and the node paths from ``shared[0]`` to
+    the other shared leaves.  In a tree the span is the union of these paths.
     """
-    node_depth = {n.id: n for n in nodes}
-    for node_id, dist in zip(path, distances):
-        if abs(dist - target) <= 1e-6:
-            return node_id, nodes, graph_edges, path, distances
-    for idx in range(len(path) - 1):
-        if distances[idx] < target < distances[idx + 1]:
-            a, b = path[idx], path[idx + 1]
-            edge = next(
-                e for e in graph_edges
-                if frozenset((e.a, e.b)) == frozenset((a, b))
-            )
-            la = target - distances[idx]
-            lb = distances[idx + 1] - target
-            frac = la / (la + lb) if la + lb > 0 else 0.0
-            da, db = node_depth[a].depth, node_depth[b].depth
-            new_id = f"graft{counter}"
-            new_node = SegmentNode(new_id, da + frac * (db - da))
-            edges = [e for e in graph_edges if e is not edge]
-            edges.append(SegmentEdge(a, new_id, la, edge.kind, edge.provenance))
-            edges.append(SegmentEdge(new_id, b, lb, edge.kind, edge.provenance))
-            new_path = path[: idx + 1] + [new_id] + path[idx + 1 :]
-            new_dist = distances[: idx + 1] + [target] + distances[idx + 1 :]
-            return new_id, nodes + [new_node], edges, new_path, new_dist
-    raise GraftError(f"attachment position {target} lies outside the shared path")
+    lengths, paths = graph._from_leaf(shared[0])
+    legs = [paths[graph.node_of_leaf(s)] for s in shared[1:]]
+    parent = {v: u for leg in legs for u, v in zip(leg, leg[1:])}
+    return lengths, parent, legs
+
+
+def _in_span(edge: SegmentEdge, parent: dict[str, str]) -> bool:
+    return parent.get(edge.a) == edge.b or parent.get(edge.b) == edge.a
+
+
+def _place(nodes, edges, parent, dist, end, target, new_id) -> str:
+    """The node at ``target`` along the reference path from ``shared[0]`` to ``end``.
+
+    ``parent`` and ``dist`` are the reference frame (see ``_frame``).  The
+    first node within 1e-6 of ``target`` is reused; otherwise the segment
+    around it is split at ``new_id``, its two halves replace it at the end of
+    ``edges``, and the frame is updated so later grafts can land on either.
+    """
+    path = [end]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    path.reverse()
+    for b in path:  # distances grow along the path
+        if abs(dist[b] - target) <= 1e-6:
+            return b
+        if dist[b] > target:
+            break
+    a = parent[b]
+    edge = edges.pop(frozenset((a, b)))
+    la, lb = target - dist[a], dist[b] - target
+    frac = la / (la + lb)
+    da, db = nodes[a].depth, nodes[b].depth
+    nodes[new_id] = SegmentNode(new_id, da + frac * (db - da))
+    edges[frozenset((a, new_id))] = SegmentEdge(a, new_id, la, edge.kind, edge.provenance)
+    edges[frozenset((new_id, b))] = SegmentEdge(new_id, b, lb, edge.kind, edge.provenance)
+    parent[new_id], parent[b] = a, new_id
+    dist[new_id] = target
+    return new_id
 
 
 def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     """Splice dendrogram ``b`` onto ``a`` over their shared leaves.
 
     ``a`` is the reference: its geometry is kept everywhere the two overlap.
-    Branches exclusive to ``b`` are grafted at their attachment points on
-    the shared structure, re-expressed in ``a``'s frame.  Unresolved links
-    carry over as fixed-length edges.
+    Each branch exclusive to ``b`` is grafted at its attachment point ``p``,
+    re-expressed in ``a``'s frame: on ``a``'s path from the first shared leaf
+    to the first shared leaf whose path in ``b`` passes through ``p``, at
+    ``p``'s distance from the first shared leaf in ``b``, clamped to the
+    path's end.  Unresolved links carry over as fixed-length edges.
     """
     report = shared_consistency(a, b, tolerance)
     if not report.passed:
@@ -342,84 +335,55 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     shared = report.shared
     ga = segment_graph(a, PROV_A)
     gb = segment_graph(b, PROV_B)
-    shared_a = _shared_edge_set(ga, shared)
-    shared_b = _shared_edge_set(gb, shared)
-    from_a = [ga._from_leaf(s) for s in shared]
-    from_b = [gb._from_leaf(s) for s in shared]
-    ga = _with_provenance(ga, shared_a, PROV_SHARED, PROV_A)
+    dist, parent, legs_a = _frame(ga, shared)
+    dist = dict(dist)  # splits extend the frame, not the graph's cache
+    lengths_b, parent_b, legs_b = _frame(gb, shared)
+    leg_of: dict[str, int] = {}
+    for j, leg in enumerate(legs_b):
+        for q in leg:
+            leg_of.setdefault(q, j)
 
-    only_b = [e for e in gb.edges if frozenset((e.a, e.b)) not in shared_b]
-    shared_nodes_b = {n for pair in shared_b for n in pair}
+    nodes = {n.id: n for n in ga.nodes}
+    edges = {
+        frozenset((e.a, e.b)):
+            replace(e, provenance=PROV_SHARED) if _in_span(e, parent) else e
+        for e in ga.edges
+    }
+    only_b = [e for e in gb.edges if not _in_span(e, parent_b)]
     sub = nx.Graph()
     for e in only_b:
         sub.add_edge(e.a, e.b)
 
-    nodes = list(ga.nodes)
-    edges = list(ga.edges)
-    node_depth_b = {n.id: n for n in gb.nodes}
     rename: dict[str, str] = {}
-
-    if len(shared) == 2:
-        (lengths_a, paths_a), (lengths_b, paths_b) = from_a[0], from_b[0]
-        path_a = paths_a[ga.node_of_leaf(shared[1])]
-        dist_a = [lengths_a[n] for n in path_a]
-        dist_b = {n: lengths_b[n] for n in paths_b[gb.node_of_leaf(shared[1])]}
-    else:
-        shared_nodes_a = sorted({n for pair in shared_a for n in pair})
-        sig_a = {q: tuple(lengths[q] for lengths, _ in from_a) for q in shared_nodes_a}
-
     components = sorted(nx.connected_components(sub), key=min)
     for counter, comp in enumerate(components):
-        attach = sorted(comp & shared_nodes_b)
+        attach = sorted(comp & leg_of.keys())
         if len(attach) != 1:
             raise GraftError(
                 "an exclusive branch touches the shared structure at "
                 f"{len(attach)} points; expected exactly one"
             )
         p = attach[0]
-        if len(shared) == 2:
-            if p not in dist_b:
-                raise GraftError(
-                    f"attachment node {p} is not on the shared path"
-                )
-            target = min(dist_b[p], dist_a[-1])
-            mapped, nodes, edges, path_a, dist_a = _split_point(
-                edges, nodes, path_a, dist_a, target, counter
-            )
-        else:
-            # With three or more shared leaves, attachment points are located
-            # by their distance signature to the shared leaves and snapped to
-            # the closest existing node of the reference structure.
-            sig = tuple(lengths[p] for lengths, _ in from_b)
-            miss, mapped = min(
-                (max(abs(x - y) for x, y in zip(sig, qsig)), q)
-                for q, qsig in sig_a.items()
-            )
-            if miss > tolerance:
-                raise GraftError(
-                    "no reference-frame node matches an attachment point "
-                    f"within tolerance (best deviation {miss})"
-                )
-        rename[p] = mapped
+        end = legs_a[leg_of[p]][-1]
+        rename[p] = _place(nodes, edges, parent, dist, end,
+                           min(lengths_b[p], dist[end]), f"graft{counter}")
 
     # Carry the exclusive nodes and edges over, renaming internals.
-    existing = {n.id for n in nodes}
+    nodes_b = {n.id: n for n in gb.nodes}
     for comp in components:
         for nid in sorted(comp):
             if nid in rename:
                 continue
-            node = node_depth_b[nid]
+            node = nodes_b[nid]
             new_id = node.id if node.leaf is not None else f"b:{node.id}"
-            if new_id in existing:
+            if new_id in nodes:
                 raise GraftError(f"node id collision while grafting: {new_id}")
             rename[nid] = new_id
-            existing.add(new_id)
-            nodes.append(SegmentNode(new_id, node.depth, node.leaf))
-    for e in only_b:
-        edges.append(SegmentEdge(rename[e.a], rename[e.b], e.length, e.kind, PROV_B))
+            nodes[new_id] = SegmentNode(new_id, node.depth, node.leaf)
+    grafted = tuple(replace(e, a=rename[e.a], b=rename[e.b]) for e in only_b)
 
-    return SegmentGraph(tuple(nodes), tuple(edges), a.languages.labels,
-                        b.languages.labels, ga.mode)
+    return SegmentGraph(tuple(nodes.values()), tuple(edges.values()) + grafted,
+                        a.languages.labels, b.languages.labels, ga.mode)
 
 
 def predict_missing(

@@ -207,6 +207,17 @@ class TestBuild:
             f"error: file is not UTF-8 text (at {src}:4)"
         ]
 
+    def test_bad_cell_located_by_file_line_after_blank_lines(self, capsys, tmp_path):
+        src = tmp_path / "blank.csv"
+        src.write_text(",a,b,c\n\n\na,-,50,40\nb,50,-,x\nc,40,x,-\n")
+        code, _, err = run(
+            capsys, "build", "--input", str(src), "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: cell 'x' is not a number (at {src}:5 column c)"
+        ]
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):

@@ -219,6 +219,67 @@ class TestMultipleGrafts:
                 )
 
 
+def two_studies(rng, k=16, relabelled=(3, 6, 10, 13)):
+    """One planted caterpillar seen by two studies.
+
+    Leaves get shuffled names, so the first shared leaf (in name order) can
+    sit anywhere on the spine.  Study B renames the leaves in ``relabelled``
+    (L07 becomes M07), so each is exclusive to one study and B's grafts land
+    among many shared leaves.  Returns the planted matrix, both studies'
+    labels and each label's planted leaf.
+    """
+    m = sample_caterpillar(rng, k).distance_matrix()
+    labels_a = tuple(f"L{n:02d}" for n in rng.permutation(k))
+    labels_b = tuple(
+        "M" + lab[1:] if i in relabelled else lab for i, lab in enumerate(labels_a)
+    )
+    planted = {lab: i for labels in (labels_a, labels_b)
+               for i, lab in enumerate(labels)}
+    return m, labels_a, labels_b, planted
+
+
+class TestManySharedLeaves:
+    def test_exact_overlap_recovers_planted_distances(self):
+        m, labels_a, labels_b, planted = two_studies(np.random.default_rng(16))
+        tree_a = bl.build(DistanceMatrix(LanguageSet(labels_a), m), mode="precise")
+        tree_b = bl.build(DistanceMatrix(LanguageSet(labels_b), m), mode="precise")
+        graph = mg.merge(tree_a, tree_b, tolerance=1e-6)
+        leaves = graph.leaves()
+        for i, x in enumerate(leaves):
+            for y in leaves[i + 1 :]:
+                u, v = planted[x], planted[y]
+                if u != v:  # twins are one planted leaf seen twice
+                    assert graph.distance(x, y) == pytest.approx(m[u, v], abs=1e-6)
+
+    def test_grafts_keep_their_distance_from_the_first_shared_leaf(self):
+        # B measures with noise, so its attachment points fall between the
+        # reference nodes; each graft must still sit where B puts it.
+        m, labels_a, labels_b, _ = two_studies(np.random.default_rng(16))
+        tree_a = bl.build(DistanceMatrix(LanguageSet(labels_a), m), mode="precise")
+        exclusive = [x for x in labels_b if x not in labels_a]
+        first = min(set(labels_a) & set(labels_b))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            noise = np.triu(rng.uniform(-1, 1, size=m.shape), 1)
+            tree_b = bl.build(
+                DistanceMatrix(LanguageSet(labels_b), m + noise + noise.T),
+                mode="precise",
+            )
+            graph = mg.merge(tree_a, tree_b, tolerance=3)
+            for x in exclusive:
+                assert graph.distance(x, first) == pytest.approx(
+                    leaf_distance(tree_b, x, first), abs=1e-9
+                )
+            # Split reference segments keep consistent depth coordinates.
+            depth = {n.id: n.depth for n in graph.nodes}
+            for e in graph.edges:
+                if e.provenance != mg.PROV_B:
+                    rise = e.length if e.kind == mg.VERTICAL else 0.0
+                    assert abs(depth[e.a] - depth[e.b]) == pytest.approx(
+                        rise, abs=1e-9
+                    )
+
+
 class TestPathSummationCrossCheck:
     def test_fifteen_language_restored_distances(self, baltoslavic):
         # Dual route: the model's anchor-table distances must equal explicit
