@@ -15,11 +15,24 @@ which is the deepest placement compatible with the observed offset.  The
 final link of a build has no external points left to compute an offset
 from; it is stored by total length and cross-checked by rebuilding with
 that link joined first (see ``resolve_last_link``).
+
+The reduced distances live in one float table indexed by node id, sized
+(2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
+the new node's row and column, cells no earlier state reads (it only reads
+pairs of its own active nodes, all older than the new node), so every state
+of a build shares the one table and no join copies it.  ``min_link`` finds
+the shortest link over the active block in numpy; ``lateral_offset`` and
+``reduce`` keep their per-external float arithmetic in cluster order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import DomainError, IsolectError
 from .model import (
@@ -63,16 +76,41 @@ class Cluster:
     key: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterState:
-    """Active clusters plus the reduced distance matrix between them."""
+    """Active clusters plus the reduced distances between them.
+
+    ``table[x, y]`` is the reduced distance between nodes ``x`` and ``y``.
+    States of one build share the table: a reduce fills the new node's row
+    and column, which no earlier state reads, and marks the row taken by a
+    zero on the diagonal.  A reduce that would write a taken row (an id
+    reused, or a second branch from one state) writes into a copy instead.
+    """
 
     clusters: tuple[Cluster, ...]
-    dist: dict[frozenset, float]
+    table: np.ndarray
     mode: str
 
+    @cached_property
+    def _active(self) -> frozenset[int]:
+        return frozenset(c.node for c in self.clusters)
+
+    @property
+    def dist(self) -> Mapping[frozenset, float]:
+        """Read-only view of the active pairs' distances, built on access."""
+        nodes = [c.node for c in self.clusters]
+        block = self.table[np.ix_(nodes, nodes)].tolist()
+        return MappingProxyType({
+            frozenset((x, y)): block[i][j]
+            for i, x in enumerate(nodes)
+            for j, y in enumerate(nodes[i + 1 :], i + 1)
+        })
+
     def distance(self, a: Cluster, b: Cluster) -> float:
-        return self.dist[frozenset((a.node, b.node))]
+        pair = frozenset((a.node, b.node))
+        if len(pair) != 2 or not pair <= self._active:
+            raise KeyError(pair)
+        return float(self.table[a.node, b.node])
 
 
 @dataclass(frozen=True)
@@ -113,6 +151,8 @@ def initial_state(
         weights = WeightVector.unit(langs)
     if weights.languages.labels != langs.labels:
         raise DomainError("weight vector does not match the matrix languages")
+    if not matrix.is_complete():
+        raise DomainError("the builder requires a complete distance matrix")
     clusters = tuple(
         Cluster(
             node=i,
@@ -124,25 +164,29 @@ def initial_state(
         )
         for i in range(len(langs))
     )
-    dist = {}
-    for i in range(len(langs)):
-        for j in range(i + 1, len(langs)):
-            dist[frozenset((i, j))] = float(matrix.values[i, j])
-    return ClusterState(clusters, dist, mode)
+    k = len(langs)
+    table = np.full((2 * k - 1, 2 * k - 1), np.nan)
+    table[:k, :k] = matrix.values
+    # The upper triangle is authoritative: symmetry is checked only to 1e-9.
+    lower = np.tril_indices(k, -1)
+    table[lower] = table[lower[::-1]]
+    return ClusterState(clusters, table, mode)
 
 
 def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
     """Closest active pair; ties broken on the sorted label-pair key."""
-    if len(state.clusters) < 2:
+    clusters = state.clusters
+    if len(clusters) < 2:
         raise DomainError("need at least two active clusters")
-    best = None
-    for i, a in enumerate(state.clusters):
-        for b in state.clusters[i + 1 :]:
-            d = state.distance(a, b)
-            rank = (d, tuple(sorted((a.key, b.key))))
-            if best is None or rank < best[0]:
-                best = (rank, (a, b))
-    return best[1]
+    nodes = np.array([c.node for c in clusters])
+    rows, cols = np.triu_indices(len(clusters), 1)
+    links = state.table[nodes[rows], nodes[cols]]
+    shortest = np.flatnonzero(links == links.min())
+    i, j = min(
+        zip(rows[shortest].tolist(), cols[shortest].tolist()),
+        key=lambda ij: sorted((clusters[ij[0]].key, clusters[ij[1]].key)),
+    )
+    return clusters[i], clusters[j]
 
 
 def lateral_offset(
@@ -165,13 +209,14 @@ def lateral_offset(
         raise FinalLinkError(
             "no external clusters: the pair forms the final (root) link"
         )
+    ext_nodes = [c.node for c in externals]
     means = []
     for member in (a, b):
         num = 0.0
         den = 0.0
-        for ext in externals:
+        for ext, d in zip(externals, state.table[member.node, ext_nodes].tolist()):
             w = ext.weight if external_means == "weighted" else 1.0
-            num += w * state.distance(member, ext)
+            num += w * d
             den += w
         means.append(quantize(num / den, state.mode))
     if means[0] == means[1]:
@@ -248,26 +293,31 @@ def reduce(
         key=tuple(sorted(near.key + far.key)),
     )
     flags: list[str] = []
-    dist = {
-        pair: d
-        for pair, d in state.dist.items()
-        if near.node not in pair and far.node not in pair
-    }
-    clusters = []
-    for ext in state.clusters:
-        if ext.node in (near.node, far.node):
-            continue
-        clusters.append(ext)
-        d_near = state.distance(near, ext) - delta_near
-        d_far = state.distance(far, ext) - delta_far
+    clusters = [c for c in state.clusters if c.node not in (near.node, far.node)]
+    ext_nodes = [c.node for c in clusters]
+    table = state.table
+    values = []
+    for d_near, d_far in zip(
+        table[near.node, ext_nodes].tolist(), table[far.node, ext_nodes].tolist()
+    ):
+        d_near -= delta_near
+        d_far -= delta_far
         value = (near.weight * d_near + far.weight * d_far) / merged.weight
         value = quantize(value, state.mode)
         if value < 0:
             flags.append(FLAG_NEGATIVE_REDUCED)
             value = 0.0
-        dist[frozenset((merged.node, ext.node))] = value
+        values.append(value)
+    if new_node >= len(table) or table[new_node, new_node] == 0.0:
+        # Another state owns this row: write into a copy of the table.
+        size = max(len(table), new_node + 1)
+        table = np.full((size, size), np.nan)
+        table[: len(state.table), : len(state.table)] = state.table
+    table[new_node, ext_nodes] = values
+    table[ext_nodes, new_node] = values
+    table[new_node, new_node] = 0.0
     clusters.append(merged)
-    return ClusterState(tuple(clusters), dist, state.mode), tuple(flags)
+    return ClusterState(tuple(clusters), table, state.mode), tuple(flags)
 
 
 def _first_join(

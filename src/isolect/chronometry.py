@@ -29,7 +29,7 @@ def coincidence_to_svodesh(c: float, mode: str = PRECISE) -> float:
         raise DomainError(f"coincidence must be > 0 (got {c}); distance is infinite at 0")
     if c > 100:
         raise DomainError(f"coincidence must be <= 100 (got {c})")
-    return quantize(-100.0 * math.log(c / 100.0), mode)
+    return quantize(_svodesh(c), mode)
 
 
 def svodesh_to_coincidence(length: float, mode: str = PRECISE) -> float:
@@ -37,7 +37,15 @@ def svodesh_to_coincidence(length: float, mode: str = PRECISE) -> float:
     check_mode(mode)
     if not np.isfinite(length) or length < 0:
         raise DomainError(f"svodesh distance must be finite and >= 0 (got {length})")
-    return quantize(100.0 * math.exp(-length / 100.0), mode)
+    return quantize(_coincidence(length), mode)
+
+
+def _svodesh(c: float) -> float:
+    return -100.0 * math.log(c / 100.0)
+
+
+def _coincidence(length: float) -> float:
+    return 100.0 * math.exp(-length / 100.0)
 
 
 def divergence_time(
@@ -63,48 +71,69 @@ def pair_count(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def _observed_pairs(matrix, invalid, scalar, mode: str):
+    """Row, column and value of each observed (non-NaN) upper-triangle pair.
+
+    ``invalid`` flags the values the scalar conversion ``scalar`` rejects;
+    the first flagged pair in row-major order raises ``scalar``'s error,
+    prefixed with the pair's labels.
+    """
+    rows, cols = np.triu_indices(len(matrix.languages), 1)
+    cells = matrix.values[rows, cols]
+    observed = ~np.isnan(cells)
+    flagged = np.flatnonzero(observed & invalid(cells))
+    if flagged.size:
+        n = flagged[0]
+        try:
+            scalar(cells[n], mode)
+        except DomainError as exc:
+            labels = matrix.languages.labels
+            raise DomainError(
+                f"pair ({labels[rows[n]]}, {labels[cols[n]]}): {exc}"
+            ) from None
+    return rows[observed], cols[observed], cells[observed].tolist()
+
+
+def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
+    """A k x k matrix: ``values`` at (row, col) and (col, row), ``diagonal`` on
+    the diagonal, NaN at every other cell."""
+    out = np.full((k, k), np.nan)
+    np.fill_diagonal(out, diagonal)
+    out[rows, cols] = values
+    out[cols, rows] = values
+    return out
+
+
 def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> DistanceMatrix:
     """Elementwise conversion of coincidences to svodesh distances."""
     check_mode(mode)
-    k = len(matrix.languages)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = matrix.values[i, j]
-            if np.isnan(c):
-                out[i, j] = out[j, i] = np.nan
-                continue
-            try:
-                out[i, j] = out[j, i] = coincidence_to_svodesh(c, mode)
-            except DomainError as exc:
-                labels = matrix.languages.labels
-                raise DomainError(
-                    f"pair ({labels[i]}, {labels[j]}): {exc}"
-                ) from None
+    rows, cols, cells = _observed_pairs(
+        matrix,
+        lambda c: ~np.isfinite(c) | (c <= 0) | (c > 100),
+        coincidence_to_svodesh,
+        mode,
+    )
+    values = [quantize(_svodesh(c), mode) for c in cells]
+    out = _symmetric(len(matrix.languages), rows, cols, values, 0.0)
     return DistanceMatrix(matrix.languages, out)
 
 
 def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> CoincidenceMatrix:
     """Elementwise conversion of svodesh distances to coincidences."""
     check_mode(mode)
-    k = len(matrix.languages)
-    out = np.full((k, k), 100.0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            l = matrix.values[i, j]
-            if np.isnan(l):
-                out[i, j] = out[j, i] = np.nan
-                continue
-            try:
-                c = svodesh_to_coincidence(l, mode)
-            except DomainError as exc:
-                labels = matrix.languages.labels
-                raise DomainError(
-                    f"pair ({labels[i]}, {labels[j]}): {exc}"
-                ) from None
-            if c == 0.0:
-                # Integer rounding of a sub-half-percent coincidence would
-                # leave the (0, 100] range; keep the fractional value.
-                c = svodesh_to_coincidence(l, PRECISE)
-            out[i, j] = out[j, i] = c
+    rows, cols, cells = _observed_pairs(
+        matrix,
+        lambda length: ~np.isfinite(length) | (length < 0),
+        svodesh_to_coincidence,
+        mode,
+    )
+    values = []
+    for length in cells:
+        c = quantize(_coincidence(length), mode)
+        if c == 0.0:
+            # Integer rounding of a sub-half-percent coincidence would
+            # leave the (0, 100] range; keep the fractional value.
+            c = _coincidence(length)
+        values.append(c)
+    out = _symmetric(len(matrix.languages), rows, cols, values, 100.0)
     return CoincidenceMatrix(matrix.languages, out)

@@ -86,18 +86,19 @@ def _as_square(values, k: int) -> np.ndarray:
 
 
 def _check_symmetry(arr: np.ndarray, labels: tuple[str, ...]) -> None:
-    k = arr.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = arr[i, j], arr[j, i]
-            if np.isnan(a) != np.isnan(b):
-                raise DomainError(
-                    f"asymmetric presence at ({labels[i]}, {labels[j]})"
-                )
-            if not np.isnan(a) and abs(a - b) > 1e-9:
-                raise DomainError(
-                    f"asymmetric at ({labels[i]}, {labels[j]}): {a} vs {b}"
-                )
+    """Report the first asymmetric pair in row-major upper-triangle order."""
+    absent = np.isnan(arr)
+    with np.errstate(invalid="ignore"):
+        apart = np.abs(arr - arr.T) > 1e-9
+    bad = np.triu((absent != absent.T) | apart, 1)
+    if not bad.any():
+        return
+    i, j = np.argwhere(bad)[0]
+    if absent[i, j] != absent[j, i]:
+        raise DomainError(f"asymmetric presence at ({labels[i]}, {labels[j]})")
+    raise DomainError(
+        f"asymmetric at ({labels[i]}, {labels[j]}): {arr[i, j]} vs {arr[j, i]}"
+    )
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,100 @@ class TestMinLink:
         assert (a.key[0], b.key[0]) == ("a", "b")
 
 
+def _step(state, node, mode):
+    """One join through the step API; returns the pair and the next state."""
+    pair = bl.min_link(state)
+    offset, near, far = bl.lateral_offset(state, pair)
+    link = state.distance(near, far)
+    d, h, flags, offset = bl.join_geometry(
+        link, offset, near.anchor_depth, far.anchor_depth, mode
+    )
+    state, _ = bl.reduce(
+        state, bl.JoinGeometry(near, far, link, offset, d, h, flags), node
+    )
+    return pair, state
+
+
+def _tied_matrix(seed, k=30):
+    """Integer distances over a narrow range, so most steps see exact ties;
+    shuffled labels, so label order is not node order."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(20, 36, size=(k, k)).astype(float), 1)
+    labels = tuple(f"x{int(i):02d}" for i in rng.permutation(k))
+    return DistanceMatrix(LanguageSet(labels), upper + upper.T)
+
+
+class TestStepApiOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_min_link_matches_brute_force_rank(self, seed):
+        dm = _tied_matrix(seed)
+        k = len(dm.languages)
+        state = bl.initial_state(dm, None, "paper")
+        node = k
+        tied_steps = 0
+        while len(state.clusters) > 2:
+            ranks = [
+                (state.distance(a, b), tuple(sorted((a.key, b.key))), (a, b))
+                for i, a in enumerate(state.clusters)
+                for b in state.clusters[i + 1 :]
+            ]
+            best = min(ranks, key=lambda r: r[:2])
+            tied_steps += sum(r[0] == best[0] for r in ranks) > 1
+            pair, state = _step(state, node, "paper")
+            assert pair == best[2]
+            node += 1
+        assert tied_steps > k // 2
+
+    def test_earlier_states_unchanged_by_later_reduces(self):
+        dm = _tied_matrix(7)
+        k = len(dm.languages)
+        state = bl.initial_state(dm, None, "paper")
+        seen = []
+        node = k
+        while len(state.clusters) > 2:
+            n = len(state.clusters)
+            view = state.dist
+            assert len(view) == n * (n - 1) // 2
+            with pytest.raises(TypeError):
+                view[next(iter(view))] = 0.0
+            seen.append((state, dict(view)))
+            (a, b), state = _step(state, node, "paper")
+            ext = state.clusters[0]
+            for retired in (a, b):
+                with pytest.raises(KeyError):
+                    state.dist[frozenset((retired.node, ext.node))]
+                with pytest.raises(KeyError):
+                    state.distance(retired, ext)
+            node += 1
+        for earlier, snapshot in seen:
+            assert dict(earlier.dist) == snapshot
+            by_node = {c.node: c for c in earlier.clusters}
+            for pair, d in snapshot.items():
+                x, y = (by_node[n] for n in pair)
+                assert earlier.distance(x, y) == d
+
+    def test_branching_reduces_keep_both_branches(self):
+        # Two reduces of one state that reuse a node id must not see each
+        # other's rows.
+        dm = _tied_matrix(11, k=8)
+        state = bl.initial_state(dm, None, "precise")
+        a, b, c = state.clusters[:3]
+        first, _ = bl.reduce(state, bl.JoinGeometry(a, b, 0, 0, 1.0, 0.0), 8)
+        before = dict(first.dist)
+        second, _ = bl.reduce(state, bl.JoinGeometry(a, c, 0, 0, 5.0, 2.0), 8)
+        assert dict(first.dist) == before
+        assert dict(second.dist) != before
+        assert len(second.dist) == len(before)
+
+    def test_incomplete_matrix_rejected(self):
+        dm = DistanceMatrix(
+            LanguageSet(("a", "b", "c")),
+            np.array([[0, np.nan, 3], [np.nan, 0, 4], [3, 4, 0]], float),
+        )
+        with pytest.raises(DomainError, match="complete"):
+            bl.initial_state(dm, None, "precise")
+
+
 class TestLateralOffset:
     def test_cherry_offset(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
@@ -370,6 +464,18 @@ class TestPlantedRecovery:
             assert np.allclose(
                 restored.values, planted.distance_matrix(), atol=1e-9
             )
+
+    def test_large_caterpillar_recovered_exactly(self):
+        rng = np.random.default_rng(128)
+        k = 128
+        planted = sample_caterpillar(rng, k)
+        m = planted.distance_matrix()
+        dm = DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
+        tree = bl.build(dm, mode="precise")
+        assert tree.junctions[-1].status == model.RESOLVED
+        restored = model.restore_distance_matrix(tree)
+        off = ~np.eye(k, dtype=bool)
+        assert np.allclose(restored.values[off], m[off], rtol=1e-6, atol=0)
 
     def test_reduction_consistency_on_planted_tree(self):
         # After every reduce the new entry equals the true anchor distance.

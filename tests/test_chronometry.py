@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from isolect import chronometry as ch
 from isolect.errors import DomainError
-from isolect.model import DistanceMatrix, LanguageSet
+from isolect.model import CoincidenceMatrix, DistanceMatrix, LanguageSet
 
 from conftest import (
     SALISH_A_DISTANCES,
@@ -132,3 +133,45 @@ class TestMatrixConversion:
         assert out.values[0, 1] == 69
         back = ch.matrix_to_coincidences(out, "paper")
         assert np.isnan(back.values[0, 2])
+
+
+class TestMatrixConversionAgainstScalar:
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_matches_per_cell_conversion(self, mode):
+        rng = np.random.default_rng(41)
+        k = 12
+        c = np.triu(rng.uniform(0.2, 100.0, size=(k, k)), 1)
+        c[2, 7] = c[0, 11] = np.nan
+        c = c + c.T
+        np.fill_diagonal(c, 100.0)
+        langs = LanguageSet(tuple(f"l{i}" for i in range(k)))
+        out = ch.matrix_to_distances(CoincidenceMatrix(langs, c), mode)
+        back = ch.matrix_to_coincidences(out, mode)
+        for i in range(k):
+            for j in range(k):
+                if i == j or np.isnan(c[i, j]):
+                    assert np.isnan(out.values[i, j]) == (i != j)
+                    continue
+                expected = ch.coincidence_to_svodesh(c[i, j], mode)
+                assert out.values[i, j] == expected
+                percent = ch.svodesh_to_coincidence(expected, mode)
+                if percent == 0.0:
+                    percent = ch.svodesh_to_coincidence(expected, "precise")
+                assert back.values[i, j] == percent
+
+    def test_first_bad_pair_reported(self):
+        # Matrix classes reject such cells themselves; a bare stand-in
+        # reaches the conversion's own check.
+        langs = LanguageSet(("a", "b", "c"))
+        values = np.array([[100, 50, 0], [50, 100, 150], [0, 150, 100]], float)
+        with pytest.raises(DomainError) as exc:
+            ch.matrix_to_distances(SimpleNamespace(languages=langs, values=values))
+        assert str(exc.value) == (
+            "pair (a, c): coincidence must be > 0 (got 0.0); distance is infinite at 0"
+        )
+        lengths = np.array([[0, 5, 1], [5, 0, -2], [1, -2, 0]], float)
+        with pytest.raises(DomainError) as exc:
+            ch.matrix_to_coincidences(SimpleNamespace(languages=langs, values=lengths))
+        assert str(exc.value) == (
+            "pair (b, c): svodesh distance must be finite and >= 0 (got -2.0)"
+        )

@@ -72,6 +72,19 @@ class TestMatrices:
                 LanguageSet(("a", "b")), np.array([[100, 40], [41, 100]], float)
             )
 
+    def test_first_asymmetric_pair_reported(self):
+        # Row-major upper-triangle order: (a, c) comes before (b, c).
+        nan = float("nan")
+        langs = LanguageSet(("a", "b", "c"))
+        with pytest.raises(DomainError) as exc:
+            DistanceMatrix(langs, np.array([[0, 4, 5], [4, 0, nan], [6, 7, 0]]))
+        assert str(exc.value) == "asymmetric at (a, c): 5.0 vs 6.0"
+        with pytest.raises(DomainError) as exc:
+            DistanceMatrix(langs, np.array([[0, 4, nan], [4, 0, 7], [5, 8, 0]]))
+        assert str(exc.value) == "asymmetric presence at (a, c)"
+        # Differences within 1e-9 are tolerated.
+        DistanceMatrix(langs, np.array([[0, 4, 5], [4, 0, 7], [5 + 1e-10, 7, 0]]))
+
     def test_coincidence_range_enforced(self):
         with pytest.raises(DomainError):
             model.CoincidenceMatrix(
