@@ -21,8 +21,12 @@ The reduced distances live in one float table indexed by node id, sized
 the new node's row and column, cells no earlier state reads (it only reads
 pairs of its own active nodes, all older than the new node), so every state
 of a build shares the one table and no join copies it.  ``min_link`` finds
-the shortest link over the active block in numpy; ``lateral_offset`` and
-``reduce`` keep their per-external float arithmetic in cluster order.
+the shortest link over the active block in numpy.  ``lateral_offset`` and
+``reduce`` work on whole rows of externals in cluster order, and two rules
+keep every result equal to a per-external Python loop's: sums run left to
+right through ``np.add.accumulate`` (never the pairwise ``np.sum``), and
+``reduce`` rounds its whole row at once with the scalar rounding's IEEE
+operations (``quantize_array``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -48,7 +53,7 @@ from .model import (
     UNRESOLVED,
     WeightVector,
 )
-from .modes import PAPER, PRECISE, check_mode, quantize
+from .modes import PAPER, PRECISE, check_mode, quantize, quantize_array
 
 EXTERNAL_MEANS = ("weighted", "simple")
 
@@ -93,7 +98,16 @@ class ClusterState:
 
     @cached_property
     def _active(self) -> frozenset[int]:
-        return frozenset(c.node for c in self.clusters)
+        return frozenset(self._nodes.tolist())
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        """Node ids of the active clusters, in cluster order."""
+        return np.array([c.node for c in self.clusters], dtype=np.intp)
+
+    def _externals(self, a: Cluster, b: Cluster) -> np.ndarray:
+        """Mask over the active clusters: True except at ``a`` and ``b``."""
+        return (self._nodes != a.node) & (self._nodes != b.node)
 
     @property
     def dist(self) -> Mapping[frozenset, float]:
@@ -176,14 +190,17 @@ def initial_state(
 def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
     """Closest active pair; ties broken on the sorted label-pair key."""
     clusters = state.clusters
-    if len(clusters) < 2:
+    n = len(clusters)
+    if n < 2:
         raise DomainError("need at least two active clusters")
-    nodes = np.array([c.node for c in clusters])
-    rows, cols = np.triu_indices(len(clusters), 1)
-    links = state.table[nodes[rows], nodes[cols]]
-    shortest = np.flatnonzero(links == links.min())
+    nodes = state._nodes
+    # The block is symmetric: take the minimum over all of it but the
+    # diagonal, and keep each tied pair once, as (i, j) with i < j.
+    links = state.table.take(nodes, 0).take(nodes, 1)
+    links.flat[:: n + 1] = np.inf
+    tied = (divmod(at, n) for at in np.flatnonzero(links == links.min()).tolist())
     i, j = min(
-        zip(rows[shortest].tolist(), cols[shortest].tolist()),
+        ((i, j) for i, j in tied if i < j),
         key=lambda ij: sorted((clusters[ij[0]].key, clusters[ij[1]].key)),
     )
     return clusters[i], clusters[j]
@@ -204,21 +221,20 @@ def lateral_offset(
     if external_means not in EXTERNAL_MEANS:
         raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
     a, b = pair
-    externals = [c for c in state.clusters if c.node not in (a.node, b.node)]
-    if not externals:
+    external = state._externals(a, b)
+    rows = state.table.take((a.node, b.node), 0).take(state._nodes[external], 1)
+    if not rows.shape[1]:
         raise FinalLinkError(
             "no external clusters: the pair forms the final (root) link"
         )
-    ext_nodes = [c.node for c in externals]
-    means = []
-    for member in (a, b):
-        num = 0.0
-        den = 0.0
-        for ext, d in zip(externals, state.table[member.node, ext_nodes].tolist()):
-            w = ext.weight if external_means == "weighted" else 1.0
-            num += w * d
-            den += w
-        means.append(quantize(num / den, state.mode))
+    if external_means == "weighted":
+        weights = np.array([c.weight for c in state.clusters])[external]
+    else:
+        weights = np.ones(rows.shape[1])
+    # Sequential sums, left to right as ``num += w * d`` would add them.
+    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
+    den = np.add.accumulate(weights)[-1]
+    means = [quantize(mean, state.mode) for mean in (num / den).tolist()]
     if means[0] == means[1]:
         # Equidistant pair: the lexicographically larger key goes far.
         near, far = (a, b) if a.key < b.key else (b, a)
@@ -292,22 +308,19 @@ def reduce(
         weight=near.weight + far.weight,
         key=tuple(sorted(near.key + far.key)),
     )
-    flags: list[str] = []
-    clusters = [c for c in state.clusters if c.node not in (near.node, far.node)]
-    ext_nodes = [c.node for c in clusters]
+    external = state._externals(near, far)
+    clusters = list(compress(state.clusters, external.tolist()))
+    ext_nodes = state._nodes[external]
     table = state.table
-    values = []
-    for d_near, d_far in zip(
-        table[near.node, ext_nodes].tolist(), table[far.node, ext_nodes].tolist()
-    ):
-        d_near -= delta_near
-        d_far -= delta_far
-        value = (near.weight * d_near + far.weight * d_far) / merged.weight
-        value = quantize(value, state.mode)
-        if value < 0:
-            flags.append(FLAG_NEGATIVE_REDUCED)
-            value = 0.0
-        values.append(value)
+    d_near, d_far = table.take((near.node, far.node), 0).take(ext_nodes, 1)
+    d_near -= delta_near
+    d_far -= delta_far
+    values = quantize_array(
+        (near.weight * d_near + far.weight * d_far) / merged.weight, state.mode
+    )
+    negative = values < 0
+    values[negative] = 0.0
+    flags = (FLAG_NEGATIVE_REDUCED,) * int(np.count_nonzero(negative))
     if new_node >= len(table) or table[new_node, new_node] == 0.0:
         # Another state owns this row: write into a copy of the table.
         size = max(len(table), new_node + 1)
@@ -317,7 +330,7 @@ def reduce(
     table[ext_nodes, new_node] = values
     table[new_node, new_node] = 0.0
     clusters.append(merged)
-    return ClusterState(tuple(clusters), table, state.mode), tuple(flags)
+    return ClusterState(tuple(clusters), table, state.mode), flags
 
 
 def _first_join(

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .modes import PRECISE, check_mode, quantize
+from .modes import PRECISE, check_mode, quantize, quantize_array
 from .model import CoincidenceMatrix, DistanceMatrix
 
 
@@ -113,7 +113,7 @@ def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> Dista
         coincidence_to_svodesh,
         mode,
     )
-    values = [quantize(_svodesh(c), mode) for c in cells]
+    values = quantize_array([_svodesh(c) for c in cells], mode)
     out = _symmetric(len(matrix.languages), rows, cols, values, 0.0)
     return DistanceMatrix(matrix.languages, out)
 
@@ -127,13 +127,10 @@ def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> Coinc
         svodesh_to_coincidence,
         mode,
     )
-    values = []
-    for length in cells:
-        c = quantize(_coincidence(length), mode)
-        if c == 0.0:
-            # Integer rounding of a sub-half-percent coincidence would
-            # leave the (0, 100] range; keep the fractional value.
-            c = _coincidence(length)
-        values.append(c)
+    exact = np.array([_coincidence(length) for length in cells])
+    values = quantize_array(exact, mode)
+    # Integer rounding of a sub-half-percent coincidence would leave the
+    # (0, 100] range; keep the fractional value.
+    values = np.where(values == 0.0, exact, values)
     out = _symmetric(len(matrix.languages), rows, cols, values, 100.0)
     return CoincidenceMatrix(matrix.languages, out)

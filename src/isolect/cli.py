@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -119,17 +120,19 @@ def read_matrix_csv(path, kind: str):
                 f"(expected {labels[i]!r})",
                 f"{path}:{line}",
             )
+        parsed = []
         for j, cell in enumerate(cells[1:]):
             if cell in ABSENT_TOKENS:
-                values[i, j] = diag_default if i == j else np.nan
+                parsed.append(diag_default if i == j else np.nan)
                 continue
             try:
-                values[i, j] = float(cell)
+                parsed.append(float(cell))
             except ValueError:
                 raise ParseError(
                     f"cell {cell!r} is not a number",
                     f"{path}:{line} column {labels[j]}",
                 ) from None
+        values[i] = parsed
     try:
         languages = model.LanguageSet(tuple(labels))
         if kind == "coincidence":
@@ -468,16 +471,18 @@ def cmd_evaluate(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["language_a", "language_b", "measured", "restored", "residual"])
     order = [measured.languages.index(lab) for lab in labels]
-    aligned = measured.values[np.ix_(order, order)]
+    aligned = measured.values[np.ix_(order, order)].tolist()
+    restored = report.restored.values.tolist()
+    residuals = report.residuals.tolist()
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            if np.isnan(aligned[i, j]):
+            if math.isnan(aligned[i][j]):
                 continue
             writer.writerow([
                 labels[i], labels[j],
-                format_number(aligned[i, j], mode),
-                format_number(report.restored.values[i, j], mode),
-                format_number(report.residuals[i, j], mode),
+                format_number(aligned[i][j], mode),
+                format_number(restored[i][j], mode),
+                format_number(residuals[i][j], mode),
             ])
     atomic_write(Path(args.output), out.getvalue())
     weights = refinement.weights_from_dispersions(

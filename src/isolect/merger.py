@@ -216,13 +216,24 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
         by_depth.setdefault(key, []).append(e)
     runs = []
     for depth, group in by_depth.items():
-        g = nx.Graph()
+        # Union-find over the group's nodes, kept in first-seen order.
+        parent: dict[str, str] = {}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
         for e in group:
-            g.add_edge(e.a, e.b, length=e.length)
-        for comp in nx.connected_components(g):
-            sub = g.subgraph(comp)
-            width = sum(d["length"] for _, _, d in sub.edges(data=True))
-            runs.append((float(depth), float(width), sub.number_of_edges()))
+            parent.setdefault(e.a, e.a)
+            parent.setdefault(e.b, e.b)
+            parent[find(e.a)] = find(e.b)
+        # Runs in the order of their first-seen node; each sums its lengths
+        # in edge order.
+        lengths: dict[str, list[float]] = {find(x): [] for x in list(parent)}
+        for e in group:
+            lengths[find(e.a)].append(e.length)
+        runs.extend((float(depth), float(sum(ls)), len(ls)) for ls in lengths.values())
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
 

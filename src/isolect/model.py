@@ -403,23 +403,30 @@ def restore_distance_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
 
     One sweep over junctions: each leaf pair crosses exactly one junction
     (its lowest common one), where its distance is the sum of the two
-    anchor distances.
+    anchor distances.  The root's anchor table lists the leaves so that
+    every junction's near members are followed by its far members, so each
+    junction fills one near x far block of that order at once.
     """
     k = len(dendrogram.languages)
-    arr = np.zeros((k, k))
     tables = dendrogram.anchor_tables()
+    at = {leaf: i for i, leaf in enumerate(tables[-1])}
+    out = np.zeros((k, k))
     for idx, jn in enumerate(dendrogram.junctions):
         near_t, far_t = tables[jn.near], tables[jn.far]
         if jn.status == UNRESOLVED:
-            for a, da in near_t.items():
-                for b, db in far_t.items():
-                    arr[a, b] = arr[b, a] = da + jn.total_length + db
+            to_near = [da + jn.total_length for da in near_t.values()]
+            to_far = list(far_t.values())
         else:
-            table = tables[k + idx]
-            for a in near_t:
-                for b in far_t:
-                    arr[a, b] = arr[b, a] = table[a] + table[b]
-    return DistanceMatrix(dendrogram.languages, arr)
+            both = list(tables[k + idx].values())
+            to_near, to_far = both[: len(near_t)], both[len(near_t) :]
+        start = at[next(iter(near_t))]
+        mid = start + len(near_t)
+        end = mid + len(far_t)
+        block = np.add.outer(to_near, to_far)
+        out[start:mid, mid:end] = block
+        out[mid:end, start:mid] = block.T
+    where = np.array([at[leaf] for leaf in range(k)])
+    return DistanceMatrix(dendrogram.languages, out[where[:, None], where])
 
 
 def restore_coincidence_matrix(dendrogram: Dendrogram) -> CoincidenceMatrix:

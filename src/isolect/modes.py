@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 PRECISE = "precise"
 PAPER = "paper"
 
@@ -34,4 +36,18 @@ def quantize(value: float, mode: str) -> float:
         return round_half_away(value)
     if mode == PRECISE:
         return float(value)
+    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def quantize_array(values: np.ndarray, mode: str) -> np.ndarray:
+    """``quantize`` on every element of a float array.
+
+    The paper-mode rounding runs the scalar ``round_half_away``'s IEEE
+    operations elementwise, so each element equals the scalar result, -0.0
+    included.  Precise mode returns the values as a float array, unchanged.
+    """
+    if mode == PAPER:
+        return np.copysign(np.floor(np.abs(values) + 0.5), values)
+    if mode == PRECISE:
+        return np.asarray(values, dtype=float)
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

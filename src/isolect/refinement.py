@@ -22,7 +22,7 @@ from .model import (
     WeightVector,
     restore_distance_matrix,
 )
-from .modes import PAPER, PRECISE, check_mode, quantize
+from .modes import PAPER, PRECISE, check_mode, quantize_array
 
 DISPERSION_FLOOR = 0.5  # svodesh^2; keeps weights finite on perfect fits
 WEIGHT_MEAN = 10.0
@@ -97,26 +97,52 @@ def evaluate(dendrogram: Dendrogram, measured: DistanceMatrix) -> EvaluationRepo
     restored = restore_distance_matrix(dendrogram)
     residuals = restored.values - measured_values
     np.fill_diagonal(residuals, 0.0)
-    k = len(langs)
-    dispersions = []
-    for i in range(k):
-        row = np.delete(residuals[i], i)
-        row = row[~np.isnan(row)]
-        dispersions.append(float(np.var(row, ddof=1)) if row.size >= 2 else 0.0)
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not np.isnan(residuals[i, j]):
-                pairs.append((langs.labels[i], langs.labels[j], float(residuals[i, j])))
-    pairs.sort(key=lambda p: (-abs(p[2]), p[0], p[1]))
     residuals.setflags(write=False)
     return EvaluationReport(
         languages=langs,
         restored=restored,
         residuals=residuals,
-        dispersions=tuple(dispersions),
-        worst_pairs=tuple(pairs[:3]),
+        dispersions=_dispersions(residuals),
+        worst_pairs=_worst_pairs(residuals, langs.labels),
     )
+
+
+def _dispersions(residuals: np.ndarray) -> tuple[float, ...]:
+    """Sample variance of each residual row without its diagonal cell.
+
+    Complete rows share one ``np.var`` over the off-diagonal block; a row
+    with absent cells drops them first.  Fewer than two cells give 0.
+    """
+    k = len(residuals)
+    off = residuals[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    absent = np.isnan(off).any(axis=1)
+    dispersions = np.zeros(k)
+    if k >= 3:
+        dispersions[~absent] = np.var(off[~absent], axis=1, ddof=1)
+    for i in np.flatnonzero(absent).tolist():
+        row = off[i][~np.isnan(off[i])]
+        dispersions[i] = np.var(row, ddof=1) if row.size >= 2 else 0.0
+    return tuple(dispersions.tolist())
+
+
+def _worst_pairs(residuals: np.ndarray, labels) -> tuple[tuple[str, str, float], ...]:
+    """The three pairs of largest |residual|; ties go to the smaller label pair.
+
+    Only pairs at least as large as the third largest are sorted, with the
+    key a sort of every pair would use.
+    """
+    rows, cols = np.nonzero(np.triu(~np.isnan(residuals), 1))
+    values = residuals[rows, cols]
+    size = np.abs(values)
+    if size.size > 3:
+        keep = size >= np.partition(size, size.size - 3)[size.size - 3]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    pairs = [
+        (labels[i], labels[j], r)
+        for i, j, r in zip(rows.tolist(), cols.tolist(), values.tolist())
+    ]
+    pairs.sort(key=lambda p: (-abs(p[2]), p[0], p[1]))
+    return tuple(pairs[:3])
 
 
 def weights_from_dispersions(
@@ -141,7 +167,7 @@ def weights_from_dispersions(
     inverse = 1.0 / np.maximum(disp, floor)
     scaled = target_mean * inverse / inverse.mean()
     if mode == PAPER:
-        scaled = np.maximum(1.0, np.array([quantize(w, PAPER) for w in scaled]))
+        scaled = np.maximum(1.0, quantize_array(scaled, PAPER))
     return WeightVector(languages, tuple(float(w) for w in scaled))
 
 
@@ -197,6 +223,8 @@ def perturb(
     """
     track = tuple(track) if track is not None else tuple(pair)
     baseline_c = measured.value(*pair)
+    i, j = (measured.languages.index(label) for label in pair)
+    baseline = chronometry.matrix_to_distances(measured, mode)
     rows = []
     for delta in (0.0, *deltas):
         c = baseline_c + delta
@@ -204,8 +232,14 @@ def perturb(
             raise DomainError(
                 f"perturbed coincidence {c} for pair {pair} leaves (0, 100]"
             )
-        matrix = measured.with_value(pair[0], pair[1], c) if delta else measured
-        distances = chronometry.matrix_to_distances(matrix, mode)
+        distances = baseline
+        if delta:
+            # The one changed cell, converted as the whole matrix would be.
+            if i == j:
+                raise DomainError("cannot set a diagonal coincidence")
+            values = np.array(baseline.values)
+            values[i, j] = values[j, i] = chronometry.coincidence_to_svodesh(c, mode)
+            distances = DistanceMatrix(baseline.languages, values)
         dendrogram = builder.build(
             distances, None, mode=mode, external_means=external_means
         )

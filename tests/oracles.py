@@ -4,12 +4,17 @@ Planted chain geometries are generated here and their leaf distances are
 computed by brute-force path summation over an explicit segment list --
 deliberately without touching the package's tree/path code, so these
 values can serve as ground truth for reconstruction tests.
+
+The scalar references at the end are per-cell Python loops, one call per
+cell, that the package's array kernels must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 
 
@@ -146,3 +151,93 @@ def sample_balanced_ambiguous(rng: np.random.Generator) -> PlantedBalanced:
     if total <= need:
         total = need + 1.0 + float(rng.uniform(0.0, 5.0))
     return PlantedBalanced((p, q), (hp, hq), total)
+
+
+# -- scalar references for the array kernels --------------------------------
+
+
+def round_half_away(x: float) -> float:
+    return math.copysign(math.floor(abs(x) + 0.5), x)
+
+
+def quantize(x: float, mode: str) -> float:
+    return round_half_away(x) if mode == "paper" else float(x)
+
+
+def lateral_offset_means(state, pair, external_means="weighted") -> list[float]:
+    """Both members' external means, summed one external at a time."""
+    a, b = pair
+    externals = [c for c in state.clusters if c.node not in (a.node, b.node)]
+    means = []
+    for member in (a, b):
+        num = 0.0
+        den = 0.0
+        for ext in externals:
+            w = ext.weight if external_means == "weighted" else 1.0
+            num += w * float(state.table[member.node, ext.node])
+            den += w
+        means.append(quantize(num / den, state.mode))
+    return means
+
+
+def reduced_row(state, geometry) -> tuple[list[float], int]:
+    """The merged cluster's distances to the externals, in cluster order,
+    and the number of negative values clamped to 0."""
+    near, far = geometry.near, geometry.far
+    delta_near = geometry.depth - near.anchor_depth
+    delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
+    weight = near.weight + far.weight
+    values, clamped = [], 0
+    for ext in state.clusters:
+        if ext.node in (near.node, far.node):
+            continue
+        d_near = float(state.table[near.node, ext.node]) - delta_near
+        d_far = float(state.table[far.node, ext.node]) - delta_far
+        value = quantize((near.weight * d_near + far.weight * d_far) / weight, state.mode)
+        if value < 0:
+            clamped += 1
+            value = 0.0
+        values.append(value)
+    return values, clamped
+
+
+def dispersions_and_worst_pairs(residuals: np.ndarray, labels):
+    """Per-row sample variances (diagonal and absent cells dropped) and the
+    three largest |residual| pairs from a sort of every pair."""
+    k = len(labels)
+    dispersions = []
+    for i in range(k):
+        row = np.delete(residuals[i], i)
+        row = row[~np.isnan(row)]
+        dispersions.append(float(np.var(row, ddof=1)) if row.size >= 2 else 0.0)
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not np.isnan(residuals[i, j]):
+                pairs.append((labels[i], labels[j], float(residuals[i, j])))
+    pairs.sort(key=lambda p: (-abs(p[2]), p[0], p[1]))
+    return tuple(dispersions), tuple(pairs[:3])
+
+
+def chain_widths_nx(graph):
+    """Lateral runs per depth through networkx components (the first-key
+    depth grouping within 1e-6, deepest and widest first)."""
+    by_depth: dict[float, list] = {}
+    node_depth = {n.id: n.depth for n in graph.nodes}
+    for e in graph.edges:
+        if e.kind != "lateral":
+            continue
+        d = node_depth[e.a]
+        key = next((x for x in by_depth if abs(x - d) <= 1e-6), d)
+        by_depth.setdefault(key, []).append(e)
+    runs = []
+    for depth, group in by_depth.items():
+        g = nx.Graph()
+        for e in group:
+            g.add_edge(e.a, e.b, length=e.length)
+        for comp in nx.connected_components(g):
+            sub = g.subgraph(comp)
+            width = sum(d["length"] for _, _, d in sub.edges(data=True))
+            runs.append((float(depth), float(width), sub.number_of_edges()))
+    runs.sort(key=lambda r: (-r[0], -r[1]))
+    return tuple(runs)
