@@ -133,6 +133,11 @@ def read_matrix_csv(path, kind: str):
                     f"{path}:{line} column {labels[j]}",
                 ) from None
         values[i] = parsed
+    for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
+        line, row = rows[i + 1]
+        if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
+            raise ParseError(f"cell {cell!r} is not a finite number",
+                             f"{path}:{line} column {labels[j]}")
     try:
         languages = model.LanguageSet(tuple(labels))
         if kind == "coincidence":
@@ -516,9 +521,8 @@ def cmd_merge(args) -> int:
         if exc.report is not None:
             _print_consistency(exc.report, mode)
         return EXIT_CONSISTENCY
-    report = merger.shared_consistency(tree_a, tree_b, args.tolerance)
-    print(f"shared leaves: {', '.join(report.shared)}")
-    _print_consistency(report, mode)
+    print(f"shared leaves: {', '.join(graph.consistency.shared)}")
+    _print_consistency(graph.consistency, mode)
     outdir = Path(args.outdir)
     atomic_write(outdir / "merged.json", merger.serialize_graph(graph))
     pairs = merger.cross_pairs(graph)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
@@ -98,6 +98,8 @@ class SegmentGraph:
     leaves_a: tuple[str, ...]
     leaves_b: tuple[str, ...]
     mode: str = PRECISE
+    # The report a merge accepted on; in memory only: not serialized or compared.
+    consistency: ConsistencyReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         check_mode(self.mode)
@@ -394,7 +396,7 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     grafted = tuple(replace(e, a=rename[e.a], b=rename[e.b]) for e in only_b)
 
     return SegmentGraph(tuple(nodes.values()), tuple(edges.values()) + grafted,
-                        a.languages.labels, b.languages.labels, ga.mode)
+                        a.languages.labels, b.languages.labels, ga.mode, report)
 
 
 def predict_missing(

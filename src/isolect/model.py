@@ -64,6 +64,7 @@ class LanguageSet:
             raise DomainError("attestation depths must be finite and >= 0")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "_ids", {label: i for i, label in enumerate(labels)})
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -73,8 +74,8 @@ class LanguageSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._ids[label]
+        except (KeyError, TypeError):
             raise DomainError(f"unknown language {label!r}") from None
 
 
@@ -343,16 +344,29 @@ class Dendrogram:
 
         Unresolved junctions contribute their nominal decomposition here;
         ``leaf_distance`` never consults the table across an unresolved root.
-        The tables are shared by every query on this dendrogram: read only.
+        Each table lists near members before far ones.  Cached: read only.
         """
         return self._index.tables
 
+    @cached_property
+    def _meeting(self) -> np.ndarray:
+        """Leaf pair -> node id where the pair first meets; a leaf's parent if equal."""
+        k = len(self.languages)
+        start = [0] * (k + len(self.junctions))  # each node's block in near-first leaf order
+        table = np.empty((k, k), dtype=np.intp)
+        for nid, jn in reversed(tuple(enumerate(self.junctions, start=k))):
+            lo = start[nid]  # the pairs meeting at nid: its near x far members
+            mid = lo + len(self.members(jn.near))
+            end = mid + len(self.members(jn.far))
+            start[jn.near], start[jn.far] = lo, mid
+            table[lo:mid, mid:end] = table[mid:end, lo:mid] = nid
+        table = table[np.ix_(start[:k], start[:k])]
+        np.fill_diagonal(table, self._index.parent[:k])
+        return table
+
     def lca_junction(self, a: int, b: int) -> int:
-        """Node id of the lowest junction containing both leaves."""
-        parent = self._index.parent
-        node = parent[a]
-        while node >= 0 and b not in self.members(node):
-            node = parent[node]
+        """Node id of the lowest junction containing both leaves (a == b: the parent)."""
+        node = int(self._meeting[a, b])
         if node < 0:
             raise DomainError("leaves do not share a junction")
         return node

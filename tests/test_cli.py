@@ -218,6 +218,19 @@ class TestBuild:
             f"error: cell 'x' is not a number (at {src}:5 column c)"
         ]
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_located(self, capsys, tmp_path, cell):
+        src = tmp_path / "nonfinite.csv"
+        # Absent pairs come first in the file and stay absent.
+        src.write_text(f",a,b,c\na,-,NA,40\nb,NA,-,{cell}\nc,40,{cell},-\n")
+        code, _, err = run(
+            capsys, "build", "--input", str(src), "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: cell {cell!r} is not a finite number (at {src}:3 column c)"
+        ]
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -258,6 +271,29 @@ class TestEvaluate:
         rows = out_csv.read_text().splitlines()
         assert rows[0] == "language_a,language_b,measured,restored,residual"
         assert "1,4,139,142,3" in rows
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_measured_distance_located(self, capsys, tmp_path, cell):
+        # A NaN cell is no absent pair: it must not drop out of the evaluation.
+        code, _, _ = run(
+            capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        lines = (DATA / "salish_a_distances.csv").read_text().splitlines()
+        lines[2] = lines[2].replace("108", cell)
+        src = tmp_path / "measured.csv"
+        src.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "evaluate", "--tree", str(tmp_path / "dendrogram.json"),
+            "--input", str(src), "--kind", "distance",
+            "--output", str(tmp_path / "evaluation.csv"),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: cell {cell!r} is not a finite number (at {src}:3 column 4)"
+        ]
+        assert not (tmp_path / "evaluation.csv").exists()
 
     def test_perfect_tree_zero_dispersions(self, capsys, tmp_path):
         code, _, _ = run(
@@ -375,6 +411,33 @@ class TestMerge:
         )
         assert code == 2
         assert "deviation" in out
+
+    @pytest.mark.parametrize("other, expected_code", [("b", 0), ("p", 2)])
+    def test_shared_structure_checked_once(
+        self, capsys, tmp_path, monkeypatch, other, expected_code
+    ):
+        self._build_both(capsys, tmp_path)
+        nudged = tmp_path / "nudged.csv"
+        nudged.write_text((BUNDLED / "salish_a.csv").read_text().replace("25", "29"))
+        run(capsys, "build", "--input", str(nudged), "--mode", "paper",
+            "--outdir", str(tmp_path / "p"))
+        check = cli.merger.shared_consistency
+        reports = []
+
+        def counted(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli.merger, "shared_consistency", counted)
+        code, out, _ = run(
+            capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+            "--b", str(tmp_path / other / "dendrogram.json"),
+            "--outdir", str(tmp_path / "merged"),
+        )
+        assert code == expected_code
+        assert len(reports) == 1
+        # The deviations printed are the ones the merge decided on.
+        assert f"max {reports[0].max_deviation}):" in out
 
 
 class TestPerturb:

@@ -344,3 +344,44 @@ class TestSplitMasterOracle:
                     assert graph.distance(a_labels[i], v_label) == pytest.approx(
                         dist(u, v), abs=1e-6
                     )
+
+
+class TestSingleCheck:
+    """``merge`` hands back the one shared-structure report it decided on."""
+
+    def test_merge_carries_its_report(self, tree_a, tree_b):
+        for tolerance in (3.0, 2.0):
+            graph = mg.merge(tree_a, tree_b, tolerance)
+            assert graph.consistency == mg.shared_consistency(tree_a, tree_b, tolerance)
+
+    def test_report_is_in_memory_only(self, tree_a, tree_b):
+        graph = mg.merge(tree_a, tree_b)
+        bare = mg.SegmentGraph(graph.nodes, graph.edges, graph.leaves_a,
+                               graph.leaves_b, graph.mode)
+        assert bare.consistency is None
+        assert graph == bare
+        assert mg.serialize_graph(graph) == mg.serialize_graph(bare)
+        again = mg.deserialize_graph(mg.serialize_graph(graph))
+        assert again.consistency is None
+        assert again == graph
+
+    def test_members_calls_linear_in_k(self, monkeypatch):
+        # The pair table is filled from each junction's near and far members
+        # once; a walk per pair would ask for members about 1.4 million
+        # times at this size.
+        k = 128
+        m = sample_caterpillar(np.random.default_rng(3), k).distance_matrix()
+        labels = tuple(f"L{i:03d}" for i in range(k))
+        tree = bl.build(DistanceMatrix(LanguageSet(labels), m), mode="precise")
+        members = Dendrogram.members
+        calls = []
+
+        def counted(self, node_id):
+            calls.append(node_id)
+            return members(self, node_id)
+
+        monkeypatch.setattr(Dendrogram, "members", counted)
+        report = mg.shared_consistency(tree, tree)
+        assert len(calls) <= 2 * k
+        assert len(report.rows) == 3 * k * (k - 1) // 2  # the root is resolved
+        assert report.max_deviation == 0.0
