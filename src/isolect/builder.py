@@ -32,7 +32,7 @@ operations (``quantize_array``).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
@@ -68,17 +68,38 @@ class FinalLinkError(IsolectError):
 class Cluster:
     """An active cluster during agglomeration.
 
-    ``anchor_dist`` maps each member leaf to its path length up to the
-    cluster anchor; ``key`` is the sorted member-label tuple used for
-    deterministic tie-breaking.
+    ``key`` is the sorted member-label tuple used for deterministic
+    tie-breaking.  ``children`` pairs each joined child with its gain, the
+    path length from the child's anchor up to this cluster's (empty for a
+    leaf).
     """
 
     node: int
     members: tuple[int, ...]
     anchor_depth: float
-    anchor_dist: dict[int, float]
     weight: float
     key: tuple[str, ...]
+    children: tuple[tuple["Cluster", float], ...] = field(
+        default=(), compare=False, repr=False
+    )
+
+    @cached_property
+    def anchor_dist(self) -> dict[int, float]:
+        """Member leaf -> path length up to the cluster anchor, near members
+        first; computed on access from the children, read only."""
+        if not self.children:
+            return {leaf: 0.0 for leaf in self.members}
+        # Fill the uncomputed descendants bottom-up, so no access recurses deeply.
+        pending = [self]
+        for cluster in pending:
+            pending.extend(c for c, _ in cluster.children if "anchor_dist" not in vars(c))
+        for cluster in reversed(pending[1:]):
+            cluster.anchor_dist
+        return {
+            leaf: d + gain
+            for child, gain in self.children
+            for leaf, d in child.anchor_dist.items()
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +193,6 @@ def initial_state(
             node=i,
             members=(i,),
             anchor_depth=langs.depths[i],
-            anchor_dist={i: 0.0},
             weight=weights.values[i],
             key=(langs.labels[i],),
         )
@@ -180,10 +200,8 @@ def initial_state(
     )
     k = len(langs)
     table = np.full((2 * k - 1, 2 * k - 1), np.nan)
-    table[:k, :k] = matrix.values
     # The upper triangle is authoritative: symmetry is checked only to 1e-9.
-    lower = np.tril_indices(k, -1)
-    table[lower] = table[lower[::-1]]
+    table[:k, :k] = np.where(np.tri(k, k, -1, dtype=bool), matrix.values.T, matrix.values)
     return ClusterState(clusters, table, mode)
 
 
@@ -292,21 +310,19 @@ def reduce(
     """Replace the joined pair by the merged cluster.
 
     Each external entry becomes the weight-weighted mean of the two
-    anchor-corrected child distances; member anchor distances gain the
-    child-to-new-anchor increments.
+    anchor-corrected child distances; the merged cluster keeps each child
+    with its child-to-new-anchor increment.
     """
     near, far = geometry.near, geometry.far
     delta_near = geometry.depth - near.anchor_depth
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
-    anchor_dist = {leaf: d + delta_near for leaf, d in near.anchor_dist.items()}
-    anchor_dist.update({leaf: d + delta_far for leaf, d in far.anchor_dist.items()})
     merged = Cluster(
         node=new_node,
         members=tuple(sorted(near.members + far.members)),
         anchor_depth=geometry.depth,
-        anchor_dist=anchor_dist,
         weight=near.weight + far.weight,
         key=tuple(sorted(near.key + far.key)),
+        children=((near, delta_near), (far, delta_far)),
     )
     external = state._externals(near, far)
     clusters = list(compress(state.clusters, external.tolist()))

@@ -78,7 +78,27 @@ def _csv_rows(path) -> list[list[str]]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError("file is not UTF-8 text", f"{path}:{line}") from None
-    return list(csv.reader(io.StringIO(text, newline="")))
+    lines = text.split("\n")
+    if lines[-1] == "":  # the final newline, or an empty file
+        lines.pop()
+    # csv.reader's rows, unless a quote, CR or NUL (an error before Python 3.11) needs it
+    plain = not any(c in text for c in '"\r\0')
+    if plain and max(map(len, lines), default=0) <= csv.field_size_limit():
+        return [line.split(",") if line else [] for line in lines]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), f"{path}:{reader.line_num}") from None
+
+
+def _matrix_cell(cell: str, absent: float, where: str) -> float:
+    if cell in ABSENT_TOKENS:
+        return absent
+    try:
+        return float(cell)
+    except ValueError:
+        raise ParseError(f"cell {cell!r} is not a number", where) from None
 
 
 def read_matrix_csv(path, kind: str):
@@ -109,30 +129,27 @@ def read_matrix_csv(path, kind: str):
     diag_default = 100.0 if kind == "coincidence" else 0.0
     values = np.full((k, k), np.nan)
     for i, (line, row) in enumerate(rows[1:]):
-        cells = [c.strip() for c in row]
-        if len(cells) != k + 1:
+        if len(row) != k + 1:
             raise ParseError(
-                f"row has {len(cells) - 1} cells, expected {k}", f"{path}:{line}"
+                f"row has {len(row) - 1} cells, expected {k}", f"{path}:{line}"
             )
-        if cells[0] != labels[i]:
+        if (label := row[0].strip()) != labels[i]:
             raise ParseError(
-                f"row label {cells[0]!r} does not match header order "
+                f"row label {label!r} does not match header order "
                 f"(expected {labels[i]!r})",
                 f"{path}:{line}",
             )
-        parsed = []
-        for j, cell in enumerate(cells[1:]):
-            if cell in ABSENT_TOKENS:
-                parsed.append(diag_default if i == j else np.nan)
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"cell {cell!r} is not a number",
-                    f"{path}:{line} column {labels[j]}",
-                ) from None
-        values[i] = parsed
+        cells = row[1:]
+        if cells[i].strip() in ABSENT_TOKENS:
+            cells[i] = diag_default
+        try:  # float() strips the spaces itself
+            values[i] = list(map(float, cells))
+        except ValueError:  # absent pairs or a bad cell: one cell at a time
+            values[i] = [
+                _matrix_cell(c.strip(), diag_default if i == j else np.nan,
+                             f"{path}:{line} column {labels[j]}")
+                for j, c in enumerate(row[1:])
+            ]
     for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
         line, row = rows[i + 1]
         if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
@@ -738,8 +755,8 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (IsolectError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IsolectError, OSError) as exc:  # one line, even for a quoted multi-line label
+        print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return EXIT_INPUT
 
 

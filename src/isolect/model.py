@@ -249,7 +249,6 @@ class _TreeIndex(NamedTuple):
     members: tuple[tuple[int, ...], ...]  # all per node id
     parent: tuple[int, ...]  # -1 at the root
     carrier: tuple[int, ...]
-    tables: tuple[dict[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -305,22 +304,27 @@ class Dendrogram:
 
     @cached_property
     def _index(self) -> _TreeIndex:
-        """Members, parents, carriers and anchor tables, built in one sweep."""
+        """Members, parents and carriers, built in one sweep."""
         k = len(self.languages)
         members = [(i,) for i in range(k)]
         parent = [-1] * (k + len(self.junctions))
         carrier = list(range(k))
-        tables = [{i: 0.0} for i in range(k)]
         for idx, jn in enumerate(self.junctions):
             parent[jn.near] = parent[jn.far] = k + idx
             members.append(tuple(sorted(members[jn.near] + members[jn.far])))
             carrier.append(carrier[jn.near])
+        return _TreeIndex(tuple(members), tuple(parent), tuple(carrier))
+
+    @cached_property
+    def _anchor_tables(self) -> tuple[dict[int, float], ...]:
+        tables = [{i: 0.0} for i in range(len(self.languages))]
+        for jn in self.junctions:
             gain_near = jn.depth - self.anchor_depth(jn.near)
             gain_far = (jn.depth - self.anchor_depth(jn.far)) + jn.lateral
             table = {leaf: d + gain_near for leaf, d in tables[jn.near].items()}
             table.update({leaf: d + gain_far for leaf, d in tables[jn.far].items()})
             tables.append(table)
-        return _TreeIndex(tuple(members), tuple(parent), tuple(carrier), tuple(tables))
+        return tuple(tables)
 
     def root_id(self) -> int:
         return len(self.languages) + len(self.junctions) - 1
@@ -344,9 +348,10 @@ class Dendrogram:
 
         Unresolved junctions contribute their nominal decomposition here;
         ``leaf_distance`` never consults the table across an unresolved root.
-        Each table lists near members before far ones.  Cached: read only.
+        Each table lists near members before far ones.  Filled on first
+        call and cached, so a build that never asks pays nothing: read only.
         """
-        return self._index.tables
+        return self._anchor_tables
 
     @cached_property
     def _meeting(self) -> np.ndarray:

@@ -5,17 +5,25 @@ computed by brute-force path summation over an explicit segment list --
 deliberately without touching the package's tree/path code, so these
 values can serve as ground truth for reconstruction tests.
 
-The scalar references at the end are per-cell Python loops, one call per
-cell, that the package's array kernels must match bit for bit.
+The scalar references are per-cell Python loops, one call per cell, that
+the package's array kernels must match bit for bit.  The matrix CSV reader
+at the end is the straightforward one (``csv.reader``, then one ``float``
+per stripped cell) that the CLI's reader must match in values and errors.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
+
+from isolect.errors import DomainError, InputError, ParseError
+from isolect.model import CoincidenceMatrix, DistanceMatrix, LanguageSet
 
 
 @dataclass(frozen=True)
@@ -241,3 +249,82 @@ def chain_widths_nx(graph):
             runs.append((float(depth), float(width), sub.number_of_edges()))
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
+
+
+# -- the matrix CSV reader, one cell at a time through csv.reader -----------
+
+ABSENT_TOKENS = {"", "-", "na", "NA", "n/a"}
+
+
+def csv_rows(path) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file; undecodable bytes are reported by line."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("file is not UTF-8 text", f"{path}:{line}") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def read_matrix_csv(path, kind: str):
+    """The square labeled-matrix reader: every cell stripped, tested against
+    the absent tokens and parsed by its own ``float`` call."""
+    rows = [
+        (line, row) for line, row in enumerate(csv_rows(path), start=1)
+        if any(c.strip() for c in row)
+    ]
+    if not rows:
+        raise ParseError("empty matrix file", str(path))
+    header_line, header = rows[0]
+    labels = [c.strip() for c in header[1:]]
+    k = len(labels)
+    if k == 0:
+        raise ParseError("header row names no languages", f"{path}:{header_line}")
+    if len(rows) != k + 1:
+        raise ParseError(
+            f"expected {k} data rows for {k} languages, found {len(rows) - 1}",
+            str(path),
+        )
+    diag_default = 100.0 if kind == "coincidence" else 0.0
+    values = np.full((k, k), np.nan)
+    for i, (line, row) in enumerate(rows[1:]):
+        cells = [c.strip() for c in row]
+        if len(cells) != k + 1:
+            raise ParseError(
+                f"row has {len(cells) - 1} cells, expected {k}", f"{path}:{line}"
+            )
+        if cells[0] != labels[i]:
+            raise ParseError(
+                f"row label {cells[0]!r} does not match header order "
+                f"(expected {labels[i]!r})",
+                f"{path}:{line}",
+            )
+        parsed = []
+        for j, cell in enumerate(cells[1:]):
+            if cell in ABSENT_TOKENS:
+                parsed.append(diag_default if i == j else np.nan)
+                continue
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"cell {cell!r} is not a number",
+                    f"{path}:{line} column {labels[j]}",
+                ) from None
+        values[i] = parsed
+    for i, j in np.argwhere(~np.isfinite(values)):
+        line, row = rows[i + 1]
+        if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
+            raise ParseError(f"cell {cell!r} is not a finite number",
+                             f"{path}:{line} column {labels[j]}")
+    try:
+        languages = LanguageSet(tuple(labels))
+        if kind == "coincidence":
+            return CoincidenceMatrix(languages, values)
+        return DistanceMatrix(languages, values)
+    except DomainError as exc:
+        raise ParseError(str(exc), str(path)) from None

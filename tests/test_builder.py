@@ -536,3 +536,54 @@ class TestPlantedRecovery:
             assert np.allclose(
                 restored.values, planted.distance_matrix(), atol=1e-9
             )
+
+
+class TestLazyAnchorTables:
+    """Per-leaf anchor distances are filled only when asked for."""
+
+    @staticmethod
+    def _caterpillar(seed, k):
+        m = sample_caterpillar(np.random.default_rng(seed), k).distance_matrix()
+        return DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
+
+    def test_build_and_its_artifacts_never_fill_anchor_tables(self, monkeypatch):
+        from isolect import cli, merger
+
+        def unexpected(tree):
+            raise AssertionError("anchor tables filled")
+
+        monkeypatch.setattr(model.Dendrogram, "_anchor_tables", property(unexpected))
+        tree = bl.build(self._caterpillar(160, 160), mode="precise")
+        assert tree.junctions[-1].status == model.RESOLVED  # the cross-check ran
+        graph = merger.segment_graph(tree)
+        cli.build_report(tree, graph, None, "unit", "weighted")
+        cli.render_dot(graph, "precise")
+        serialize(tree)
+        with pytest.raises(AssertionError, match="anchor tables filled"):
+            tree.anchor_tables()
+
+    @pytest.mark.parametrize("k", [40, 400])
+    def test_cluster_anchor_dist_equals_dendrogram_tables(self, k):
+        # At k = 400, an ultrametric caterpillar nests 399 clusters: reading
+        # the outermost must not recurse once per level.
+        if k == 400:
+            rank = np.arange(k, dtype=float)
+            m = 2 * np.maximum.outer(rank, rank)
+            np.fill_diagonal(m, 0)
+            dm = DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
+        else:
+            dm = self._caterpillar(k, k)
+        tables = bl.build(dm, mode="precise").anchor_tables()
+        state, node = bl.initial_state(dm, None, "precise"), k
+        while len(state.clusters) > 2:
+            offset, near, far = bl.lateral_offset(state, bl.min_link(state))
+            link = state.distance(near, far)
+            d, h, flags, offset = bl.join_geometry(
+                link, offset, near.anchor_depth, far.anchor_depth, "precise"
+            )
+            state, _ = bl.reduce(
+                state, bl.JoinGeometry(near, far, link, offset, d, h, flags), node
+            )
+            node += 1
+        for cluster in state.clusters:
+            assert list(cluster.anchor_dist.items()) == list(tables[cluster.node].items())

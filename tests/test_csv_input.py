@@ -1,0 +1,218 @@
+"""The CSV readers: equal to the plain csv.reader-and-float reader, and fuzzed."""
+
+import contextlib
+import csv
+import io
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from isolect import cli
+from isolect.errors import ParseError
+
+BUNDLED = Path(__file__).parent.parent / "data"
+DATA = Path(__file__).parent / "data"
+
+SPACES = ("", " ", "  ", "\t", "\xa0", "\u3000")
+ABSENT = ("", "-", "NA", "na", "n/a")
+BAD = ("nan", "inf", "-inf", "1e400", "abc", "1__0", "_1", "0x10", "-5", "0", "101",
+       "1 0", "١٢")
+LABELS = ("a", "B", "L01", "x y", "a,b", 'q"t', "two\nlines", " pad ", "é", "")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def _spell(rnd, value: int) -> str:
+    """One of several spellings of an integer, with surrounding spaces."""
+    digits = str(value)
+    text = rnd.choice((
+        digits, f"{value}.0", f"{value / 10}e1", f"{value * 10}e-1", f"+{value}",
+        f"{value:.3f}", f"{digits[0]}_{digits[1:]}" if len(digits) > 1 else digits,
+    ))
+    return rnd.choice(SPACES) + text + rnd.choice(SPACES)
+
+
+@st.composite
+def matrix_csvs(draw) -> str:
+    """A labeled matrix CSV written by csv.writer; about half of them are valid."""
+    rnd = draw(st.randoms(use_true_random=True))
+    k = draw(st.integers(1, 12))
+    labels = [rnd.choice(LABELS) if rnd.random() < 0.1 else f"L{i}" for i in range(k)]
+    base = {(i, j): rnd.randint(1, 100) for i in range(k) for j in range(i + 1, k)}
+    rows = [[rnd.choice(("", " "))] + labels]
+    for i in range(k):
+        row = [rnd.choice(SPACES) + (labels[i] if rnd.random() > 0.01 else "other")]
+        for j in range(k):
+            if i == j:
+                diagonal = rnd.choice(ABSENT if rnd.random() < 0.9 else ("100", "0", "5"))
+                row.append(rnd.choice(SPACES) + diagonal + rnd.choice(SPACES))
+            elif rnd.random() < 0.01:
+                row.append(rnd.choice(ABSENT + BAD))
+            else:
+                row.append(_spell(rnd, base[min(i, j), max(i, j)]))
+        if rnd.random() < 0.01:
+            del row[rnd.randint(0, k)]
+        rows.append(row)
+    eol = rnd.choice(("\n", "\r\n", "\r"))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=eol,
+                        quoting=rnd.choice((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+    for row in rows:
+        writer.writerow(row)
+        if rnd.random() < 0.1:
+            out.write(rnd.choice(("", " ", ",,", " , ")) + eol)
+    text = out.getvalue()
+    return text.rstrip("\r\n") if rnd.random() < 0.5 else text
+
+
+def _outcome(read, path, kind):
+    try:
+        matrix = read(path, kind)
+    except ParseError as exc:
+        return "error", str(exc), exc.location
+    return type(matrix).__name__, matrix.languages.labels, matrix.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=matrix_csvs(), kind=st.sampled_from(("coincidence", "distance")))
+def test_matrix_reader_matches_reference(scratch, text, kind):
+    path = scratch / "matrix.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(cli.read_matrix_csv, path, kind) == _outcome(
+        oracles.read_matrix_csv, path, kind
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab1 ,\n\t\x0b\x0c\x1c\x85\u2028\u3000é"), max_size=120))
+def test_row_splitter_matches_csv_reader(scratch, text):
+    path = scratch / "plain.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert cli._csv_rows(path) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+# -- over-long fields ---------------------------------------------------------
+
+LONG = "1" * (csv.field_size_limit() + 1)
+
+
+def test_overlong_matrix_field_is_one_located_error(tmp_path):
+    src = tmp_path / "long.csv"
+    src.write_text(f",a,b\na,-,{LONG}\nb,5,-\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isolect", "build", "--input", str(src),
+         "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == (
+        f"error: field larger than field limit ({csv.field_size_limit()})"
+        f" (at {src}:2)\n"
+    )
+
+
+def test_overlong_weights_field_is_located(capsys, tmp_path):
+    weights = tmp_path / "w.csv"
+    weights.write_text(f"1,1\n2,1\n3,{LONG}\n4,1\n")
+    code = cli.main(["build", "--input", str(BUNDLED / "salish_a.csv"),
+                     "--weights", str(weights), "--outdir", str(tmp_path)])
+    assert code == cli.EXIT_INPUT
+    assert f"(at {weights}:3)" in capsys.readouterr().err
+
+
+# -- fuzz: mutated CSVs give exit 0 or one error line -------------------------
+
+PIECES = (b",", b'"', b"\n", b"\r", b"\r\n", b" ", b"-", b"NA", b"1e400", b"nan",
+          b"\xff", b"\x00", b"9", b"0", b"e", b"_", b".", b"x", b"\xc3\xa9")
+
+
+@st.composite
+def mutated(draw, base: bytes) -> bytes:
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        end = min(len(data), at + draw(st.integers(0, 6)))
+        op = draw(st.sampled_from(("insert", "delete", "replace", "repeat", "cut")))
+        if op == "insert":
+            data[at:at] = draw(st.sampled_from(PIECES))
+        elif op == "delete":
+            del data[at:end]
+        elif op == "replace":
+            data[at:end] = draw(st.sampled_from(PIECES))
+        elif op == "repeat":
+            data[at:at] = data[at:end]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process command; a warning is a line of it too."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+
+
+def _assert_clean_exit(code, stderr):
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT), stderr
+    if code == cli.EXIT_INPUT:
+        assert stderr.startswith("error: ") and stderr.endswith("\n"), stderr
+        assert stderr.count("\n") == 1 and "\r" not in stderr, stderr
+    assert "Traceback" not in stderr
+
+
+def test_error_naming_a_multiline_label_is_one_line(scratch):
+    src = scratch / "multiline.csv"
+    src.write_text(',"a\r\nb",c\n"a\r\nb",-,5\nc,6,-\n', newline="")
+    code, stderr = _run(["build", "--input", str(src), "--outdir", str(scratch / "ml")])
+    assert stderr == f"error: asymmetric at (a\\r\\nb, c): 5.0 vs 6.0 (at {src})\n"
+    _assert_clean_exit(code, stderr)
+
+
+@pytest.fixture(scope="module")
+def salish_tree(scratch):
+    assert cli.main(["build", "--input", str(BUNDLED / "salish_a.csv"), "--mode", "paper",
+                     "--outdir", str(scratch / "tree")]) == 0
+    return scratch / "tree" / "dendrogram.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated((BUNDLED / "salish_a.csv").read_bytes()))
+def test_fuzz_build(scratch, data):
+    (scratch / "fuzz.csv").write_bytes(data)
+    _assert_clean_exit(*_run(["build", "--input", str(scratch / "fuzz.csv"), "--mode",
+                              "paper", "--outdir", str(scratch / "fuzz_build")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated((DATA / "salish_a_distances.csv").read_bytes()))
+def test_fuzz_evaluate_distances(scratch, salish_tree, data):
+    (scratch / "fuzz_d.csv").write_bytes(data)
+    _assert_clean_exit(*_run(["evaluate", "--tree", str(salish_tree), "--input",
+                              str(scratch / "fuzz_d.csv"), "--kind", "distance",
+                              "--output", str(scratch / "evaluation.csv")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated(b"1,1\n2,2\n3,1.5\n4,1\n"))
+def test_fuzz_build_weights(scratch, data):
+    (scratch / "fuzz_w.csv").write_bytes(data)
+    _assert_clean_exit(*_run(["build", "--input", str(BUNDLED / "salish_a.csv"),
+                              "--weights", str(scratch / "fuzz_w.csv"), "--mode", "paper",
+                              "--outdir", str(scratch / "fuzz_weights")]))
