@@ -20,11 +20,20 @@ The reduced distances live in one float table indexed by node id, sized
 (2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
 the new node's row and column, cells no earlier state reads (it only reads
 pairs of its own active nodes, all older than the new node), so every state
-of a build shares the one table and no join copies it.  ``min_link`` finds
-the shortest link over the active block in numpy.  ``lateral_offset`` and
-``reduce`` work on whole rows of externals in cluster order, and two rules
-keep every result equal to a per-external Python loop's: sums run left to
-right through ``np.add.accumulate`` (never the pairwise ``np.sum``), and
+of a build shares the one table and no join copies it.
+
+A join costs O(n) element work over its n active clusters, so a build
+costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
+cache (Muellner 2011, arXiv:1109.2378).  Each state carries every row's
+shortest link and its other end: ``min_link`` ranks only the rows whose
+minimum is the shortest link, and ``reduce`` searches a row again only when
+its shortest link led to a joined node and the new link is longer.  Each
+such row costs O(n) more; they are few (none on planted caterpillars), but
+inputs where most rows lose their minimum at every join bring a build back
+to O(k^3).  ``lateral_offset`` and ``reduce`` share one gather of the pair's
+two rows over the externals, in cluster order, and two rules keep every
+result equal to a per-external Python loop's: sums run left to right
+through ``np.add.accumulate`` (never the pairwise ``np.sum``), and
 ``reduce`` rounds its whole row at once with the scalar rounding's IEEE
 operations (``quantize_array``).
 """
@@ -111,29 +120,49 @@ class ClusterState:
     and column, which no earlier state reads, and marks the row taken by a
     zero on the diagonal.  A reduce that would write a taken row (an id
     reused, or a second branch from one state) writes into a copy instead.
+
+    Four read-only arrays run in cluster order: ``nodes`` (the node ids),
+    ``weights``, and each row's shortest link to another active cluster,
+    ``row_min``, with the node at its other end, ``row_arg`` (``inf`` and
+    -1 for a lone cluster).
     """
 
     clusters: tuple[Cluster, ...]
     table: np.ndarray
     mode: str
+    nodes: np.ndarray
+    weights: np.ndarray
+    row_min: np.ndarray
+    row_arg: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.nodes, self.weights, self.row_min, self.row_arg):
+            array.setflags(write=False)
 
     @cached_property
     def _active(self) -> frozenset[int]:
-        return frozenset(self._nodes.tolist())
+        return frozenset(self.nodes.tolist())
 
-    @cached_property
-    def _nodes(self) -> np.ndarray:
-        """Node ids of the active clusters, in cluster order."""
-        return np.array([c.node for c in self.clusters], dtype=np.intp)
-
-    def _externals(self, a: Cluster, b: Cluster) -> np.ndarray:
-        """Mask over the active clusters: True except at ``a`` and ``b``."""
-        return (self._nodes != a.node) & (self._nodes != b.node)
+    def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mask of the externals of nodes ``x`` and ``y`` over the active
+        clusters, the externals' node ids, and the two nodes' rows over them
+        (``x`` first).  The last pair's gather is kept, so the
+        ``lateral_offset`` and ``reduce`` of one join gather once; the cells
+        it reads are never written again (see ``reduce``)."""
+        last = self.__dict__.get("_last_pair")
+        if last is None or (last[0], last[1]) not in ((x, y), (y, x)):
+            external = (self.nodes != x) & (self.nodes != y)
+            ext_nodes = self.nodes[external]
+            rows = self.table.take((x, y), 0).take(ext_nodes, 1)
+            rows.setflags(write=False)
+            last = self.__dict__["_last_pair"] = (x, y, external, ext_nodes, rows)
+        rows = last[4] if last[0] == x else last[4][::-1]
+        return last[2], last[3], rows
 
     @property
     def dist(self) -> Mapping[frozenset, float]:
         """Read-only view of the active pairs' distances, built on access."""
-        nodes = [c.node for c in self.clusters]
+        nodes = self.nodes.tolist()
         block = self.table[np.ix_(nodes, nodes)].tolist()
         return MappingProxyType({
             frozenset((x, y)): block[i][j]
@@ -176,52 +205,114 @@ class ResolutionResult:
     reason: str
 
 
+def _weight_values(
+    matrix: DistanceMatrix, weights: WeightVector | None
+) -> tuple[float, ...]:
+    """Per-language weights of a build over ``matrix``, unit ones for ``None``."""
+    langs = matrix.languages
+    if weights is None:
+        values = (1.0,) * len(langs)
+    elif weights.languages.labels != langs.labels:
+        raise DomainError("weight vector does not match the matrix languages")
+    else:
+        values = weights.values
+    if not matrix.is_complete():
+        raise DomainError("the builder requires a complete distance matrix")
+    return values
+
+
+def _leaf(langs, weights: tuple[float, ...], i: int) -> Cluster:
+    return Cluster(
+        node=i,
+        members=(i,),
+        anchor_depth=langs.depths[i],
+        weight=weights[i],
+        key=(langs.labels[i],),
+    )
+
+
 def initial_state(
     matrix: DistanceMatrix, weights: WeightVector | None, mode: str
 ) -> ClusterState:
     """Singleton clusters over the matrix languages."""
     check_mode(mode)
+    weights = _weight_values(matrix, weights)
     langs = matrix.languages
-    if weights is None:
-        weights = WeightVector.unit(langs)
-    if weights.languages.labels != langs.labels:
-        raise DomainError("weight vector does not match the matrix languages")
-    if not matrix.is_complete():
-        raise DomainError("the builder requires a complete distance matrix")
-    clusters = tuple(
-        Cluster(
-            node=i,
-            members=(i,),
-            anchor_depth=langs.depths[i],
-            weight=weights.values[i],
-            key=(langs.labels[i],),
-        )
-        for i in range(len(langs))
-    )
     k = len(langs)
     table = np.full((2 * k - 1, 2 * k - 1), np.nan)
     # The upper triangle is authoritative: symmetry is checked only to 1e-9.
-    table[:k, :k] = np.where(np.tri(k, k, -1, dtype=bool), matrix.values.T, matrix.values)
-    return ClusterState(clusters, table, mode)
+    links = np.where(np.tri(k, k, -1, dtype=bool), matrix.values.T, matrix.values)
+    table[:k, :k] = links
+    np.fill_diagonal(links, np.inf)
+    row_arg = links.argmin(1) if k > 1 else np.full(k, -1)
+    return ClusterState(
+        tuple(_leaf(langs, weights, i) for i in range(k)),
+        table,
+        mode,
+        nodes=np.arange(k),
+        weights=np.array(weights),
+        row_min=links.min(1),
+        row_arg=row_arg,
+    )
 
 
 def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
-    """Closest active pair; ties broken on the sorted label-pair key."""
+    """Closest active pair; ties broken on the sorted label-pair key.
+
+    Both ends of a pair at the shortest link are rows whose minimum is that
+    link, so only those rows are ranked: two rows are the pair itself, and
+    more are a tie, settled over the tied rows' block.
+    """
     clusters = state.clusters
-    n = len(clusters)
-    if n < 2:
+    if len(clusters) < 2:
         raise DomainError("need at least two active clusters")
-    nodes = state._nodes
-    # The block is symmetric: take the minimum over all of it but the
-    # diagonal, and keep each tied pair once, as (i, j) with i < j.
-    links = state.table.take(nodes, 0).take(nodes, 1)
-    links.flat[:: n + 1] = np.inf
-    tied = (divmod(at, n) for at in np.flatnonzero(links == links.min()).tolist())
+    shortest = np.minimum.reduce(state.row_min)
+    tied = (state.row_min == shortest).nonzero()[0]
+    if len(tied) == 2:
+        i, j = tied.tolist()
+        return clusters[i], clusters[j]
+    # The block is symmetric: keep each tied pair once, as (i, j) with i < j.
+    t = len(tied)
+    tied_nodes = state.nodes[tied]
+    links = state.table.take(tied_nodes, 0).take(tied_nodes, 1)
+    links.flat[:: t + 1] = np.inf
+    tied = tied.tolist()
+    at = (divmod(x, t) for x in (links.ravel() == shortest).nonzero()[0].tolist())
     i, j = min(
-        ((i, j) for i, j in tied if i < j),
+        ((tied[r], tied[c]) for r, c in at if r < c),
         key=lambda ij: sorted((clusters[ij[0]].key, clusters[ij[1]].key)),
     )
     return clusters[i], clusters[j]
+
+
+def _offset(
+    rows: np.ndarray,
+    weights: np.ndarray,
+    external_means: str,
+    a: Cluster,
+    b: Cluster,
+    mode: str,
+) -> tuple[float, Cluster, Cluster]:
+    """``(dL, near, far)`` from the rows of ``a`` and ``b`` over the
+    externals and the externals' weights (unread for simple means)."""
+    if external_means != "weighted":
+        weights = np.ones(rows.shape[1])
+    # Sequential sums, left to right as ``num += w * d`` would add them.
+    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
+    den = np.add.accumulate(weights)[-1]
+    means = [quantize(mean, mode) for mean in (num / den).tolist()]
+    if means[0] == means[1]:
+        # Equidistant pair: the lexicographically larger key goes far.
+        near, far = (a, b) if a.key < b.key else (b, a)
+        return 0.0, near, far
+    if means[0] < means[1]:
+        return means[1] - means[0], a, b
+    return means[0] - means[1], b, a
+
+
+def _check_external_means(external_means: str) -> None:
+    if external_means not in EXTERNAL_MEANS:
+        raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
 
 
 def lateral_offset(
@@ -236,30 +327,14 @@ def lateral_offset(
     cluster contributes proportionally to its total weight; ``"simple"``
     counts each external cluster once.
     """
-    if external_means not in EXTERNAL_MEANS:
-        raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
+    _check_external_means(external_means)
     a, b = pair
-    external = state._externals(a, b)
-    rows = state.table.take((a.node, b.node), 0).take(state._nodes[external], 1)
+    external, _, rows = state._pair_rows(a.node, b.node)
     if not rows.shape[1]:
         raise FinalLinkError(
             "no external clusters: the pair forms the final (root) link"
         )
-    if external_means == "weighted":
-        weights = np.array([c.weight for c in state.clusters])[external]
-    else:
-        weights = np.ones(rows.shape[1])
-    # Sequential sums, left to right as ``num += w * d`` would add them.
-    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
-    den = np.add.accumulate(weights)[-1]
-    means = [quantize(mean, state.mode) for mean in (num / den).tolist()]
-    if means[0] == means[1]:
-        # Equidistant pair: the lexicographically larger key goes far.
-        near, far = (a, b) if a.key < b.key else (b, a)
-        return 0.0, near, far
-    if means[0] < means[1]:
-        return means[1] - means[0], a, b
-    return means[0] - means[1], b, a
+    return _offset(rows, state.weights[external], external_means, a, b, state.mode)
 
 
 def join_geometry(
@@ -311,7 +386,10 @@ def reduce(
 
     Each external entry becomes the weight-weighted mean of the two
     anchor-corrected child distances; the merged cluster keeps each child
-    with its child-to-new-anchor increment.
+    with its child-to-new-anchor increment.  An external row keeps its
+    shortest link unless the new one is no longer, and is searched again
+    only when its shortest link led to a joined node and the new one is
+    longer.
     """
     near, far = geometry.near, geometry.far
     delta_near = geometry.depth - near.anchor_depth
@@ -324,19 +402,24 @@ def reduce(
         key=tuple(sorted(near.key + far.key)),
         children=((near, delta_near), (far, delta_far)),
     )
-    external = state._externals(near, far)
+    external, ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
     clusters = list(compress(state.clusters, external.tolist()))
-    ext_nodes = state._nodes[external]
-    table = state.table
-    d_near, d_far = table.take((near.node, far.node), 0).take(ext_nodes, 1)
-    d_near -= delta_near
-    d_far -= delta_far
+    clusters.append(merged)
     values = quantize_array(
-        (near.weight * d_near + far.weight * d_far) / merged.weight, state.mode
+        (near.weight * (d_near - delta_near) + far.weight * (d_far - delta_far))
+        / merged.weight,
+        state.mode,
     )
-    negative = values < 0
-    values[negative] = 0.0
-    flags = (FLAG_NEGATIVE_REDUCED,) * int(np.count_nonzero(negative))
+    clamped, shortest, other = 0, np.inf, -1
+    if len(values):
+        nearest = values.argmin()
+        if values[nearest] < 0:
+            negative = values < 0
+            clamped = int(np.count_nonzero(negative))
+            values[negative] = 0.0
+            nearest = values.argmin()
+        shortest, other = values[nearest], ext_nodes[nearest]
+    table = state.table
     if new_node >= len(table) or table[new_node, new_node] == 0.0:
         # Another state owns this row: write into a copy of the table.
         size = max(len(table), new_node + 1)
@@ -345,8 +428,34 @@ def reduce(
     table[new_node, ext_nodes] = values
     table[ext_nodes, new_node] = values
     table[new_node, new_node] = 0.0
-    clusters.append(merged)
-    return ClusterState(tuple(clusters), table, state.mode), flags
+
+    n = len(clusters)
+    nodes, weights = np.empty(n, np.intp), np.empty(n)
+    row_min, row_arg = np.empty(n), np.empty(n, np.intp)
+    nodes[:-1], nodes[-1] = ext_nodes, new_node
+    weights[:-1], weights[-1] = state.weights[external], merged.weight
+    row_min[-1], row_arg[-1] = shortest, other
+    kept_min, kept_arg = row_min[:-1], row_arg[:-1]
+    kept_min[:] = state.row_min[external]
+    kept_arg[:] = state.row_arg[external]
+    # A row whose shortest link led to a joined node has no shorter link to
+    # the others, so a new link no longer than it is the row's new minimum;
+    # only a longer one leaves the row to be searched again.
+    lost = (kept_arg == near.node) | (kept_arg == far.node)
+    closer = values <= kept_min
+    kept_min[closer] = values[closer]
+    kept_arg[closer] = new_node
+    stale = (lost > closer).nonzero()[0]  # lost and not closer
+    if len(stale):
+        links = table.take(nodes[stale], 0).take(nodes, 1)
+        rows = np.arange(len(stale))
+        links[rows, stale] = np.inf
+        at = links.argmin(1)
+        row_min[stale], row_arg[stale] = links[rows, at], nodes[at]
+    state = ClusterState(
+        tuple(clusters), table, state.mode, nodes, weights, row_min, row_arg
+    )
+    return state, (FLAG_NEGATIVE_REDUCED,) * clamped
 
 
 def _first_join(
@@ -356,12 +465,26 @@ def _first_join(
     pair_labels: tuple[str, str],
     external_means: str,
 ) -> JoinGeometry:
-    """Geometry of a forced first join between two leaves."""
-    state = initial_state(matrix, weights, mode)
-    by_label = {c.key[0]: c for c in state.clusters}
-    pair = (by_label[pair_labels[0]], by_label[pair_labels[1]])
-    offset, near, far = lateral_offset(state, pair, external_means)
-    link = state.distance(near, far)
+    """Geometry of a forced first join between two leaves.
+
+    The join's offset comes from the two leaves' matrix rows over the other
+    leaves, in language order, as ``lateral_offset`` takes it from the
+    initial state.
+    """
+    weights = _weight_values(matrix, weights)
+    _check_external_means(external_means)
+    langs = matrix.languages
+    pair = [langs.index(label) for label in pair_labels]
+    a, b = (_leaf(langs, weights, i) for i in pair)
+    others = np.delete(np.arange(len(langs)), pair)
+    # The upper triangle is authoritative, as in ``initial_state``.
+    x = np.array(pair)[:, None]
+    values = matrix.values
+    rows = np.where(others > x, values[x, others], values[others, x])
+    offset, near, far = _offset(
+        rows, np.array(weights)[others], external_means, a, b, mode
+    )
+    link = float(values[min(pair), max(pair)])
     depth, lateral, flags, offset = join_geometry(
         link, offset, near.anchor_depth, far.anchor_depth, mode
     )
@@ -463,7 +586,7 @@ def build(
     while len(state.clusters) > 2:
         pair = min_link(state)
         offset, near, far = lateral_offset(state, pair, external_means)
-        link = state.distance(near, far)
+        link = state.table.item(near.node, far.node)
         depth, lateral, flags, offset = join_geometry(
             link, offset, near.anchor_depth, far.anchor_depth, mode
         )
@@ -482,7 +605,7 @@ def build(
         next_node += 1
 
     first, second = state.clusters
-    total = state.distance(first, second)
+    total = state.table.item(first.node, second.node)
     # The anchor of a resolved root sits at the deeper child's anchor, so
     # the deeper cluster goes near; ties break lexicographically.
     if first.anchor_depth != second.anchor_depth:

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -39,6 +38,14 @@ def format_number(x: float, mode: str) -> str:
     if mode == PAPER:
         return str(int(round(x)))
     return f"{x:.2f}"
+
+
+def format_column(values: np.ndarray, mode: str):
+    """``format_number`` of each value of a float array, in order."""
+    if mode == PAPER:
+        # np.rint rounds half to even, as round() does.
+        return map(str, map(int, np.rint(values).tolist()))
+    return map("{:.2f}".format, values.tolist())
 
 
 def default_mode(explicit: str | None) -> str:
@@ -493,19 +500,17 @@ def cmd_evaluate(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["language_a", "language_b", "measured", "restored", "residual"])
     order = [measured.languages.index(lab) for lab in labels]
-    aligned = measured.values[np.ix_(order, order)].tolist()
-    restored = report.restored.values.tolist()
-    residuals = report.residuals.tolist()
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if math.isnan(aligned[i][j]):
-                continue
-            writer.writerow([
-                labels[i], labels[j],
-                format_number(aligned[i][j], mode),
-                format_number(restored[i][j], mode),
-                format_number(residuals[i][j], mode),
-            ])
+    rows, cols = np.triu_indices(len(labels), 1)
+    aligned = measured.values[np.ix_(order, order)][rows, cols]
+    observed = ~np.isnan(aligned)
+    rows, cols = rows[observed], cols[observed]
+    writer.writerows(zip(
+        map(labels.__getitem__, rows.tolist()),
+        map(labels.__getitem__, cols.tolist()),
+        format_column(aligned[observed], mode),
+        format_column(report.restored.values[rows, cols], mode),
+        format_column(report.residuals[rows, cols], mode),
+    ))
     atomic_write(Path(args.output), out.getvalue())
     weights = refinement.weights_from_dispersions(
         report.languages, report.dispersions, mode

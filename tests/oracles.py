@@ -114,16 +114,15 @@ def sample_caterpillar(rng: np.random.Generator, k: int) -> PlantedCaterpillar:
 
 
 def _order_is_forced(planted: PlantedCaterpillar) -> bool:
-    """Every intended join is the strict minimum at its step."""
+    """Every intended join is the strict minimum at its step: at step s, every
+    pair of leaves s + 2.. is longer than link s by more than 0.5."""
     m = planted.distance_matrix()
     links = planted.merge_links()
-    for step in range(planted.k - 1):
-        remaining = range(step + 2, planted.k)
-        for x in remaining:
-            for y in remaining:
-                if x < y and m[x, y] <= links[step] + 0.5:
-                    return False
-    return True
+    k = planted.k
+    pairs = np.where(np.triu(np.ones((k, k), dtype=bool), 1), m, np.inf)
+    # shortest[x]: the shortest pair among leaves x..k-1 (inf past the end)
+    shortest = np.append(np.minimum.accumulate(pairs.min(axis=1)[::-1])[::-1], np.inf)
+    return all(shortest[step + 2] > links[step] + 0.5 for step in range(k - 1))
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,8 @@ class TestMinLink:
         assert (a.key[0], b.key[0]) == ("a", "b")
 
 
-def _step(state, node, mode):
-    """One join through the step API; returns the pair and the next state."""
-    pair = bl.min_link(state)
+def _join(state, pair, node, mode):
+    """Join ``pair`` through the step API; returns the next state."""
     offset, near, far = bl.lateral_offset(state, pair)
     link = state.distance(near, far)
     d, h, flags, offset = bl.join_geometry(
@@ -76,7 +75,13 @@ def _step(state, node, mode):
     state, _ = bl.reduce(
         state, bl.JoinGeometry(near, far, link, offset, d, h, flags), node
     )
-    return pair, state
+    return state
+
+
+def _step(state, node, mode):
+    """One join through the step API; returns the pair and the next state."""
+    pair = bl.min_link(state)
+    return pair, _join(state, pair, node, mode)
 
 
 def _tied_matrix(seed, k=30):
@@ -88,6 +93,15 @@ def _tied_matrix(seed, k=30):
     return DistanceMatrix(LanguageSet(labels), upper + upper.T)
 
 
+def _ranks(state):
+    """(distance, sorted key pair, pair) of every active pair."""
+    return [
+        (state.distance(a, b), tuple(sorted((a.key, b.key))), (a, b))
+        for i, a in enumerate(state.clusters)
+        for b in state.clusters[i + 1 :]
+    ]
+
+
 class TestStepApiOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_min_link_matches_brute_force_rank(self, seed):
@@ -97,11 +111,7 @@ class TestStepApiOracle:
         node = k
         tied_steps = 0
         while len(state.clusters) > 2:
-            ranks = [
-                (state.distance(a, b), tuple(sorted((a.key, b.key))), (a, b))
-                for i, a in enumerate(state.clusters)
-                for b in state.clusters[i + 1 :]
-            ]
+            ranks = _ranks(state)
             best = min(ranks, key=lambda r: r[:2])
             tied_steps += sum(r[0] == best[0] for r in ranks) > 1
             pair, state = _step(state, node, "paper")
@@ -157,6 +167,104 @@ class TestStepApiOracle:
         )
         with pytest.raises(DomainError, match="complete"):
             bl.initial_state(dm, None, "precise")
+
+
+def _assert_carried_arrays(state):
+    """The state's arrays against a pass over its block of the table."""
+    nodes = [c.node for c in state.clusters]
+    assert state.nodes.tolist() == nodes
+    assert state.weights.tolist() == [c.weight for c in state.clusters]
+    links = state.table[np.ix_(nodes, nodes)]
+    np.fill_diagonal(links, np.inf)
+    assert state.row_min.tobytes() == links.min(axis=1).tobytes()
+    for x, other, shortest in zip(nodes, state.row_arg.tolist(), state.row_min.tolist()):
+        assert other in nodes and other != x
+        assert state.table[x, other] == shortest
+
+
+def _precise_planted(seed, k=30):
+    planted = sample_caterpillar(np.random.default_rng(seed), k)
+    return DistanceMatrix(
+        LanguageSet(tuple(f"L{i:02d}" for i in range(k))), planted.distance_matrix()
+    )
+
+
+def _precise_random(seed, k=30):
+    dm = _tied_matrix(seed, k)
+    noise = np.triu(np.random.default_rng(seed).uniform(0, 1, (k, k)), 1)
+    return DistanceMatrix(dm.languages, dm.values + noise + noise.T)
+
+
+ROW_MINIMUM_CASES = (
+    [(f"paper-tied-{seed}", "paper", seed) for seed in range(3)]
+    + [(f"precise-planted-{seed}", "precise", seed) for seed in range(2)]
+    + [(f"precise-random-{seed}", "precise", seed) for seed in range(2)]
+)
+
+
+class TestRowMinima:
+    """The carried row minima pick what a rank of every pair picks, after
+    any join the step API allows."""
+
+    @staticmethod
+    def _matrix(name, seed):
+        if name.startswith("paper"):
+            return _tied_matrix(seed)
+        if name.startswith("precise-planted"):
+            return _precise_planted(seed)
+        return _precise_random(seed)
+
+    def _walk(self, state, node, mode, rng):
+        """Join down to two clusters, checking every state; a third of the
+        joins take a random pair instead of ``min_link``'s."""
+        while len(state.clusters) > 2:
+            _assert_carried_arrays(state)
+            pair = bl.min_link(state)
+            assert pair == min(_ranks(state), key=lambda r: r[:2])[2]
+            if rng.random() < 1 / 3:
+                i, j = sorted(rng.choice(len(state.clusters), 2, replace=False).tolist())
+                pair = state.clusters[i], state.clusters[j]
+            state = _join(state, pair, node, mode)
+            node += 1
+        _assert_carried_arrays(state)
+        return state
+
+    @pytest.mark.parametrize("name, mode, seed", ROW_MINIMUM_CASES,
+                             ids=[c[0] for c in ROW_MINIMUM_CASES])
+    def test_min_link_matches_brute_force_rank_after_any_join(self, name, mode, seed):
+        dm = self._matrix(name, seed)
+        state = bl.initial_state(dm, None, mode)
+        self._walk(state, len(dm.languages), mode, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("name, mode, seed", ROW_MINIMUM_CASES,
+                             ids=[c[0] for c in ROW_MINIMUM_CASES])
+    def test_branches_from_one_state_keep_their_own_minima(self, name, mode, seed):
+        dm = self._matrix(name, seed)
+        k = len(dm.languages)
+        rng = np.random.default_rng(seed)
+        state = bl.initial_state(dm, None, mode)
+        for node in range(k, k + k // 2):
+            _, state = _step(state, node, mode)
+        node = k + k // 2
+        before = [a.copy() for a in (state.nodes, state.weights, state.row_min, state.row_arg)]
+        picked = bl.min_link(state)
+        c = state.clusters
+        other = next(p for p in ((c[0], c[-1]), (c[1], c[-1])) if set(p) != set(picked))
+        # The second branch reuses the new node id, so it writes a copy.
+        branches = [_join(state, picked, node, mode), _join(state, other, node, mode)]
+        assert branches[1].table is not branches[0].table
+        for branch in branches:
+            self._walk(branch, node + 1, mode, rng)
+        after = (state.nodes, state.weights, state.row_min, state.row_arg)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        _assert_carried_arrays(state)
+        assert bl.min_link(state) == picked
+
+    def test_carried_arrays_are_read_only(self):
+        state = bl.initial_state(_tied_matrix(0, k=6), None, "paper")
+        for array in (state.nodes, state.weights, state.row_min, state.row_arg):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestLateralOffset:
@@ -438,6 +546,46 @@ class TestResolveLastLink:
         assert tree.junctions[-1].status == model.RESOLVED
 
 
+def _state_forced_join(dm, weights, mode, labels, means):
+    """The forced first join taken through the initial state."""
+    state = bl.initial_state(dm, weights, mode)
+    by_label = {c.key[0]: c for c in state.clusters}
+    pair = (by_label[labels[0]], by_label[labels[1]])
+    offset, near, far = bl.lateral_offset(state, pair, means)
+    link = state.distance(near, far)
+    depth, lateral, flags, offset = bl.join_geometry(
+        link, offset, near.anchor_depth, far.anchor_depth, mode
+    )
+    return bl.JoinGeometry(near, far, link, offset, depth, lateral, flags)
+
+
+@pytest.mark.parametrize("mode", ["paper", "precise"])
+def test_first_join_equals_the_state_forced_join(mode):
+    rng = np.random.default_rng(41)
+    upper = np.triu(rng.integers(20, 90, (9, 9)), 1)
+    cm = ch.matrix_to_distances(coincidence(
+        tuple(f"x{i}" for i in rng.permutation(9)), upper + upper.T + 100 * np.eye(9)
+    ), mode)
+    # A lower triangle off by 1e-11: both read the upper one.
+    dm = DistanceMatrix(cm.languages, cm.values + np.tril(np.full((9, 9), 1e-11), -1))
+    labels = dm.languages.labels
+    weights = WeightVector(dm.languages, tuple(rng.uniform(0.5, 3, 9).tolist()))
+    for w in (None, weights):
+        for means in bl.EXTERNAL_MEANS:
+            for i in range(9):
+                for j in range(9):
+                    if i == j:
+                        continue
+                    pair = (labels[i], labels[j])
+                    got = bl._first_join(dm, w, mode, pair, means)
+                    want = _state_forced_join(dm, w, mode, pair, means)
+                    assert got == want
+                    numbers = ("link_length", "offset", "depth", "lateral")
+                    assert np.array([getattr(got, f) for f in numbers]).tobytes() == (
+                        np.array([getattr(want, f) for f in numbers]).tobytes()
+                    )
+
+
 class TestPlantedRecovery:
     def test_caterpillar_corpus_recovered_exactly(self):
         rng = np.random.default_rng(1905)
@@ -476,6 +624,24 @@ class TestPlantedRecovery:
         restored = model.restore_distance_matrix(tree)
         off = ~np.eye(k, dtype=bool)
         assert np.allclose(restored.values[off], m[off], rtol=1e-6, atol=0)
+
+    def test_k512_caterpillar_recovered_exactly(self):
+        rng = np.random.default_rng(512)
+        k = 512
+        planted = sample_caterpillar(rng, k)
+        m = planted.distance_matrix()
+        dm = DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
+        tree = bl.build(dm, mode="precise")
+        inner = tree.junctions[:-1]
+        assert np.allclose([j.depth for j in inner], planted.depths, rtol=0, atol=1e-6)
+        assert np.allclose([j.lateral for j in inner], planted.laterals, rtol=0, atol=1e-6)
+        root = tree.junctions[-1]
+        assert root.status == model.RESOLVED
+        assert root.depth == pytest.approx(planted.root_depth, abs=1e-6)
+        assert root.lateral == pytest.approx(planted.root_lateral, abs=1e-6)
+        restored = model.restore_distance_matrix(tree)
+        off = ~np.eye(k, dtype=bool)
+        assert np.allclose(restored.values[off], m[off], rtol=1e-9, atol=0)
 
     def test_reduction_consistency_on_planted_tree(self):
         # After every reduce the new entry equals the true anchor distance.

@@ -13,6 +13,7 @@ import pytest
 
 from isolect import builder as bl
 from isolect import chronometry as ch
+from isolect import cli
 from isolect import merger as mg
 from isolect import refinement as rf
 from isolect.errors import DomainError
@@ -241,6 +242,30 @@ def test_perturb_of_a_diagonal_pair_is_rejected():
 
 
 @pytest.mark.parametrize("mode", ["paper", "precise"])
+def test_column_formatting_matches_format_number(mode):
+    rng = np.random.default_rng(8)
+    values = np.concatenate([TestRounding.EDGES, rng.normal(0, 300, 2000),
+                             rng.integers(-500, 500, 200) + 0.5, [0.125, 2.675, -1e-3]])
+    want = [cli.format_number(x, mode) for x in values.tolist()]
+    assert list(cli.format_column(values, mode)) == want
+
+
+@pytest.mark.parametrize("mode", ["paper", "precise"])
+def test_integer_percent_conversions_match_the_scalar_ones(mode):
+    # Few distinct values in many cells, as in integer-percent input.
+    cm = random_percents(4, 60)
+    dm = ch.matrix_to_distances(cm, mode)
+    cells = cm.values.tolist()
+    want = [[0.0 if i == j else ch.coincidence_to_svodesh(c, mode)
+             for j, c in enumerate(row)] for i, row in enumerate(cells)]
+    assert same_bits(dm.values, want)
+    want = [[100.0 if i == j else ch.svodesh_to_coincidence(d, mode) or
+             100.0 * math.exp(-d / 100.0)
+             for j, d in enumerate(row)] for i, row in enumerate(dm.values.tolist())]
+    assert same_bits(ch.matrix_to_coincidences(dm, mode).values, want)
+
+
+@pytest.mark.parametrize("mode", ["paper", "precise"])
 def test_matrix_conversions_match_the_scalar_ones(mode):
     rng = np.random.default_rng(3)
     upper = rng.uniform(0.1, 100.0, size=(30, 30))
@@ -297,6 +322,57 @@ GRAPHS = _graphs()
 @pytest.mark.parametrize("case", GRAPHS, ids=[g[0] for g in GRAPHS])
 def test_chain_widths_match_networkx_components(case):
     _, graph = case
+    assert mg.chain_widths(graph) == oracles.chain_widths_nx(graph)
+
+
+def _lateral_graph(edges):
+    """A segment tree of the lateral edges ``(depth, length, a, b)``, both
+    ends at the edge's depth, and one vertical edge from a root at depth 10
+    to each run."""
+    nodes = {"r": mg.SegmentNode("r", 10.0)}
+    segments = []
+    for depth, length, a, b in edges:
+        if b not in nodes:
+            segments.append(mg.SegmentEdge("r", a, 10.0 - depth, mg.VERTICAL))
+        for name in (a, b):
+            nodes.setdefault(name, mg.SegmentNode(name, depth))
+        segments.append(mg.SegmentEdge(a, b, length, mg.LATERAL))
+    return mg.SegmentGraph(tuple(nodes.values()), tuple(segments), (), ())
+
+
+def test_chain_widths_group_by_the_first_made_depth_within_1e6():
+    # Groups open at 5 + 1.5e-6 and then at 5.  An edge within 1e-6 of both
+    # joins the earlier-made group, not the nearer one; one 3e-6 up opens a
+    # third group.
+    graph = _lateral_graph([
+        (5 + 1.5e-6, 1.0, "a1", "b1"),
+        (5.0, 2.0, "a2", "b2"),
+        (5 + 0.7e-6, 4.0, "a3", "b1"),
+        (5 - 0.9e-6, 8.0, "a4", "b4"),
+        (5 + 2.4e-6, 16.0, "a5", "b5"),
+        (5 + 3e-6, 32.0, "a6", "b6"),
+    ])
+    assert mg.chain_widths(graph) == (
+        (5 + 3e-6, 32.0, 1),
+        (5 + 1.5e-6, 16.0, 1),
+        (5 + 1.5e-6, 5.0, 2),
+        (5.0, 8.0, 1),
+        (5.0, 2.0, 1),
+    )
+    assert mg.chain_widths(graph) == oracles.chain_widths_nx(graph)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_chain_widths_on_depths_1e6_apart_in_random_order(seed):
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(80):
+        depth = 5 + 0.4e-6 * float(rng.integers(0, 12))
+        # Half the edges extend an earlier edge's run, when the depth allows.
+        ends = [e for e in edges if abs(e[0] - depth) <= 1e-6]
+        b = ends[int(rng.integers(len(ends)))][2] if ends and rng.random() < 0.5 else f"b{i}"
+        edges.append((depth, float(rng.integers(1, 5)), f"a{i}", b))
+    graph = _lateral_graph(edges)
     assert mg.chain_widths(graph) == oracles.chain_widths_nx(graph)
 
 
