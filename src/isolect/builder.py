@@ -30,12 +30,12 @@ minimum is the shortest link, and ``reduce`` searches a row again only when
 its shortest link led to a joined node and the new link is longer.  Each
 such row costs O(n) more; they are few (none on planted caterpillars), but
 inputs where most rows lose their minimum at every join bring a build back
-to O(k^3).  ``lateral_offset`` and ``reduce`` share one gather of the pair's
-two rows over the externals, in cluster order, and two rules keep every
-result equal to a per-external Python loop's: sums run left to right
-through ``np.add.accumulate`` (never the pairwise ``np.sum``), and
-``reduce`` rounds its whole row at once with the scalar rounding's IEEE
-operations (``quantize_array``).
+to O(k^3).  ``lateral_offset`` and ``reduce`` work on the pair's two rows
+over the externals, in cluster order, and two rules keep every result equal
+to a per-external Python loop's: sums run left to right through
+``np.add.accumulate`` (never the pairwise ``np.sum``), and ``reduce``
+rounds its whole row at once with the scalar rounding's IEEE operations
+(``quantize_array``).
 """
 
 from __future__ import annotations
@@ -146,18 +146,10 @@ class ClusterState:
     def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mask of the externals of nodes ``x`` and ``y`` over the active
         clusters, the externals' node ids, and the two nodes' rows over them
-        (``x`` first).  The last pair's gather is kept, so the
-        ``lateral_offset`` and ``reduce`` of one join gather once; the cells
-        it reads are never written again (see ``reduce``)."""
-        last = self.__dict__.get("_last_pair")
-        if last is None or (last[0], last[1]) not in ((x, y), (y, x)):
-            external = (self.nodes != x) & (self.nodes != y)
-            ext_nodes = self.nodes[external]
-            rows = self.table.take((x, y), 0).take(ext_nodes, 1)
-            rows.setflags(write=False)
-            last = self.__dict__["_last_pair"] = (x, y, external, ext_nodes, rows)
-        rows = last[4] if last[0] == x else last[4][::-1]
-        return last[2], last[3], rows
+        (``x`` first)."""
+        external = (self.nodes != x) & (self.nodes != y)
+        ext_nodes = self.nodes[external]
+        return external, ext_nodes, self.table.take((x, y), 0).take(ext_nodes, 1)
 
     @property
     def dist(self) -> Mapping[frozenset, float]:

@@ -72,7 +72,7 @@ def pair_count(k: int) -> int:
 
 
 def _observed_pairs(matrix, invalid, scalar, mode: str):
-    """Rows, columns and values of the observed (non-NaN) upper-triangle pairs.
+    """Row, column and value of each observed (non-NaN) upper-triangle pair.
 
     ``invalid`` flags the values the scalar conversion ``scalar`` rejects;
     the first flagged pair in row-major order raises ``scalar``'s error,
@@ -91,13 +91,7 @@ def _observed_pairs(matrix, invalid, scalar, mode: str):
             raise DomainError(
                 f"pair ({labels[rows[n]]}, {labels[cols[n]]}): {exc}"
             ) from None
-    return rows[observed], cols[observed], cells[observed]
-
-
-def _per_distinct(scalar, cells: np.ndarray) -> np.ndarray:
-    """``scalar`` of every cell, called once per distinct value."""
-    distinct, inverse = np.unique(cells, return_inverse=True)
-    return np.array([scalar(x) for x in distinct.tolist()])[inverse]
+    return rows[observed], cols[observed], cells[observed].tolist()
 
 
 def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
@@ -119,7 +113,7 @@ def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> Dista
         coincidence_to_svodesh,
         mode,
     )
-    values = quantize_array(_per_distinct(_svodesh, cells), mode)
+    values = quantize_array([_svodesh(c) for c in cells], mode)
     out = _symmetric(len(matrix.languages), rows, cols, values, 0.0)
     return DistanceMatrix(matrix.languages, out)
 
@@ -133,7 +127,7 @@ def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> Coinc
         svodesh_to_coincidence,
         mode,
     )
-    exact = _per_distinct(_coincidence, cells)
+    exact = np.array([_coincidence(length) for length in cells])
     values = quantize_array(exact, mode)
     # Integer rounding of a sub-half-percent coincidence would leave the
     # (0, 100] range; keep the fractional value.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import networkx as nx
@@ -203,29 +202,6 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
     )
 
 
-def _runs(group: list[SegmentEdge]):
-    """Connected runs of one depth's lateral edges, in the order of their
-    first-seen node, each as its edge lengths in edge order."""
-    if len(group) == 1:
-        return ([group[0].length],)
-    # Union-find over the group's nodes, kept in first-seen order.
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for e in group:
-        parent.setdefault(e.a, e.a)
-        parent.setdefault(e.b, e.b)
-        parent[find(e.a)] = find(e.b)
-    lengths: dict[str, list[float]] = {find(x): [] for x in list(parent)}
-    for e in group:
-        lengths[find(e.a)].append(e.length)
-    return lengths.values()
-
-
 def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
     """Connected runs of lateral segments per epoch.
 
@@ -233,31 +209,33 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
     width of a run is the total lateral extent of the isolect chain that
     existed at that depth.
     """
+    laterals = [e for e in graph.edges if e.kind == LATERAL]
+    by_depth: dict[float, list[SegmentEdge]] = {}
     node_depth = {n.id: n.depth for n in graph.nodes}
-    by_depth: dict[float, list[SegmentEdge]] = {}  # first seen first
-    made: dict[float, int] = {}  # group depth -> its rank in by_depth
-    depths: list[float] = []  # the group depths, sorted
-    for e in graph.edges:
-        if e.kind != LATERAL:
-            continue
+    for e in laterals:
         d = node_depth[e.a]
-        group = by_depth.get(d)
-        if group is None:
-            # A new group opens only beyond 1e-6 of every earlier one, so
-            # just d's sorted neighbours can lie within 1e-6 of it; the
-            # earlier-made of those takes the edge.
-            at = bisect_left(depths, d)
-            near = [x for x in depths[max(at - 1, 0) : at + 1] if abs(x - d) <= 1e-6]
-            if near:
-                group = by_depth[min(near, key=made.__getitem__)]
-            else:
-                group = by_depth[d] = []
-                made[d] = len(made)
-                depths.insert(at, d)
-        group.append(e)
+        key = next((x for x in by_depth if abs(x - d) <= 1e-6), d)
+        by_depth.setdefault(key, []).append(e)
     runs = []
     for depth, group in by_depth.items():
-        runs.extend((float(depth), float(sum(ls)), len(ls)) for ls in _runs(group))
+        # Union-find over the group's nodes, kept in first-seen order.
+        parent: dict[str, str] = {}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for e in group:
+            parent.setdefault(e.a, e.a)
+            parent.setdefault(e.b, e.b)
+            parent[find(e.a)] = find(e.b)
+        # Runs in the order of their first-seen node; each sums its lengths
+        # in edge order.
+        lengths: dict[str, list[float]] = {find(x): [] for x in list(parent)}
+        for e in group:
+            lengths[find(e.a)].append(e.length)
+        runs.extend((float(depth), float(sum(ls)), len(ls)) for ls in lengths.values())
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
 

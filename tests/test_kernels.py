@@ -251,21 +251,6 @@ def test_column_formatting_matches_format_number(mode):
 
 
 @pytest.mark.parametrize("mode", ["paper", "precise"])
-def test_integer_percent_conversions_match_the_scalar_ones(mode):
-    # Few distinct values in many cells, as in integer-percent input.
-    cm = random_percents(4, 60)
-    dm = ch.matrix_to_distances(cm, mode)
-    cells = cm.values.tolist()
-    want = [[0.0 if i == j else ch.coincidence_to_svodesh(c, mode)
-             for j, c in enumerate(row)] for i, row in enumerate(cells)]
-    assert same_bits(dm.values, want)
-    want = [[100.0 if i == j else ch.svodesh_to_coincidence(d, mode) or
-             100.0 * math.exp(-d / 100.0)
-             for j, d in enumerate(row)] for i, row in enumerate(dm.values.tolist())]
-    assert same_bits(ch.matrix_to_coincidences(dm, mode).values, want)
-
-
-@pytest.mark.parametrize("mode", ["paper", "precise"])
 def test_matrix_conversions_match_the_scalar_ones(mode):
     rng = np.random.default_rng(3)
     upper = rng.uniform(0.1, 100.0, size=(30, 30))
