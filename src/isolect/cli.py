@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -574,18 +575,18 @@ def cmd_merge(args) -> int:
 
 
 def _print_consistency(report: merger.ConsistencyReport, mode: str) -> None:
-    print(
+    lines = [
         f"shared-structure deviations (tolerance {report.tolerance}, "
         f"max {report.max_deviation}):"
+    ]
+    lines.extend(
+        f"  {kind:8s} {pair[0]}-{pair[1]}: "
+        f"{format_number(va, mode)} vs {format_number(vb, mode)} "
+        f"(deviation {format_number(dev, mode)})"
+        for kind, pair, va, vb, dev in report.rows
     )
-    for kind, pair, va, vb, dev in report.rows:
-        print(
-            f"  {kind:8s} {pair[0]}-{pair[1]}: "
-            f"{format_number(va, mode)} vs {format_number(vb, mode)} "
-            f"(deviation {format_number(dev, mode)})"
-        )
-    for note in report.notes:
-        print(f"  note: {note}")
+    lines.extend(f"  note: {note}" for note in report.notes)
+    print("\n".join(lines))  # one write for the whole table
 
 
 def cmd_perturb(args) -> int:
@@ -666,6 +667,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache  # one per process: main() reuses it, and parsing leaves it as it was
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="isolect",

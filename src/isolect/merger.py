@@ -5,6 +5,10 @@ lateral (chain) segments with explicit depth coordinates.  Two dendrograms
 whose shared-leaf substructures agree can then be spliced: the reference
 dendrogram keeps its geometry, and the other's exclusive branches are
 grafted onto the shared lineages at their original positions.
+
+A segment graph answers its path queries from two indexes built on first
+use, leaf label to node and node to neighbours, with one breadth-first pass
+per source leaf.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import networkx as nx
 
@@ -109,8 +114,7 @@ class SegmentGraph:
         g = self.graph()
         if g.number_of_nodes() > 1 and not nx.is_tree(g):
             raise DomainError("segment graph must be a tree")
-        # Kept for queries: this graph and the traversals from leaves asked for.
-        object.__setattr__(self, "_graph", g)
+        # The traversals from leaves asked for, by leaf label.
         object.__setattr__(self, "_traversals", {})
 
     def graph(self) -> nx.Graph:
@@ -122,22 +126,53 @@ class SegmentGraph:
                        provenance=edge.provenance)
         return g
 
+    @cached_property
+    def _leaf_nodes(self) -> dict[str, str]:
+        """Leaf label -> id of the first node carrying it."""
+        return {n.leaf: n.id for n in reversed(self.nodes) if n.leaf is not None}
+
+    @cached_property
+    def _adjacency(self) -> dict[str, dict[str, float]]:
+        """Node id -> {neighbour: length}, in edge order; a repeated edge keeps
+        its last length, as ``graph()`` does."""
+        adj: dict[str, dict[str, float]] = {n.id: {} for n in self.nodes}
+        for e in self.edges:
+            adj.setdefault(e.a, {})[e.b] = e.length
+            adj.setdefault(e.b, {})[e.a] = e.length
+        return adj
+
     def leaves(self) -> tuple[str, ...]:
         return tuple(n.leaf for n in self.nodes if n.leaf is not None)
 
     def node_of_leaf(self, label: str) -> str:
-        for node in self.nodes:
-            if node.leaf == label:
-                return node.id
-        raise DomainError(f"unknown leaf {label!r}")
+        try:
+            return self._leaf_nodes[label]
+        except KeyError:
+            raise DomainError(f"unknown leaf {label!r}") from None
 
     def _from_leaf(self, label: str) -> tuple[dict, dict]:
-        """Path lengths and node paths from a leaf to every node."""
-        if label not in self._traversals:
-            self._traversals[label] = nx.single_source_dijkstra(
-                self._graph, self.node_of_leaf(label), weight="length"
-            )
-        return self._traversals[label]
+        """Path lengths from a leaf to every node, and each node's neighbour
+        towards the leaf.
+
+        One breadth-first pass: in a tree each node's length is its
+        neighbour's plus the edge between them, the sums Dijkstra makes.
+        """
+        found = self._traversals.get(label)
+        if found is None:
+            source = self.node_of_leaf(label)
+            adj = self._adjacency
+            dist: dict[str, float] = {source: 0}
+            toward: dict[str, str] = {}
+            queue = [source]
+            for u in queue:
+                du = dist[u]
+                for v, w in adj[u].items():
+                    if v not in dist:
+                        dist[v] = du + w
+                        toward[v] = u
+                        queue.append(v)
+            found = self._traversals[label] = (dist, toward)
+        return found
 
     def distance(self, a: str, b: str) -> float:
         """Unique tree-path distance between two leaves, in svodesh."""
@@ -218,26 +253,31 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
         by_depth.setdefault(key, []).append(e)
     runs = []
     for depth, group in by_depth.items():
-        # Union-find over the group's nodes, kept in first-seen order.
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for e in group:
-            parent.setdefault(e.a, e.a)
-            parent.setdefault(e.b, e.b)
-            parent[find(e.a)] = find(e.b)
-        # Runs in the order of their first-seen node; each sums its lengths
-        # in edge order.
-        lengths: dict[str, list[float]] = {find(x): [] for x in list(parent)}
-        for e in group:
-            lengths[find(e.a)].append(e.length)
-        runs.extend((float(depth), float(sum(ls)), len(ls)) for ls in lengths.values())
+        # Each run sums its lengths in edge order.
+        runs.extend((float(depth), float(sum(e.length for e in run)), len(run))
+                    for run in _components(group))
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
+
+
+def _components(edges) -> list[list[SegmentEdge]]:
+    """Connected components of ``edges``, each as its edges in order, in the
+    order of their first-seen node (union-find)."""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for e in edges:
+        parent.setdefault(e.a, e.a)
+        parent.setdefault(e.b, e.b)
+        parent[find(e.a)] = find(e.b)
+    comps: dict[str, list[SegmentEdge]] = {find(x): [] for x in list(parent)}
+    for e in edges:
+        comps[find(e.a)].append(e)
+    return list(comps.values())
 
 
 def shared_consistency(
@@ -288,10 +328,19 @@ def _frame(graph: SegmentGraph, shared: tuple[str, ...]):
     neighbour towards ``shared[0]``, and the node paths from ``shared[0]`` to
     the other shared leaves.  In a tree the span is the union of these paths.
     """
-    lengths, paths = graph._from_leaf(shared[0])
-    legs = [paths[graph.node_of_leaf(s)] for s in shared[1:]]
+    lengths, toward = graph._from_leaf(shared[0])
+    legs = [_path_to(graph.node_of_leaf(s), toward) for s in shared[1:]]
     parent = {v: u for leg in legs for u, v in zip(leg, leg[1:])}
     return lengths, parent, legs
+
+
+def _path_to(node: str, toward: dict[str, str]) -> list[str]:
+    """The nodes from the root of ``toward`` (the one node without an entry) to ``node``."""
+    path = [node]
+    while path[-1] in toward:
+        path.append(toward[path[-1]])
+    path.reverse()
+    return path
 
 
 def _in_span(edge: SegmentEdge, parent: dict[str, str]) -> bool:
@@ -306,11 +355,7 @@ def _place(nodes, edges, parent, dist, end, target, new_id) -> str:
     around it is split at ``new_id``, its two halves replace it at the end of
     ``edges``, and the frame is updated so later grafts can land on either.
     """
-    path = [end]
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    path.reverse()
-    for b in path:  # distances grow along the path
+    for b in _path_to(end, parent):  # distances grow along the path
         if abs(dist[b] - target) <= 1e-6:
             return b
         if dist[b] > target:
@@ -363,12 +408,10 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
         for e in ga.edges
     }
     only_b = [e for e in gb.edges if not _in_span(e, parent_b)]
-    sub = nx.Graph()
-    for e in only_b:
-        sub.add_edge(e.a, e.b)
 
     rename: dict[str, str] = {}
-    components = sorted(nx.connected_components(sub), key=min)
+    components = sorted(({x for e in comp for x in (e.a, e.b)}
+                         for comp in _components(only_b)), key=min)
     for counter, comp in enumerate(components):
         attach = sorted(comp & leg_of.keys())
         if len(attach) != 1:

@@ -439,6 +439,24 @@ class TestMerge:
         # The deviations printed are the ones the merge decided on.
         assert f"max {reports[0].max_deviation}):" in out
 
+    @pytest.mark.parametrize("other, expected_code, golden", [
+        ("b", 0, "merge_salish_stdout.txt"),
+        ("p", 2, "merge_rejected_stdout.txt"),
+    ])
+    def test_stdout_matches_golden(self, capsys, tmp_path, other, expected_code, golden):
+        self._build_both(capsys, tmp_path)
+        nudged = tmp_path / "nudged.csv"
+        nudged.write_text((BUNDLED / "salish_a.csv").read_text().replace("25", "29"))
+        run(capsys, "build", "--input", str(nudged), "--mode", "paper",
+            "--outdir", str(tmp_path / "p"))
+        code, out, _ = run(
+            capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+            "--b", str(tmp_path / other / "dendrogram.json"),
+            "--outdir", str(tmp_path / "merged"),
+        )
+        assert code == expected_code
+        assert out.replace(str(tmp_path), "<tmp>") == (DATA / golden).read_text()
+
 
 class TestPerturb:
     def test_three_distinct_geometries(self, capsys):
@@ -605,3 +623,40 @@ class TestParser:
         )
         assert code == 1
         assert "SVODESH_MODE" in err
+
+
+class TestBackToBackCalls:
+    """``main`` reuses one parser per process; no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    def test_repeated_option_lists_start_empty(self, capsys, monkeypatch):
+        seen = []
+        perturb = cli.refinement.perturb
+
+        def spy(matrix, pair, deltas, **kwargs):
+            seen.append(list(deltas))
+            return perturb(matrix, pair, deltas, **kwargs)
+
+        monkeypatch.setattr(cli.refinement, "perturb", spy)
+        base = ["perturb", "--input", str(BUNDLED / "salish_a.csv"), "--pair", "1:4",
+                "--mode", "paper"]
+        for extra in (["--delta", "3"], [], ["--delta", "-2", "--delta", "1"]):
+            assert run(capsys, *base, *extra)[0] == 0
+        assert seen == [[3.0], [], [-2.0, 1.0]]
+
+    def test_good_call_after_a_bad_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["time", "--coincidence", "many"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run(capsys, "time", "--coincidence", "74", "--t1", "20",
+                   "--mode", "paper") == (0, "25\n", "")
+
+    def test_mode_from_environment_read_per_call(self, capsys, monkeypatch):
+        argv = ("time", "--coincidence", "74", "--t1", "20")
+        monkeypatch.setenv("SVODESH_MODE", "paper")
+        assert run(capsys, *argv)[1] == "25\n"
+        monkeypatch.setenv("SVODESH_MODE", "precise")
+        assert run(capsys, *argv)[1] == "25.06\n"

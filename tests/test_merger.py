@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from isolect import builder as bl
 from isolect import chronometry as ch
+from isolect import cli
 from isolect import merger as mg
 from isolect.errors import ConsistencyError, DomainError
 from isolect.model import (
@@ -385,3 +388,73 @@ class TestSingleCheck:
         assert len(calls) <= 2 * k
         assert len(report.rows) == 3 * k * (k - 1) // 2  # the root is resolved
         assert report.max_deviation == 0.0
+
+
+TRAVERSAL_CASES = (
+    [f"precise-{seed}" for seed in range(3)]
+    + [f"noisy-{seed}" for seed in range(3)]
+    + ["paper-salish_a", "paper-salish_b", "paper-baltoslavic"]
+    + [f"merged-{seed}" for seed in range(3)]
+)
+
+
+def traversal_graph(case: str) -> mg.SegmentGraph:
+    """Segment graphs of precise, noisy precise and paper-mode builds, and
+    merged graphs whose grafts split reference segments (built in the test,
+    so a broken merge fails its cases rather than the module)."""
+    kind, arg = case.split("-", 1)
+    if kind == "paper":
+        matrix = cli.read_matrix_csv(Path(__file__).parent.parent / "data" / f"{arg}.csv",
+                                     "coincidence")
+        return mg.segment_graph(
+            bl.build(ch.matrix_to_distances(matrix, "paper"), mode="paper"))
+    seed = int(arg)
+    if kind == "merged":
+        m, labels_a, labels_b, _ = two_studies(np.random.default_rng(16))
+        tree_a = bl.build(DistanceMatrix(LanguageSet(labels_a), m), mode="precise")
+        noise = np.triu(np.random.default_rng(seed).uniform(-1, 1, size=m.shape), 1)
+        tree_b = bl.build(DistanceMatrix(LanguageSet(labels_b), m + noise + noise.T),
+                          mode="precise")
+        return mg.merge(tree_a, tree_b, tolerance=3)
+    m = sample_caterpillar(np.random.default_rng(seed), 16).distance_matrix()
+    if kind == "noisy":
+        noise = np.triu(np.random.default_rng(100 + seed).uniform(-2, 2, size=m.shape), 1)
+        m = m + noise + noise.T
+    labels = LanguageSet(tuple(f"L{i:02d}" for i in range(16)))
+    return mg.segment_graph(bl.build(DistanceMatrix(labels, m), mode="precise"))
+
+
+class TestTraversalOracle:
+    """The breadth-first traversals against networkx on the same tree."""
+
+    @pytest.mark.parametrize("case", TRAVERSAL_CASES)
+    def test_distances_and_legs_match_networkx(self, case):
+        import networkx as nx
+
+        graph = traversal_graph(case)
+        if case.startswith("merged"):
+            assert any(n.id.startswith("graft") for n in graph.nodes)
+        g = graph.graph()
+        leaves = graph.leaves()
+        for i, label in enumerate(leaves):
+            source = graph.node_of_leaf(label)
+            want, _ = nx.single_source_dijkstra(g, source, weight="length")
+            dist, _ = graph._from_leaf(label)
+            # repr: equal bits and types, the source's integer 0 included
+            assert {v: repr(d) for v, d in dist.items()} == {
+                v: repr(d) for v, d in want.items()
+            }
+            shared = leaves[i:] + leaves[:i]
+            _, _, legs = mg._frame(graph, shared)
+            assert legs == [nx.shortest_path(g, source, graph.node_of_leaf(s))
+                            for s in shared[1:]]
+
+    def test_unknown_leaf_keeps_its_message(self):
+        graph = traversal_graph(TRAVERSAL_CASES[0])
+        known = graph.leaves()[0]
+        for ask in (lambda: graph.node_of_leaf("nowhere"),
+                    lambda: graph.distance("nowhere", known),
+                    lambda: graph.distance(known, "nowhere")):
+            with pytest.raises(DomainError) as exc:
+                ask()
+            assert str(exc.value) == "unknown leaf 'nowhere'"
