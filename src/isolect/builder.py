@@ -77,27 +77,48 @@ class FinalLinkError(IsolectError):
 class Cluster:
     """An active cluster during agglomeration.
 
-    ``key`` is the sorted member-label tuple used for deterministic
-    tie-breaking.  ``children`` pairs each joined child with its gain, the
-    path length from the child's anchor up to this cluster's (empty for a
-    leaf).
+    ``first_label`` is the smallest member label (a leaf's own label).
+    Active clusters are disjoint, so it orders them, and pairs of them, as
+    their sorted label tuples ``key`` do: it breaks every tie.  ``children``
+    pairs each joined child with its gain, the path length from the child's
+    anchor up to this cluster's (empty for a leaf, whose node id is its
+    language index).  ``members`` and ``key`` are computed on access.
     """
 
     node: int
-    members: tuple[int, ...]
     anchor_depth: float
     weight: float
-    key: tuple[str, ...]
+    first_label: str
     children: tuple[tuple["Cluster", float], ...] = field(
         default=(), compare=False, repr=False
     )
+
+    def _leaves(self) -> list["Cluster"]:
+        leaves, pending = [], [self]
+        while pending:  # no recursion: a caterpillar is k levels deep
+            cluster = pending.pop()
+            if cluster.children:
+                pending.extend(child for child, _ in cluster.children)
+            else:
+                leaves.append(cluster)
+        return leaves
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """Member leaf ids, in language order."""
+        return tuple(sorted(leaf.node for leaf in self._leaves()))
+
+    @cached_property
+    def key(self) -> tuple[str, ...]:
+        """Sorted member labels."""
+        return tuple(sorted(leaf.first_label for leaf in self._leaves()))
 
     @cached_property
     def anchor_dist(self) -> dict[int, float]:
         """Member leaf -> path length up to the cluster anchor, near members
         first; computed on access from the children, read only."""
         if not self.children:
-            return {leaf: 0.0 for leaf in self.members}
+            return {self.node: 0.0}
         # Fill the uncomputed descendants bottom-up, so no access recurses deeply.
         pending = [self]
         for cluster in pending:
@@ -216,10 +237,9 @@ def _weight_values(
 def _leaf(langs, weights: tuple[float, ...], i: int) -> Cluster:
     return Cluster(
         node=i,
-        members=(i,),
         anchor_depth=langs.depths[i],
         weight=weights[i],
-        key=(langs.labels[i],),
+        first_label=langs.labels[i],
     )
 
 
@@ -249,7 +269,7 @@ def initial_state(
 
 
 def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
-    """Closest active pair; ties broken on the sorted label-pair key.
+    """Closest active pair; ties broken on the sorted pair of smallest labels.
 
     Both ends of a pair at the shortest link are rows whose minimum is that
     link, so only those rows are ranked: two rows are the pair itself, and
@@ -263,18 +283,19 @@ def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
     if len(tied) == 2:
         i, j = tied.tolist()
         return clusters[i], clusters[j]
-    # The block is symmetric: keep each tied pair once, as (i, j) with i < j.
+    # The block is symmetric: keep each tied pair once, as (r, c) with r < c.
     t = len(tied)
     tied_nodes = state.nodes[tied]
     links = state.table.take(tied_nodes, 0).take(tied_nodes, 1)
     links.flat[:: t + 1] = np.inf
     tied = tied.tolist()
     at = (divmod(x, t) for x in (links.ravel() == shortest).nonzero()[0].tolist())
-    i, j = min(
-        ((tied[r], tied[c]) for r, c in at if r < c),
-        key=lambda ij: sorted((clusters[ij[0]].key, clusters[ij[1]].key)),
+    first = [clusters[x].first_label for x in tied]
+    r, c = min(
+        ((r, c) for r, c in at if r < c),
+        key=lambda rc: sorted((first[rc[0]], first[rc[1]])),
     )
-    return clusters[i], clusters[j]
+    return clusters[tied[r]], clusters[tied[c]]
 
 
 def _offset(
@@ -295,7 +316,7 @@ def _offset(
     means = [quantize(mean, mode) for mean in (num / den).tolist()]
     if means[0] == means[1]:
         # Equidistant pair: the lexicographically larger key goes far.
-        near, far = (a, b) if a.key < b.key else (b, a)
+        near, far = (a, b) if a.first_label < b.first_label else (b, a)
         return 0.0, near, far
     if means[0] < means[1]:
         return means[1] - means[0], a, b
@@ -388,10 +409,9 @@ def reduce(
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
     merged = Cluster(
         node=new_node,
-        members=tuple(sorted(near.members + far.members)),
         anchor_depth=geometry.depth,
         weight=near.weight + far.weight,
-        key=tuple(sorted(near.key + far.key)),
+        first_label=min(near.first_label, far.first_label),
         children=((near, delta_near), (far, delta_far)),
     )
     external, ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
@@ -607,7 +627,10 @@ def build(
             else (second, first)
         )
     else:
-        near_c, far_c = (first, second) if first.key < second.key else (second, first)
+        near_c, far_c = (
+            (first, second) if first.first_label < second.first_label
+            else (second, first)
+        )
     a, b = near_c.anchor_depth, far_c.anchor_depth
     if total <= 0:
         # Coinciding anchors: a zero-length root link is not ambiguous.

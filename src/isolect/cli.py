@@ -136,6 +136,9 @@ def read_matrix_csv(path, kind: str):
         )
     diag_default = 100.0 if kind == "coincidence" else 0.0
     values = np.full((k, k), np.nan)
+    data = [row for _, row in rows[1:]]
+    # columns[j + 1][i]: row i's cell j, the mirror of row j's cell i
+    columns = tuple(zip(*data)) if all(len(row) == k + 1 for row in data) else ()
     for i, (line, row) in enumerate(rows[1:]):
         if len(row) != k + 1:
             raise ParseError(
@@ -147,17 +150,25 @@ def read_matrix_csv(path, kind: str):
                 f"(expected {labels[i]!r})",
                 f"{path}:{line}",
             )
-        cells = row[1:]
-        if cells[i].strip() in ABSENT_TOKENS:
-            cells[i] = diag_default
+        # Lower cells spelled as their mirrors take the mirrors' values: a
+        # cell's value depends only on its text, and the mirrors' rows came
+        # first.  The first cell alone turns most other rows away.
+        mirror = columns[i + 1] if columns else ()
+        copied = mirror[:1] == (row[1],) and mirror[:i] == tuple(row[1 : i + 1])
+        start = i if copied else 0
+        cells = row[1 + start :]
+        if cells[i - start].strip() in ABSENT_TOKENS:
+            cells[i - start] = diag_default
         try:  # float() strips the spaces itself
-            values[i] = list(map(float, cells))
+            values[i, start:] = list(map(float, cells))
         except ValueError:  # absent pairs or a bad cell: one cell at a time
-            values[i] = [
+            values[i, start:] = [
                 _matrix_cell(c.strip(), diag_default if i == j else np.nan,
                              f"{path}:{line} column {labels[j]}")
-                for j, c in enumerate(row[1:])
+                for j, c in enumerate(row[1 + start :], start)
             ]
+        if start:
+            values[i, :start] = values[:start, i]
     for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
         line, row = rows[i + 1]
         if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
@@ -623,9 +634,11 @@ def cmd_render(args) -> int:
     with open(args.tree, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        kind = json.loads(text).get("kind", "dendrogram")
+        doc = json.loads(text)
     except json.JSONDecodeError:
-        kind = "dendrogram"
+        doc = None
+    # Anything but a segment-graph object is read, and rejected, as a dendrogram.
+    kind = doc.get("kind", "dendrogram") if isinstance(doc, dict) else "dendrogram"
     if kind == "segment-graph":
         graph = merger.deserialize_graph(text)
         mode = graph.mode

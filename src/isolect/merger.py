@@ -507,28 +507,46 @@ def serialize_graph(graph: SegmentGraph) -> str:
 
 
 def deserialize_graph(text: str) -> SegmentGraph:
+    """Parse a segment-graph document; every edge must join declared nodes."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", f"line {exc.lineno}") from None
-    if doc.get("format") != FORMAT_NAME or doc.get("kind") != "segment-graph":
+    if not isinstance(doc, dict) or (
+        doc.get("format") != FORMAT_NAME or doc.get("kind") != "segment-graph"
+    ):
         raise ParseError("not a segment-graph document", "format")
     if doc.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
+    location = None
     try:
-        nodes = tuple(
-            SegmentNode(str(n["id"]), float(n["depth"]), n.get("leaf"))
-            for n in doc["nodes"]
-        )
-        edges = tuple(
-            SegmentEdge(str(e["a"]), str(e["b"]), float(e["length"]),
-                        str(e["kind"]), str(e.get("provenance", PROV_A)))
-            for e in doc["edges"]
-        )
+        nodes, ids = [], set()
+        for i, n in enumerate(doc["nodes"]):
+            location = f"nodes[{i}]"
+            if not isinstance(n, dict):
+                raise ParseError("node must be an object", location)
+            leaf = n.get("leaf")
+            if not (leaf is None or isinstance(leaf, str)):
+                raise ParseError("leaf must be a string or null", f"{location}.leaf")
+            nodes.append(SegmentNode(str(n["id"]), float(n["depth"]), leaf))
+            ids.add(nodes[-1].id)
+        edges = []
+        for i, e in enumerate(doc["edges"]):
+            location = f"edges[{i}]"
+            if not isinstance(e, dict):
+                raise ParseError("edge must be an object", location)
+            edge = SegmentEdge(str(e["a"]), str(e["b"]), float(e["length"]),
+                               str(e["kind"]), str(e.get("provenance", PROV_A)))
+            for end, node in (("a", edge.a), ("b", edge.b)):
+                if node not in ids:
+                    raise ParseError(f"edge names undeclared node {node!r}",
+                                     f"{location}.{end}")
+            edges.append(edge)
+        location = None
         return SegmentGraph(
-            nodes, edges,
+            tuple(nodes), tuple(edges),
             tuple(doc.get("leaves_a", ())), tuple(doc.get("leaves_b", ())),
             doc.get("mode", PRECISE),
         )
     except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ParseError(f"bad segment-graph payload: {exc}") from None
+        raise ParseError(f"bad segment-graph payload: {exc}", location) from None

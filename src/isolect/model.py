@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 import numpy as np
@@ -466,52 +467,63 @@ def _number(x: float):
     return int(f) if f.is_integer() else f
 
 
-def _junction_payload(dendrogram: Dendrogram, jn: Junction) -> dict:
-    k = len(dendrogram.languages)
+def _json_number(x: float) -> str:
+    return repr(_number(x))
 
-    def ref(node_id: int):
-        return dendrogram.languages.labels[node_id] if node_id < k else node_id - k
 
-    if jn.status == RESOLVED:
-        status = {"state": RESOLVED}
-    else:
-        status = {
-            "state": UNRESOLVED,
-            "total_length": _number(jn.total_length),
-            "depth_min": _number(jn.depth_range[0]),
-            "depth_max": _number(jn.depth_range[1]),
-        }
-    return {
-        "near": ref(jn.near),
-        "far": ref(jn.far),
-        "depth": _number(jn.depth),
-        "lateral": _number(jn.lateral),
-        "status": status,
-        "flags": list(jn.flags),
-    }
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of written items, one per line, closing at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def serialize(dendrogram: Dendrogram) -> str:
-    """Serialize to the versioned JSON document format (stable field order)."""
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "kind": "dendrogram",
-        "mode": dendrogram.mode,
-        "languages": [
-            {"name": name, "depth": _number(depth)}
-            for name, depth in zip(
-                dendrogram.languages.labels, dendrogram.languages.depths
+    """Serialize to the versioned JSON document format (stable field order).
+
+    Written directly, byte for byte as ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` lays the document out (see ``docs/schema.md``).
+    """
+    text = encode_basestring
+    names = list(map(text, dendrogram.languages.labels))
+    k = len(names)
+
+    def ref(node_id: int) -> str:
+        return names[node_id] if node_id < k else repr(node_id - k)
+
+    languages = [
+        f'{{\n      "name": {name},\n      "depth": {_json_number(depth)}\n    }}'
+        for name, depth in zip(names, dendrogram.languages.depths)
+    ]
+    weights = (
+        "null" if dendrogram.weights is None
+        else _json_list(list(map(_json_number, dendrogram.weights.values)), "  ")
+    )
+    junctions = []
+    for jn in dendrogram.junctions:
+        status = f'{{\n        "state": {text(jn.status)}'
+        if jn.status == UNRESOLVED:
+            status += (
+                f',\n        "total_length": {_json_number(jn.total_length)}'
+                f',\n        "depth_min": {_json_number(jn.depth_range[0])}'
+                f',\n        "depth_max": {_json_number(jn.depth_range[1])}'
             )
-        ],
-        "weights": (
-            [_number(w) for w in dendrogram.weights.values]
-            if dendrogram.weights is not None
-            else None
-        ),
-        "junctions": [_junction_payload(dendrogram, jn) for jn in dendrogram.junctions],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        junctions.append(
+            f'{{\n      "near": {ref(jn.near)},\n      "far": {ref(jn.far)}'
+            f',\n      "depth": {_json_number(jn.depth)}'
+            f',\n      "lateral": {_json_number(jn.lateral)}'
+            f',\n      "status": {status}\n      }}'
+            f',\n      "flags": {_json_list(list(map(text, jn.flags)), "      ")}'
+            "\n    }"
+        )
+    return (
+        f'{{\n  "format": {text(FORMAT_NAME)},\n  "version": {FORMAT_VERSION}'
+        f',\n  "kind": "dendrogram",\n  "mode": {text(dendrogram.mode)}'
+        f',\n  "languages": {_json_list(languages, "  ")}'
+        f',\n  "weights": {weights}'
+        f',\n  "junctions": {_json_list(junctions, "  ")}\n}}\n'
+    )
 
 
 def _expect(doc: dict, key: str, location: str):

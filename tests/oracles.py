@@ -9,12 +9,16 @@ The scalar references are per-cell Python loops, one call per cell, that
 the package's array kernels must match bit for bit.  The matrix CSV reader
 at the end is the straightforward one (``csv.reader``, then one ``float``
 per stripped cell) that the CLI's reader must match in values and errors.
+The dendrogram serializer at the very end builds the document as dicts and
+lists and hands it to ``json.dumps``; ``model.serialize`` must match its
+bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +27,15 @@ import networkx as nx
 import numpy as np
 
 from isolect.errors import DomainError, InputError, ParseError
-from isolect.model import CoincidenceMatrix, DistanceMatrix, LanguageSet
+from isolect.model import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    RESOLVED,
+    UNRESOLVED,
+    CoincidenceMatrix,
+    DistanceMatrix,
+    LanguageSet,
+)
 
 
 @dataclass(frozen=True)
@@ -327,3 +339,59 @@ def read_matrix_csv(path, kind: str):
         return DistanceMatrix(languages, values)
     except DomainError as exc:
         raise ParseError(str(exc), str(path)) from None
+
+
+# -- the dendrogram document, as dicts through json.dumps -------------------
+
+
+def _number(x: float):
+    f = float(x)
+    return int(f) if f.is_integer() else f
+
+
+def _junction_payload(dendrogram, jn) -> dict:
+    k = len(dendrogram.languages)
+
+    def ref(node_id: int):
+        return dendrogram.languages.labels[node_id] if node_id < k else node_id - k
+
+    if jn.status == RESOLVED:
+        status = {"state": RESOLVED}
+    else:
+        status = {
+            "state": UNRESOLVED,
+            "total_length": _number(jn.total_length),
+            "depth_min": _number(jn.depth_range[0]),
+            "depth_max": _number(jn.depth_range[1]),
+        }
+    return {
+        "near": ref(jn.near),
+        "far": ref(jn.far),
+        "depth": _number(jn.depth),
+        "lateral": _number(jn.lateral),
+        "status": status,
+        "flags": list(jn.flags),
+    }
+
+
+def serialize(dendrogram) -> str:
+    """The dendrogram document: one dict per object, written by ``json.dumps``."""
+    doc = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": "dendrogram",
+        "mode": dendrogram.mode,
+        "languages": [
+            {"name": name, "depth": _number(depth)}
+            for name, depth in zip(
+                dendrogram.languages.labels, dendrogram.languages.depths
+            )
+        ],
+        "weights": (
+            [_number(w) for w in dendrogram.weights.values]
+            if dendrogram.weights is not None
+            else None
+        ),
+        "junctions": [_junction_payload(dendrogram, jn) for jn in dendrogram.junctions],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -253,6 +253,15 @@ class TestBuild:
         assert tree.mode == "precise"
 
 
+def test_schema_example_is_what_build_writes(capsys, tmp_path):
+    schema = (Path(__file__).parents[1] / "docs" / "schema.md").read_text()
+    section = schema.split('## Dendrogram documents (`kind: "dendrogram"`)')[1]
+    example = section.split("```json\n")[1].split("```\n")[0]
+    run(capsys, "build", "--input", str(BUNDLED / "salish_b.csv"), "--mode", "paper",
+        "--outdir", str(tmp_path))
+    assert (tmp_path / "dendrogram.json").read_text() == example
+
+
 class TestEvaluate:
     def test_residuals_against_measured(self, capsys, tmp_path):
         code, _, _ = run(
@@ -593,6 +602,52 @@ class TestRender:
         total = tree.junctions[-1].total_length
         stem_lengths = [int(m) for m in re.findall(r"\):(\d+)", out)]
         assert sum(stem_lengths) == total
+
+    @pytest.mark.parametrize("top", ["[1]", "3", "null", '"graph"'])
+    def test_non_object_document(self, capsys, tmp_path, top):
+        path = tmp_path / "tree.json"
+        path.write_text(top)
+        code, out, err = run(capsys, "render", "--tree", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: document must be a JSON object (at $)"]
+
+    @staticmethod
+    def _merged_doc(capsys, tmp_path) -> dict:
+        for name in ("a", "b"):
+            run(capsys, "build", "--input", str(BUNDLED / f"salish_{name}.csv"),
+                "--mode", "paper", "--outdir", str(tmp_path / name))
+        run(capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+            "--b", str(tmp_path / "b" / "dendrogram.json"), "--outdir", str(tmp_path))
+        return json.loads((tmp_path / "merged.json").read_text())
+
+    @pytest.mark.parametrize("leaf", [7, ["1"], {"name": "1"}, True])
+    def test_non_string_leaf(self, capsys, tmp_path, leaf):
+        doc = self._merged_doc(capsys, tmp_path)
+        doc["nodes"][2]["leaf"] = leaf
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "dot")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: leaf must be a string or null (at nodes[2].leaf)"
+        ]
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_edge_to_undeclared_node(self, capsys, tmp_path, end):
+        # One more edge to a fresh id still makes a tree, so only the
+        # declaration check catches it.
+        doc = self._merged_doc(capsys, tmp_path)
+        edge = {"a": "1", "b": "1", "length": 5, "kind": "vertical",
+                "provenance": "A", end: "ghost"}
+        doc["edges"].append(edge)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: edge names undeclared node 'ghost' "
+            f"(at edges[{len(doc['edges']) - 1}].{end})"
+        ]
 
     def test_render_merged_graph(self, capsys, tmp_path):
         run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),

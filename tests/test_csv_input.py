@@ -43,22 +43,33 @@ def _spell(rnd, value: int) -> str:
 
 @st.composite
 def matrix_csvs(draw) -> str:
-    """A labeled matrix CSV written by csv.writer; about half of them are valid."""
+    """A labeled matrix CSV written by csv.writer; about half of them are valid.
+
+    In about half of them every lower cell is spelled exactly as its mirror
+    above the diagonal, bad and absent cells included, which the reader
+    copies instead of parsing; elsewhere each cell is spelled on its own.
+    """
     rnd = draw(st.randoms(use_true_random=True))
     k = draw(st.integers(1, 12))
+    mirrored = rnd.random() < 0.5
     labels = [rnd.choice(LABELS) if rnd.random() < 0.1 else f"L{i}" for i in range(k)]
     base = {(i, j): rnd.randint(1, 100) for i in range(k) for j in range(i + 1, k)}
     rows = [[rnd.choice(("", " "))] + labels]
+    upper = {}  # (i, j) -> the spelling of cell (i, j), before a row loses a cell
     for i in range(k):
         row = [rnd.choice(SPACES) + (labels[i] if rnd.random() > 0.01 else "other")]
         for j in range(k):
             if i == j:
                 diagonal = rnd.choice(ABSENT if rnd.random() < 0.9 else ("100", "0", "5"))
                 row.append(rnd.choice(SPACES) + diagonal + rnd.choice(SPACES))
-            elif rnd.random() < 0.01:
-                row.append(rnd.choice(ABSENT + BAD))
+            elif mirrored and j < i:
+                row.append(upper[j, i])
             else:
-                row.append(_spell(rnd, base[min(i, j), max(i, j)]))
+                if rnd.random() < 0.01:
+                    row.append(rnd.choice(ABSENT + BAD))
+                else:
+                    row.append(_spell(rnd, base[min(i, j), max(i, j)]))
+                upper[i, j] = row[-1]
         if rnd.random() < 0.01:
             del row[rnd.randint(0, k)]
         rows.append(row)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolect import merger, model
+import oracles
+from isolect import builder, chronometry, cli, merger, model, refinement
 from isolect.errors import DomainError, ParseError
 from isolect.model import (
     Dendrogram,
@@ -23,7 +24,7 @@ from isolect.model import (
     serialize,
 )
 
-from conftest import SALISH_A_RESTORED, SALISH_A_RESTORED_C
+from conftest import BUNDLED, SALISH_A_RESTORED, SALISH_A_RESTORED_C
 
 
 def salish_tree(mode="paper") -> Dendrogram:
@@ -263,6 +264,69 @@ class TestSerialization:
     def test_stable_output(self):
         tree = salish_tree()
         assert serialize(tree) == serialize(salish_tree())
+
+
+class TestSerializeMatchesJsonDumps:
+    """``serialize`` writes the bytes ``oracles.serialize`` gets from
+    ``json.dumps(doc, indent=2, ensure_ascii=False)``."""
+
+    @staticmethod
+    def _trees(labels, values, mode, weights=None):
+        dm = DistanceMatrix(LanguageSet(labels), values)
+        yield builder.build(dm, weights, mode=mode)
+        if len(labels) > 2:
+            yield builder.build(dm, weights, mode=mode, external_means="simple")
+            trace = refinement.iterate_build(dm, mode=mode)
+            yield from (p.dendrogram for p in trace.passes)
+
+    def _check(self, trees):
+        seen = set()
+        for tree in trees:
+            assert serialize(tree) == oracles.serialize(tree)
+            seen.add(tree.weights is None)
+            seen.update(jn.status for jn in tree.junctions)
+            seen.update(f for jn in tree.junctions for f in jn.flags)
+        return seen
+
+    def test_bundled_and_planted_builds(self):
+        trees = []
+        for mode in ("paper", "precise"):
+            for name in ("salish_a", "salish_b", "baltoslavic"):
+                percent = cli.read_matrix_csv(BUNDLED / f"{name}.csv", "coincidence")
+                dm = chronometry.matrix_to_distances(percent, mode)
+                trees += self._trees(dm.languages.labels, dm.values, mode)
+            rng = np.random.default_rng(5)
+            for k in (2, 3, 9):
+                planted = oracles.sample_caterpillar(rng, k) if k > 3 else None
+                values = (
+                    planted.distance_matrix() if planted
+                    else np.array(rng.integers(10, 90, (k, k)), dtype=float)
+                )
+                values = np.triu(values, 1) + np.triu(values, 1).T
+                trees += self._trees(tuple(f"L{i}" for i in range(k)), values, mode)
+        seen = self._check(trees)
+        # The documents cover both statuses, weights, and the flags builds raise.
+        assert {model.RESOLVED, model.UNRESOLVED, True, False} <= seen
+        assert {model.FLAG_PURE_VERTICAL, model.FLAG_INFEASIBLE,
+                model.FLAG_CROSS_CHECKED, model.FLAG_UNRESOLVED_DECOMPOSITION} <= seen
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_awkward_labels_weights_and_numbers(self, mode):
+        labels = ('q"t', "back\\slash", "tab\tnew\nline", "nul\x00del\x7f", "é",
+                  "日本語", "line\u2028sep", "\U0001f600", "x y")
+        rng = np.random.default_rng(11)
+        k = len(labels)
+        upper = np.triu(rng.uniform(5, 300, (k, k)), 1)
+        weights = WeightVector(LanguageSet(labels), rng.uniform(0.1, 9, k).round(3))
+        trees = list(self._trees(labels, upper + upper.T, mode, weights))
+        trees += self._trees(labels[:2], np.array([[0, 7.5], [7.5, 0]]), mode)
+        trees.append(Dendrogram(
+            LanguageSet(("a", "b"), (2.5, 0)),
+            (Junction(near=0, far=1, depth=1e20, lateral=0.1,
+                      flags=model.CLAMP_FLAGS),), mode=mode,
+        ))
+        trees.append(Dendrogram(LanguageSet(("alone",)), (), mode=mode))
+        self._check(trees)
 
 
 class TestDendrogramValidation:
