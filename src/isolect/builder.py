@@ -80,56 +80,28 @@ class Cluster:
     ``first_label`` is the smallest member label (a leaf's own label).
     Active clusters are disjoint, so it orders them, and pairs of them, as
     their sorted label tuples ``key`` do: it breaks every tie.  ``children``
-    pairs each joined child with its gain, the path length from the child's
-    anchor up to this cluster's (empty for a leaf, whose node id is its
-    language index).  ``members`` and ``key`` are computed on access.
+    holds the joined near and far clusters (empty for a leaf, whose node id
+    is its language index).  The tree's members and anchor distances belong
+    to the finished ``Dendrogram``.
     """
 
     node: int
     anchor_depth: float
     weight: float
     first_label: str
-    children: tuple[tuple["Cluster", float], ...] = field(
-        default=(), compare=False, repr=False
-    )
-
-    def _leaves(self) -> list["Cluster"]:
-        leaves, pending = [], [self]
-        while pending:  # no recursion: a caterpillar is k levels deep
-            cluster = pending.pop()
-            if cluster.children:
-                pending.extend(child for child, _ in cluster.children)
-            else:
-                leaves.append(cluster)
-        return leaves
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        """Member leaf ids, in language order."""
-        return tuple(sorted(leaf.node for leaf in self._leaves()))
+    children: tuple["Cluster", ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def key(self) -> tuple[str, ...]:
-        """Sorted member labels."""
-        return tuple(sorted(leaf.first_label for leaf in self._leaves()))
-
-    @cached_property
-    def anchor_dist(self) -> dict[int, float]:
-        """Member leaf -> path length up to the cluster anchor, near members
-        first; computed on access from the children, read only."""
-        if not self.children:
-            return {self.node: 0.0}
-        # Fill the uncomputed descendants bottom-up, so no access recurses deeply.
-        pending = [self]
-        for cluster in pending:
-            pending.extend(c for c, _ in cluster.children if "anchor_dist" not in vars(c))
-        for cluster in reversed(pending[1:]):
-            cluster.anchor_dist
-        return {
-            leaf: d + gain
-            for child, gain in self.children
-            for leaf, d in child.anchor_dist.items()
-        }
+        """Sorted member labels, walked on access."""
+        labels, pending = [], [self]
+        while pending:  # no recursion: a caterpillar is k levels deep
+            cluster = pending.pop()
+            if cluster.children:
+                pending.extend(cluster.children)
+            else:
+                labels.append(cluster.first_label)
+        return tuple(sorted(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,8 +370,8 @@ def reduce(
     """Replace the joined pair by the merged cluster.
 
     Each external entry becomes the weight-weighted mean of the two
-    anchor-corrected child distances; the merged cluster keeps each child
-    with its child-to-new-anchor increment.  An external row keeps its
+    anchor-corrected child distances; the merged cluster keeps both
+    children.  An external row keeps its
     shortest link unless the new one is no longer, and is searched again
     only when its shortest link led to a joined node and the new one is
     longer.
@@ -412,7 +384,7 @@ def reduce(
         anchor_depth=geometry.depth,
         weight=near.weight + far.weight,
         first_label=min(near.first_label, far.first_label),
-        children=((near, delta_near), (far, delta_far)),
+        children=(near, far),
     )
     external, ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
     clusters = list(compress(state.clusters, external.tolist()))

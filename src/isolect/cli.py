@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,7 +37,7 @@ ABSENT_TOKENS = {"", "-", "na", "NA", "n/a"}
 
 
 def format_number(x: float, mode: str) -> str:
-    if mode == PAPER:
+    if mode == PAPER and math.isfinite(x):
         return str(int(round(x)))
     return f"{x:.2f}"
 
@@ -523,10 +524,10 @@ def cmd_evaluate(args) -> int:
         format_column(report.restored.values[rows, cols], mode),
         format_column(report.residuals[rows, cols], mode),
     ))
-    atomic_write(Path(args.output), out.getvalue())
     weights = refinement.weights_from_dispersions(
         report.languages, report.dispersions, mode
     )
+    atomic_write(Path(args.output), out.getvalue())
     print(f"evaluation written to {args.output}")
     print(f"max |residual|: {format_number(report.max_abs_residual(), mode)}")
     print("dispersions (low to high) and derived weights:")
@@ -558,9 +559,8 @@ def cmd_merge(args) -> int:
     print(f"shared leaves: {', '.join(graph.consistency.shared)}")
     _print_consistency(graph.consistency, mode)
     outdir = Path(args.outdir)
+    predictions = merger.predict_missing(graph, merger.cross_pairs(graph), mode)
     atomic_write(outdir / "merged.json", merger.serialize_graph(graph))
-    pairs = merger.cross_pairs(graph)
-    predictions = merger.predict_missing(graph, pairs, mode)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["language_a", "language_b", "svodesh", "coincidence",
@@ -635,7 +635,7 @@ def cmd_render(args) -> int:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # rejected again by the reader below
         doc = None
     # Anything but a segment-graph object is read, and rejected, as a dendrogram.
     kind = doc.get("kind", "dendrogram") if isinstance(doc, dict) else "dendrogram"

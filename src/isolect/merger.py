@@ -29,6 +29,8 @@ from .model import (
     UNRESOLVED,
     Dendrogram,
     leaf_distance,
+    load_document,
+    _expect_number,
     _number,
 )
 from .modes import PRECISE, check_mode, quantize
@@ -459,7 +461,10 @@ def predict_missing(
     out = []
     for pair in pairs:
         x, y = pair
-        dist = quantize(graph.distance(x, y), mode)
+        dist = graph.distance(x, y)
+        if not math.isfinite(dist):
+            raise DomainError(f"path {x}-{y} is beyond float range")
+        dist = quantize(dist, mode)
         coin = chronometry.svodesh_to_coincidence(dist, mode)
         out.append(Prediction((x, y), dist, coin, coin < threshold))
     return tuple(out)
@@ -506,18 +511,20 @@ def serialize_graph(graph: SegmentGraph) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _leaf_names(doc: dict, key: str, leaves: set[str]) -> tuple[str, ...]:
+    """A list of leaf labels that name leaf nodes of the graph (absent: none)."""
+    names = doc.get(key, [])
+    if not isinstance(names, list):
+        raise ParseError(f"{key} must be a list of leaf names", key)
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name not in leaves:
+            raise ParseError(f"unknown leaf {name!r}", f"{key}[{i}]")
+    return tuple(names)
+
+
 def deserialize_graph(text: str) -> SegmentGraph:
     """Parse a segment-graph document; every edge must join declared nodes."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc.msg}", f"line {exc.lineno}") from None
-    if not isinstance(doc, dict) or (
-        doc.get("format") != FORMAT_NAME or doc.get("kind") != "segment-graph"
-    ):
-        raise ParseError("not a segment-graph document", "format")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
+    doc = load_document(text, "segment-graph")
     location = None
     try:
         nodes, ids = [], set()
@@ -528,14 +535,14 @@ def deserialize_graph(text: str) -> SegmentGraph:
             leaf = n.get("leaf")
             if not (leaf is None or isinstance(leaf, str)):
                 raise ParseError("leaf must be a string or null", f"{location}.leaf")
-            nodes.append(SegmentNode(str(n["id"]), float(n["depth"]), leaf))
+            nodes.append(SegmentNode(str(n["id"]), _expect_number(n, "depth", location), leaf))
             ids.add(nodes[-1].id)
         edges = []
         for i, e in enumerate(doc["edges"]):
             location = f"edges[{i}]"
             if not isinstance(e, dict):
                 raise ParseError("edge must be an object", location)
-            edge = SegmentEdge(str(e["a"]), str(e["b"]), float(e["length"]),
+            edge = SegmentEdge(str(e["a"]), str(e["b"]), _expect_number(e, "length", location),
                                str(e["kind"]), str(e.get("provenance", PROV_A)))
             for end, node in (("a", edge.a), ("b", edge.b)):
                 if node not in ids:
@@ -543,9 +550,10 @@ def deserialize_graph(text: str) -> SegmentGraph:
                                      f"{location}.{end}")
             edges.append(edge)
         location = None
+        leaves = {n.leaf for n in nodes if n.leaf is not None}
         return SegmentGraph(
             tuple(nodes), tuple(edges),
-            tuple(doc.get("leaves_a", ())), tuple(doc.get("leaves_b", ())),
+            _leaf_names(doc, "leaves_a", leaves), _leaf_names(doc, "leaves_b", leaves),
             doc.get("mode", PRECISE),
         )
     except (KeyError, TypeError, ValueError, DomainError) as exc:

@@ -80,58 +80,49 @@ class LanguageSet:
             raise DomainError(f"unknown language {label!r}") from None
 
 
-def _as_square(values, k: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != (k, k):
-        raise DomainError(f"matrix must be {k}x{k}, got {arr.shape}")
-    return arr
-
-
-def _check_symmetry(arr: np.ndarray, labels: tuple[str, ...]) -> None:
-    """Report the first asymmetric pair in row-major upper-triangle order."""
-    absent = np.isnan(arr)
-    with np.errstate(invalid="ignore"):
-        apart = np.abs(arr - arr.T) > 1e-9
-    bad = np.triu((absent != absent.T) | apart, 1)
-    if not bad.any():
-        return
-    i, j = np.argwhere(bad)[0]
-    if absent[i, j] != absent[j, i]:
-        raise DomainError(f"asymmetric presence at ({labels[i]}, {labels[j]})")
-    raise DomainError(
-        f"asymmetric at ({labels[i]}, {labels[j]}): {arr[i, j]} vs {arr[j, i]}"
-    )
-
-
 @dataclass(frozen=True)
-class CoincidenceMatrix:
-    """Symmetric matrix of coincidence percentages over a language set.
+class _LabeledMatrix:
+    """Symmetric matrix over a language set; NaN marks an unobserved pair.
 
-    Entries are percentages in (0, 100]; NaN marks an unobserved pair.
+    Each subclass's ``__post_init__`` calls ``_check`` with its diagonal and
+    its value domain, and its ``_cell`` names one entry in messages.
     """
 
     languages: LanguageSet
     values: np.ndarray
 
-    def __post_init__(self):
-        k = len(self.languages)
-        arr = _as_square(self.values, k)
-        _check_symmetry(arr, self.languages.labels)
-        for i in range(k):
-            if not np.isnan(arr[i, i]) and abs(arr[i, i] - 100.0) > 1e-9:
-                raise DomainError(
-                    f"diagonal of a coincidence matrix must be absent or 100 "
-                    f"(language {self.languages.labels[i]})"
-                )
-            arr[i, i] = 100.0
-        off = ~np.eye(k, dtype=bool)
-        bad = off & ~np.isnan(arr) & ((arr <= 0) | (arr > 100))
+    def _check(self, diagonal: float, diagonal_rule: str, domain_rule: str, outside) -> None:
+        """Check shape, symmetry (the first asymmetric pair in row-major upper
+        triangle order is reported), the diagonal (absent or ``diagonal``) and
+        the cells, rejecting the first where ``outside(values)`` holds; then
+        store a read-only copy with ``diagonal`` set."""
+        labels = self.languages.labels
+        k = len(labels)
+        arr = np.array(self.values, dtype=float)
+        if arr.shape != (k, k):
+            raise DomainError(f"matrix must be {k}x{k}, got {arr.shape}")
+        absent = np.isnan(arr)
+        with np.errstate(invalid="ignore"):
+            apart = np.abs(arr - arr.T) > 1e-9
+        bad = np.triu((absent != absent.T) | apart, 1)
         if bad.any():
             i, j = np.argwhere(bad)[0]
+            if absent[i, j] != absent[j, i]:
+                raise DomainError(f"asymmetric presence at ({labels[i]}, {labels[j]})")
             raise DomainError(
-                f"coincidence out of (0, 100] at "
-                f"({self.languages.labels[i]}, {self.languages.labels[j]}): {arr[i, j]}"
+                f"asymmetric at ({labels[i]}, {labels[j]}): {arr[i, j]} vs {arr[j, i]}"
             )
+        wrong = np.flatnonzero(np.abs(arr.diagonal() - diagonal) > 1e-9)
+        if wrong.size:
+            raise DomainError(
+                f"diagonal of a {self._cell} matrix must be {diagonal_rule} "
+                f"(language {labels[wrong[0]]})"
+            )
+        np.fill_diagonal(arr, diagonal)
+        bad = outside(arr)  # false at NaN
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DomainError(f"{domain_rule} at ({labels[i]}, {labels[j]}): {arr[i, j]}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -141,46 +132,39 @@ class CoincidenceMatrix:
     def is_complete(self) -> bool:
         return not np.isnan(self.values).any()
 
-    def with_value(self, a: str, b: str, value: float) -> "CoincidenceMatrix":
-        """Return a copy with one symmetric entry replaced."""
+    def with_value(self, a: str, b: str, value: float):
+        """Return a copy, of the same class, with one symmetric entry replaced."""
         i, j = self.languages.index(a), self.languages.index(b)
         if i == j:
-            raise DomainError("cannot set a diagonal coincidence")
-        arr = np.array(self.values, dtype=float)
+            raise DomainError(f"cannot set a diagonal {self._cell}")
+        arr = np.array(self.values)
         arr[i, j] = arr[j, i] = value
-        return CoincidenceMatrix(self.languages, arr)
+        return type(self)(self.languages, arr)
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric matrix of svodesh distances; NaN marks an unobserved pair."""
+class CoincidenceMatrix(_LabeledMatrix):
+    """Symmetric matrix of coincidence percentages over a language set.
 
-    languages: LanguageSet
-    values: np.ndarray
+    Entries are percentages in (0, 100]; NaN marks an unobserved pair.
+    """
+
+    _cell = "coincidence"
 
     def __post_init__(self):
-        k = len(self.languages)
-        arr = _as_square(self.values, k)
-        _check_symmetry(arr, self.languages.labels)
-        for i in range(k):
-            if not np.isnan(arr[i, i]) and abs(arr[i, i]) > 1e-9:
-                raise DomainError(
-                    f"diagonal of a distance matrix must be 0 "
-                    f"(language {self.languages.labels[i]})"
-                )
-            arr[i, i] = 0.0
-        off = ~np.eye(k, dtype=bool)
-        finite = off & ~np.isnan(arr)
-        if (arr[finite] < 0).any() or np.isinf(arr).any():
-            raise DomainError("distances must be finite and >= 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self._check(100.0, "absent or 100", "coincidence out of (0, 100]",
+                    lambda v: (v <= 0) | (v > 100))
 
-    def value(self, a: str, b: str) -> float:
-        return float(self.values[self.languages.index(a), self.languages.index(b)])
 
-    def is_complete(self) -> bool:
-        return not np.isnan(self.values).any()
+@dataclass(frozen=True)
+class DistanceMatrix(_LabeledMatrix):
+    """Symmetric matrix of svodesh distances; NaN marks an unobserved pair."""
+
+    _cell = "distance"
+
+    def __post_init__(self):
+        self._check(0.0, "0", "distances must be finite and >= 0",
+                    lambda v: (v < 0) | np.isinf(v))
 
 
 @dataclass(frozen=True)
@@ -442,7 +426,8 @@ def restore_distance_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
         start = at[next(iter(near_t))]
         mid = start + len(near_t)
         end = mid + len(far_t)
-        block = np.add.outer(to_near, to_far)
+        with np.errstate(over="ignore"):  # inf beyond float range, rejected below
+            block = np.add.outer(to_near, to_far)
         out[start:mid, mid:end] = block
         out[mid:end, start:mid] = block.T
     where = np.array([at[leaf] for leaf in range(k)])
@@ -535,29 +520,45 @@ def _expect(doc: dict, key: str, location: str):
 def _expect_number(doc: dict, key: str, location: str, default=None) -> float:
     """A finite JSON number; ``default`` stands in for an absent optional field."""
     value = _expect(doc, key, location) if default is None else doc.get(key, default)
+    return _as_number(value, key, f"{location}.{key}")
+
+
+def _as_number(value, name: str, location: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean or string)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
                 return float(value)
-        except OverflowError:
+        except OverflowError:  # an integer beyond float range
             pass
-    raise ParseError(f"{key} must be a finite number", f"{location}.{key}")
+    raise ParseError(f"{name} must be a finite number", location)
 
 
-def deserialize(text: str) -> Dendrogram:
-    """Parse a dendrogram document, enforcing all structural invariants."""
+def load_document(text: str, kind: str) -> dict:
+    """Decode a document and check its format, version and kind.
+
+    A document without a ``kind`` is a dendrogram.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "$")
     if doc.get("format") != FORMAT_NAME:
         raise ParseError(f"unknown format {doc.get('format')!r}", "format")
     if doc.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
-    if doc.get("kind", "dendrogram") != "dendrogram":
-        raise ParseError(f"not a dendrogram document: kind={doc.get('kind')!r}", "kind")
+    if doc.get("kind", "dendrogram") != kind:
+        raise ParseError(f"not a {kind} document: kind={doc.get('kind')!r}", "kind")
+    return doc
+
+
+def deserialize(text: str) -> Dendrogram:
+    """Parse a dendrogram document, enforcing all structural invariants."""
+    doc = load_document(text, "dendrogram")
     mode = _expect(doc, "mode", "mode")
     if mode not in MODES:
         raise ParseError(f"unknown mode {mode!r}", "mode")
@@ -580,9 +581,12 @@ def deserialize(text: str) -> Dendrogram:
     weights_doc = doc.get("weights")
     weights = None
     if weights_doc is not None:
+        if not isinstance(weights_doc, list):
+            raise ParseError("weights must be a list of numbers", "weights")
+        values = [_as_number(w, "weight", f"weights[{i}]") for i, w in enumerate(weights_doc)]
         try:
-            weights = WeightVector(languages, tuple(float(w) for w in weights_doc))
-        except (TypeError, ValueError, DomainError) as exc:
+            weights = WeightVector(languages, tuple(values))
+        except DomainError as exc:
             raise ParseError(f"bad weights: {exc}", "weights") from None
 
     k = len(languages)

@@ -107,6 +107,7 @@ def evaluate(dendrogram: Dendrogram, measured: DistanceMatrix) -> EvaluationRepo
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf beyond float range, rejected later
 def _dispersions(residuals: np.ndarray) -> tuple[float, ...]:
     """Sample variance of each residual row without its diagonal cell.
 
@@ -162,8 +163,10 @@ def weights_from_dispersions(
     disp = np.asarray(list(dispersions), dtype=float)
     if disp.shape != (len(languages),):
         raise DomainError("one dispersion per language required")
-    if (disp < 0).any() or not np.isfinite(disp).all():
-        raise DomainError("dispersions must be finite and >= 0")
+    bad = np.flatnonzero(~(disp >= 0) | np.isinf(disp))
+    if bad.size:
+        raise DomainError(f"dispersions must be finite and >= 0 (language "
+                          f"{languages.labels[bad[0]]}: {disp[bad[0]]})")
     inverse = 1.0 / np.maximum(disp, floor)
     scaled = target_mean * inverse / inverse.mean()
     if mode == PAPER:
@@ -223,7 +226,6 @@ def perturb(
     """
     track = tuple(track) if track is not None else tuple(pair)
     baseline_c = measured.value(*pair)
-    i, j = (measured.languages.index(label) for label in pair)
     baseline = chronometry.matrix_to_distances(measured, mode)
     rows = []
     for delta in (0.0, *deltas):
@@ -235,11 +237,7 @@ def perturb(
         distances = baseline
         if delta:
             # The one changed cell, converted as the whole matrix would be.
-            if i == j:
-                raise DomainError("cannot set a diagonal coincidence")
-            values = np.array(baseline.values)
-            values[i, j] = values[j, i] = chronometry.coincidence_to_svodesh(c, mode)
-            distances = DistanceMatrix(baseline.languages, values)
+            distances = baseline.with_value(*pair, chronometry.coincidence_to_svodesh(c, mode))
         dendrogram = builder.build(
             distances, None, mode=mode, external_means=external_means
         )

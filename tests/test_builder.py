@@ -379,7 +379,6 @@ class TestReduce:
         by = {c.key: c for c in state.clusters}
         assert state.dist[frozenset((merged.node, 0))] == 94
         assert state.dist[frozenset((merged.node, 1))] == 58
-        assert merged.anchor_dist == {2: 14, 3: 48}
         assert flags == ()
 
     def test_weighted_reduction(self, salish_a_dist):
@@ -667,7 +666,7 @@ class TestPlantedRecovery:
             merged = state.clusters[-1]
             for ext in state.clusters[:-1]:
                 got = state.distance(merged, ext)
-                leaf = ext.members[0]
+                leaf = ext.node
                 expected = pend[leaf] + abs(pos[anchor_of[leaf]] - pos[step])
                 assert got == pytest.approx(expected, abs=1e-9)
             node += 1
@@ -729,9 +728,9 @@ class TestLazyAnchorTables:
             tree.anchor_tables()
 
     @pytest.mark.parametrize("k", [40, 400])
-    def test_cluster_anchor_dist_equals_dendrogram_tables(self, k):
+    def test_cluster_key_equals_dendrogram_members(self, k):
         # At k = 400, an ultrametric caterpillar nests 399 clusters: reading
-        # the outermost must not recurse once per level.
+        # the outermost key must not recurse once per level.
         if k == 400:
             rank = np.arange(k, dtype=float)
             m = 2 * np.maximum.outer(rank, rank)
@@ -739,7 +738,7 @@ class TestLazyAnchorTables:
             dm = DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
         else:
             dm = self._caterpillar(k, k)
-        tables = bl.build(dm, mode="precise").anchor_tables()
+        tree = bl.build(dm, mode="precise")
         state, node = bl.initial_state(dm, None, "precise"), k
         while len(state.clusters) > 2:
             offset, near, far = bl.lateral_offset(state, bl.min_link(state))
@@ -751,5 +750,6 @@ class TestLazyAnchorTables:
                 state, bl.JoinGeometry(near, far, link, offset, d, h, flags), node
             )
             node += 1
+        labels = dm.languages.labels
         for cluster in state.clusters:
-            assert list(cluster.anchor_dist.items()) == list(tables[cluster.node].items())
+            assert cluster.key == tuple(sorted(labels[i] for i in tree.members(cluster.node)))

@@ -304,6 +304,42 @@ class TestEvaluate:
         ]
         assert not (tmp_path / "evaluation.csv").exists()
 
+    def _evaluate_edited(self, capsys, tmp_path, edit):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path))
+        path = tmp_path / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return run(capsys, "evaluate", "--tree", str(path),
+                   "--input", str(BUNDLED / "salish_a.csv"),
+                   "--output", str(tmp_path / "evaluation.csv"))
+
+    @pytest.mark.parametrize("weights, message", [
+        ("1234", "weights must be a list of numbers (at weights)"),
+        ([True, "2", 3, 4], "weight must be a finite number (at weights[0])"),
+        ([1, "2", 3, 4], "weight must be a finite number (at weights[1])"),
+        ([1, 2, 3, 10**400], "weight must be a finite number (at weights[3])"),
+    ])
+    def test_weights_must_be_a_list_of_numbers(self, capsys, tmp_path, weights, message):
+        # "1234" must not load as one weight per character.
+        code, out, err = self._evaluate_edited(
+            capsys, tmp_path, lambda doc: doc.update(weights=weights))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_huge_lateral_names_the_language(self, capsys, tmp_path):
+        # The residual variances overflow: no numpy warning, one located line.
+        def edit(doc):
+            doc["junctions"][0]["lateral"] = 1e308
+
+        code, out, err = self._evaluate_edited(capsys, tmp_path, edit)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: dispersions must be finite and >= 0 (language 1: inf)"
+        ]
+        assert not (tmp_path / "evaluation.csv").exists()
+
     def test_perfect_tree_zero_dispersions(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
@@ -630,6 +666,40 @@ class TestRender:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             "error: leaf must be a string or null (at nodes[2].leaf)"
+        ]
+
+    @pytest.mark.parametrize("leaves, message", [
+        ("xyz", "leaves_b must be a list of leaf names (at leaves_b)"),
+        (["1", "x"], "unknown leaf 'x' (at leaves_b[1])"),
+        (["1", 5], "unknown leaf 5 (at leaves_b[1])"),
+        (["1", "j0"], "unknown leaf 'j0' (at leaves_b[1])"),
+    ])
+    def test_leaves_must_name_leaf_nodes(self, capsys, tmp_path, leaves, message):
+        # "xyz" must not load as one leaf per character.
+        doc = self._merged_doc(capsys, tmp_path)
+        doc["leaves_b"] = leaves
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("nodes", "depth", 10**400), ("nodes", "depth", "3"), ("nodes", "depth", False),
+        ("edges", "length", -(10**400)), ("edges", "length", True),
+        ("edges", "length", "5"),
+    ], ids=["depth-huge", "depth-string", "depth-bool", "length-huge", "length-bool",
+            "length-string"])
+    def test_graph_numbers_must_be_json_numbers(self, capsys, tmp_path, where, field,
+                                                value):
+        doc = self._merged_doc(capsys, tmp_path)
+        doc[where][1][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "dot")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: {field} must be a finite number (at {where}[1].{field})"
         ]
 
     @pytest.mark.parametrize("end", ["a", "b"])

@@ -28,7 +28,7 @@ from isolect.model import (
 )
 from isolect.modes import quantize_array, round_half_away
 
-from conftest import BALTOSLAVIC, BALTOSLAVIC_LABELS, coincidence
+from conftest import BALTOSLAVIC, BALTOSLAVIC_LABELS, SALISH_A, SALISH_A_LABELS, coincidence
 import oracles
 
 
@@ -216,13 +216,14 @@ def test_restore_matches_leaf_distances(mode):
 
 
 @pytest.mark.parametrize("mode", ["paper", "precise"])
-@pytest.mark.parametrize("pair, track", [
-    (("Czech", "Slovak"), None),
-    (("Russian", "Polish"), ("Czech", "Slovak")),
-    (("Latvian", "Prussian"), None),
+@pytest.mark.parametrize("labels, values, pair, track", [
+    (BALTOSLAVIC_LABELS, BALTOSLAVIC, ("Czech", "Slovak"), None),
+    (BALTOSLAVIC_LABELS, BALTOSLAVIC, ("Russian", "Polish"), ("Czech", "Slovak")),
+    (BALTOSLAVIC_LABELS, BALTOSLAVIC, ("Latvian", "Prussian"), None),
+    (SALISH_A_LABELS, SALISH_A, ("1", "4"), ("1", "2")),
 ])
-def test_perturb_equals_rebuilding_from_the_changed_matrix(mode, pair, track):
-    measured = coincidence(BALTOSLAVIC_LABELS, BALTOSLAVIC)
+def test_perturb_equals_rebuilding_from_the_changed_matrix(mode, labels, values, pair, track):
+    measured = coincidence(labels, values)
     deltas = (3.5, -7.0, 0.0, 1.25)
     report = rf.perturb(measured, pair, deltas, track=track, mode=mode)
     base = measured.value(*pair)

@@ -1,3 +1,5 @@
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +9,15 @@ from isolect import builder as bl
 from isolect import chronometry as ch
 from isolect import cli
 from isolect import merger as mg
-from isolect.errors import ConsistencyError, DomainError
+from isolect.errors import ConsistencyError, DomainError, ParseError
 from isolect.model import (
     Dendrogram,
     DistanceMatrix,
     Junction,
     LanguageSet,
+    deserialize,
     leaf_distance,
+    serialize,
 )
 
 from oracles import sample_caterpillar
@@ -60,6 +64,33 @@ class TestSegmentGraph:
         graph = mg.segment_graph(tree_a)
         again = mg.deserialize_graph(mg.serialize_graph(graph))
         assert again == graph
+
+    @pytest.mark.parametrize("header, error", [
+        ({"format": "other"}, "unknown format 'other' (at format)"),
+        ({"version": 2}, "unsupported version 2 (at version)"),
+        ({"version": None}, "unsupported version None (at version)"),
+    ])
+    def test_header_errors_match_the_dendrogram_reader(self, tree_a, header, error):
+        tree_doc = json.loads(serialize(tree_a))
+        graph_doc = json.loads(mg.serialize_graph(mg.segment_graph(tree_a)))
+        for read, doc in ((deserialize, tree_doc), (mg.deserialize_graph, graph_doc)):
+            with pytest.raises(ParseError) as exc:
+                read(json.dumps({**doc, **header}))
+            assert str(exc.value) == error
+        for text, error in (("[]", "document must be a JSON object (at $)"),
+                            ("{", "not valid JSON: Expecting property name enclosed in "
+                                  "double quotes (at line 1)")):
+            for read in (deserialize, mg.deserialize_graph):
+                with pytest.raises(ParseError, match=re.escape(error)):
+                    read(text)
+
+    def test_each_reader_refuses_the_other_kind(self, tree_a):
+        with pytest.raises(ParseError, match=re.escape(
+                "not a dendrogram document: kind='segment-graph' (at kind)")):
+            deserialize(mg.serialize_graph(mg.segment_graph(tree_a)))
+        with pytest.raises(ParseError, match=re.escape(
+                "not a segment-graph document: kind='dendrogram' (at kind)")):
+            mg.deserialize_graph(serialize(tree_a))
 
 
 class TestSharedConsistency:

@@ -98,6 +98,25 @@ class TestMatrices:
                 LanguageSet(("a", "b")), np.array([[1, 5], [5, 0]], float)
             )
 
+    @pytest.mark.parametrize("cell", [-1.0, math.inf, -math.inf])
+    def test_distance_range_error_names_its_pair(self, cell):
+        values = np.array([[0, 4, 5], [4, 0, cell], [5, cell, 0]])
+        with pytest.raises(DomainError) as exc:
+            DistanceMatrix(LanguageSet(("a", "b", "c")), values)
+        assert str(exc.value) == f"distances must be finite and >= 0 at (b, c): {cell}"
+
+    def test_distance_with_value(self):
+        langs = LanguageSet(("a", "b", "c"))
+        before = DistanceMatrix(langs, np.array([[0, 4, 5], [4, 0, 7], [5, 7, 0]]))
+        after = before.with_value("c", "a", 6.5)
+        assert type(after) is DistanceMatrix
+        assert after.values.tolist() == [[0, 4, 6.5], [4, 0, 7], [6.5, 7, 0]]
+        assert before.values[0, 2] == 5
+        with pytest.raises(DomainError, match="cannot set a diagonal distance"):
+            before.with_value("b", "b", 0.0)
+        with pytest.raises(DomainError, match="distances must be finite"):
+            before.with_value("a", "b", -1.0)
+
     def test_values_frozen(self, salish_a):
         with pytest.raises(ValueError):
             salish_a.values[0, 1] = 3
