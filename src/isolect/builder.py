@@ -13,14 +13,17 @@ path runs through the junction, and leaves are synchronous):
 
 which is the deepest placement compatible with the observed offset.  The
 final link of a build has no external points left to compute an offset
-from; it is stored by total length and cross-checked by rebuilding with
-that link joined first (see ``resolve_last_link``).
+from; it is stored by total length and cross-checked by joining that link
+first: ``resolve_last_link`` joins the root's two carrier leaves on the
+build's own first state, through the same ``_join`` as every other join.
 
 The reduced distances live in one float table indexed by node id, sized
 (2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
 the new node's row and column, cells no earlier state reads (it only reads
 pairs of its own active nodes, all older than the new node), so every state
-of a build shares the one table and no join copies it.
+of a build shares the one table and no join copies it.  The leaf block
+(ids below k) stays as ``initial_state`` wrote it, which keeps the first
+state valid for the cross-check after the build.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
@@ -190,39 +193,21 @@ class ResolutionResult:
     reason: str
 
 
-def _weight_values(
-    matrix: DistanceMatrix, weights: WeightVector | None
-) -> tuple[float, ...]:
-    """Per-language weights of a build over ``matrix``, unit ones for ``None``."""
-    langs = matrix.languages
-    if weights is None:
-        values = (1.0,) * len(langs)
-    elif weights.languages.labels != langs.labels:
-        raise DomainError("weight vector does not match the matrix languages")
-    else:
-        values = weights.values
-    if not matrix.is_complete():
-        raise DomainError("the builder requires a complete distance matrix")
-    return values
-
-
-def _leaf(langs, weights: tuple[float, ...], i: int) -> Cluster:
-    return Cluster(
-        node=i,
-        anchor_depth=langs.depths[i],
-        weight=weights[i],
-        first_label=langs.labels[i],
-    )
-
-
 def initial_state(
     matrix: DistanceMatrix, weights: WeightVector | None, mode: str
 ) -> ClusterState:
     """Singleton clusters over the matrix languages."""
     check_mode(mode)
-    weights = _weight_values(matrix, weights)
     langs = matrix.languages
     k = len(langs)
+    if weights is None:
+        weights = (1.0,) * k
+    elif weights.languages.labels != langs.labels:
+        raise DomainError("weight vector does not match the matrix languages")
+    else:
+        weights = weights.values
+    if not matrix.is_complete():
+        raise DomainError("the builder requires a complete distance matrix")
     table = np.full((2 * k - 1, 2 * k - 1), np.nan)
     # The upper triangle is authoritative: symmetry is checked only to 1e-9.
     links = np.where(np.tri(k, k, -1, dtype=bool), matrix.values.T, matrix.values)
@@ -230,7 +215,9 @@ def initial_state(
     np.fill_diagonal(links, np.inf)
     row_arg = links.argmin(1) if k > 1 else np.full(k, -1)
     return ClusterState(
-        tuple(_leaf(langs, weights, i) for i in range(k)),
+        tuple(
+            Cluster(i, langs.depths[i], weights[i], langs.labels[i]) for i in range(k)
+        ),
         table,
         mode,
         nodes=np.arange(k),
@@ -270,36 +257,6 @@ def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
     return clusters[tied[r]], clusters[tied[c]]
 
 
-def _offset(
-    rows: np.ndarray,
-    weights: np.ndarray,
-    external_means: str,
-    a: Cluster,
-    b: Cluster,
-    mode: str,
-) -> tuple[float, Cluster, Cluster]:
-    """``(dL, near, far)`` from the rows of ``a`` and ``b`` over the
-    externals and the externals' weights (unread for simple means)."""
-    if external_means != "weighted":
-        weights = np.ones(rows.shape[1])
-    # Sequential sums, left to right as ``num += w * d`` would add them.
-    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
-    den = np.add.accumulate(weights)[-1]
-    means = [quantize(mean, mode) for mean in (num / den).tolist()]
-    if means[0] == means[1]:
-        # Equidistant pair: the lexicographically larger key goes far.
-        near, far = (a, b) if a.first_label < b.first_label else (b, a)
-        return 0.0, near, far
-    if means[0] < means[1]:
-        return means[1] - means[0], a, b
-    return means[0] - means[1], b, a
-
-
-def _check_external_means(external_means: str) -> None:
-    if external_means not in EXTERNAL_MEANS:
-        raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
-
-
 def lateral_offset(
     state: ClusterState,
     pair: tuple[Cluster, Cluster],
@@ -312,14 +269,29 @@ def lateral_offset(
     cluster contributes proportionally to its total weight; ``"simple"``
     counts each external cluster once.
     """
-    _check_external_means(external_means)
+    if external_means not in EXTERNAL_MEANS:
+        raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
     a, b = pair
     external, _, rows = state._pair_rows(a.node, b.node)
     if not rows.shape[1]:
         raise FinalLinkError(
             "no external clusters: the pair forms the final (root) link"
         )
-    return _offset(rows, state.weights[external], external_means, a, b, state.mode)
+    if external_means == "weighted":
+        weights = state.weights[external]
+    else:
+        weights = np.ones(rows.shape[1])
+    # Sequential sums, left to right as ``num += w * d`` would add them.
+    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
+    den = np.add.accumulate(weights)[-1]
+    means = [quantize(mean, state.mode) for mean in (num / den).tolist()]
+    if means[0] == means[1]:
+        # Equidistant pair: the lexicographically larger key goes far.
+        near, far = (a, b) if a.first_label < b.first_label else (b, a)
+        return 0.0, near, far
+    if means[0] < means[1]:
+        return means[1] - means[0], a, b
+    return means[0] - means[1], b, a
 
 
 def join_geometry(
@@ -442,43 +414,20 @@ def reduce(
     return state, (FLAG_NEGATIVE_REDUCED,) * clamped
 
 
-def _first_join(
-    matrix: DistanceMatrix,
-    weights: WeightVector | None,
-    mode: str,
-    pair_labels: tuple[str, str],
-    external_means: str,
+def _join(
+    state: ClusterState, pair: tuple[Cluster, Cluster], external_means: str
 ) -> JoinGeometry:
-    """Geometry of a forced first join between two leaves.
-
-    The join's offset comes from the two leaves' matrix rows over the other
-    leaves, in language order, as ``lateral_offset`` takes it from the
-    initial state.
-    """
-    weights = _weight_values(matrix, weights)
-    _check_external_means(external_means)
-    langs = matrix.languages
-    pair = [langs.index(label) for label in pair_labels]
-    a, b = (_leaf(langs, weights, i) for i in pair)
-    others = np.delete(np.arange(len(langs)), pair)
-    # The upper triangle is authoritative, as in ``initial_state``.
-    x = np.array(pair)[:, None]
-    values = matrix.values
-    rows = np.where(others > x, values[x, others], values[others, x])
-    offset, near, far = _offset(
-        rows, np.array(weights)[others], external_means, a, b, mode
-    )
-    link = float(values[min(pair), max(pair)])
+    """Geometry of joining ``pair`` on ``state``: offset, link, placement."""
+    offset, near, far = lateral_offset(state, pair, external_means)
+    link = state.table.item(near.node, far.node)
     depth, lateral, flags, offset = join_geometry(
-        link, offset, near.anchor_depth, far.anchor_depth, mode
+        link, offset, near.anchor_depth, far.anchor_depth, state.mode
     )
     return JoinGeometry(near, far, link, offset, depth, lateral, flags)
 
 
 def resolve_last_link(
-    matrix: DistanceMatrix,
-    weights: WeightVector | None,
-    mode: str,
+    start: ClusterState,
     primary: Dendrogram,
     external_means: str = "weighted",
     tolerance: float = DEFAULT_RESOLVE_TOLERANCE,
@@ -489,14 +438,26 @@ def resolve_last_link(
     simplest-form hypothesis (junction at the deeper child anchor, all
     remaining length lateral) and the geometry the link acquires when the
     build is redone with that link joined first, so that it picks up a
-    lateral offset from the then-external points.  If they agree within
-    ``tolerance`` on both depth and lateral width, the simplest form is
-    adopted; otherwise the link stays unresolved and only its total length
-    and feasible depth range are reported.
+    lateral offset from the then-external points.  That first join is the
+    join of the root's two carrier leaves on ``start``, the build's initial
+    state (its singleton clusters in language order), which is still valid
+    after the build: a reduce writes only the rows and columns of new nodes,
+    so the leaf block of the shared table stays as ``initial_state`` wrote
+    it.  If the placements agree within ``tolerance`` on both depth and
+    lateral width, the simplest form is adopted; otherwise the link stays
+    unresolved and only its total length and feasible depth range are
+    reported.
     """
-    check_mode(mode)
+    mode = start.mode
+    labels = primary.languages.labels
+    if [(c.node, c.first_label, c.children) for c in start.clusters] != [
+        (i, label, ()) for i, label in enumerate(labels)
+    ]:
+        raise DomainError(
+            "resolve_last_link needs the initial state over the tree's languages"
+        )
     root = primary.junctions[-1]
-    k = len(primary.languages)
+    k = len(labels)
     a = primary.anchor_depth(root.near)
     b = primary.anchor_depth(root.far)
     if root.status == UNRESOLVED:
@@ -519,9 +480,9 @@ def resolve_last_link(
             (depth_simple, lateral_simple), None, None,
             "no external points exist for a cross-check",
         )
-    near_rep = primary.languages.labels[primary.carrier(root.near)]
-    far_rep = primary.languages.labels[primary.carrier(root.far)]
-    alt = _first_join(matrix, weights, mode, (near_rep, far_rep), external_means)
+    pair = tuple(start.clusters[primary.carrier(j)] for j in (root.near, root.far))
+    alt = _join(start, pair, external_means)
+    near_rep, far_rep = (c.first_label for c in pair)
     deviation = (abs(alt.depth - depth_simple), abs(alt.lateral - lateral_simple))
     if deviation[0] <= tolerance and deviation[1] <= tolerance:
         return ResolutionResult(
@@ -564,45 +525,28 @@ def build(
             "builder requires synchronous leaves (all attestation depths 0); "
             "use divergence_time for attested-language calculations"
         )
-    state = initial_state(matrix, weights, mode)
+    start = state = initial_state(matrix, weights, mode)
     junctions: list[Junction] = []
-    next_node = k
     while len(state.clusters) > 2:
-        pair = min_link(state)
-        offset, near, far = lateral_offset(state, pair, external_means)
-        link = state.table.item(near.node, far.node)
-        depth, lateral, flags, offset = join_geometry(
-            link, offset, near.anchor_depth, far.anchor_depth, mode
-        )
-        geometry = JoinGeometry(near, far, link, offset, depth, lateral, flags)
-        state, reduce_flags = reduce(state, geometry, next_node)
+        geometry = _join(state, min_link(state), external_means)
+        state, reduce_flags = reduce(state, geometry, k + len(junctions))
         junctions.append(
             Junction(
-                near=near.node,
-                far=far.node,
-                depth=depth,
-                lateral=lateral,
+                near=geometry.near.node,
+                far=geometry.far.node,
+                depth=geometry.depth,
+                lateral=geometry.lateral,
                 status=RESOLVED,
-                flags=flags + reduce_flags,
+                flags=geometry.flags + reduce_flags,
             )
         )
-        next_node += 1
 
-    first, second = state.clusters
-    total = state.table.item(first.node, second.node)
     # The anchor of a resolved root sits at the deeper child's anchor, so
     # the deeper cluster goes near; ties break lexicographically.
-    if first.anchor_depth != second.anchor_depth:
-        near_c, far_c = (
-            (first, second)
-            if first.anchor_depth > second.anchor_depth
-            else (second, first)
-        )
-    else:
-        near_c, far_c = (
-            (first, second) if first.first_label < second.first_label
-            else (second, first)
-        )
+    near_c, far_c = sorted(
+        state.clusters, key=lambda c: (-c.anchor_depth, c.first_label)
+    )
+    total = state.table.item(near_c.node, far_c.node)
     a, b = near_c.anchor_depth, far_c.anchor_depth
     if total <= 0:
         # Coinciding anchors: a zero-length root link is not ambiguous.
@@ -629,9 +573,7 @@ def build(
     dendrogram = Dendrogram(
         langs, tuple(junctions) + (provisional_root,), mode=mode, weights=weights
     )
-    resolution = resolve_last_link(
-        matrix, weights, mode, dendrogram, external_means, resolve_tolerance
-    )
+    resolution = resolve_last_link(start, dendrogram, external_means, resolve_tolerance)
     if resolution.resolved:
         root = Junction(
             near=near_c.node,

@@ -58,10 +58,12 @@ def divergence_time(
     ancestor plus both depths, halved.
     """
     check_mode(mode)
-    if t1 < 0 or t2 < 0:
-        raise DomainError("attestation depths must be >= 0")
-    length = coincidence_to_svodesh(c, PRECISE)
-    return quantize((length + t1 + t2) / 2.0, mode)
+    if not (0 <= t1 < math.inf and 0 <= t2 < math.inf):  # nan fails both
+        raise DomainError("attestation depths must be finite and >= 0")
+    time = (coincidence_to_svodesh(c, PRECISE) + t1 + t2) / 2.0
+    if not math.isfinite(time):
+        raise DomainError(f"divergence time is not finite (got {time})")
+    return quantize(time, mode)
 
 
 def pair_count(k: int) -> int:

@@ -452,8 +452,8 @@ def _load_weights_arg(value: str, languages: model.LanguageSet):
 
 def cmd_build(args) -> int:
     mode = default_mode(args.mode)
-    if args.resolve_tolerance <= 0:
-        raise InputError("--resolve-tolerance must be > 0")
+    if not (0 < args.resolve_tolerance < math.inf):
+        raise InputError("--resolve-tolerance must be a finite number > 0")
     distances = read_matrix_csv(args.input, args.kind)
     if args.kind == "coincidence":
         distances = chronometry.matrix_to_distances(distances, mode)
@@ -542,8 +542,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    if args.tolerance <= 0:
-        raise InputError("--tolerance must be > 0")
+    if not (0 < args.tolerance < math.inf):
+        raise InputError("--tolerance must be a finite number > 0")
     with open(args.a, "r", encoding="utf-8") as fh:
         tree_a = model.deserialize(fh.read())
     with open(args.b, "r", encoding="utf-8") as fh:

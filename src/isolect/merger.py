@@ -31,6 +31,7 @@ from .model import (
     leaf_distance,
     load_document,
     _expect_number,
+    _expect_string,
     _number,
 )
 from .modes import PRECISE, check_mode, quantize
@@ -38,10 +39,12 @@ from .modes import PRECISE, check_mode, quantize
 VERTICAL = "vertical"
 LATERAL = "lateral"
 UNRESOLVED_EDGE = "unresolved"
+EDGE_KINDS = (VERTICAL, LATERAL, UNRESOLVED_EDGE)
 
 PROV_A = "A"
 PROV_B = "B"
 PROV_SHARED = "shared"
+PROVENANCES = (PROV_SHARED, PROV_A, PROV_B)
 
 COINCIDENCE_THRESHOLD = 15.0  # percent; below it the method loses reliability
 
@@ -535,15 +538,20 @@ def deserialize_graph(text: str) -> SegmentGraph:
             leaf = n.get("leaf")
             if not (leaf is None or isinstance(leaf, str)):
                 raise ParseError("leaf must be a string or null", f"{location}.leaf")
-            nodes.append(SegmentNode(str(n["id"]), _expect_number(n, "depth", location), leaf))
+            nodes.append(SegmentNode(_expect_string(n, "id", location),
+                                     _expect_number(n, "depth", location), leaf))
             ids.add(nodes[-1].id)
         edges = []
         for i, e in enumerate(doc["edges"]):
             location = f"edges[{i}]"
             if not isinstance(e, dict):
                 raise ParseError("edge must be an object", location)
-            edge = SegmentEdge(str(e["a"]), str(e["b"]), _expect_number(e, "length", location),
-                               str(e["kind"]), str(e.get("provenance", PROV_A)))
+            edge = SegmentEdge(
+                _expect_string(e, "a", location), _expect_string(e, "b", location),
+                _expect_number(e, "length", location),
+                _expect_string(e, "kind", location, EDGE_KINDS),
+                _expect_string(e, "provenance", location, PROVENANCES, default=PROV_A),
+            )
             for end, node in (("a", edge.a), ("b", edge.b)):
                 if node not in ids:
                     raise ParseError(f"edge names undeclared node {node!r}",

@@ -523,6 +523,17 @@ def _expect_number(doc: dict, key: str, location: str, default=None) -> float:
     return _as_number(value, key, f"{location}.{key}")
 
 
+def _expect_string(doc: dict, key: str, location: str, choices=(), default=None) -> str:
+    """A JSON string, one of ``choices`` when given; ``default`` stands in for
+    an absent optional field."""
+    value = _expect(doc, key, location) if default is None else doc.get(key, default)
+    if choices and value not in choices:
+        raise ParseError(f"{key} must be one of {', '.join(choices)}", f"{location}.{key}")
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string", f"{location}.{key}")
+    return value
+
+
 def _as_number(value, name: str, location: str) -> float:
     """``value`` as a float if it is a finite JSON number (not a boolean or string)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -549,8 +560,9 @@ def load_document(text: str, kind: str) -> dict:
         raise ParseError("document must be a JSON object", "$")
     if doc.get("format") != FORMAT_NAME:
         raise ParseError(f"unknown format {doc.get('format')!r}", "format")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
+        raise ParseError(f"unsupported version {version!r}", "version")
     if doc.get("kind", "dendrogram") != kind:
         raise ParseError(f"not a {kind} document: kind={doc.get('kind')!r}", "kind")
     return doc
@@ -571,7 +583,7 @@ def deserialize(text: str) -> Dendrogram:
         loc = f"languages[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("language entry must be an object", loc)
-        names.append(str(_expect(entry, "name", loc)))
+        names.append(_expect_string(entry, "name", loc))
         depths.append(_expect_number(entry, "depth", loc, default=0.0))
     try:
         languages = LanguageSet(tuple(names), tuple(depths))
@@ -647,6 +659,9 @@ def deserialize(text: str) -> Dendrogram:
         flags = entry.get("flags", [])
         if not isinstance(flags, list):
             raise ParseError("flags must be a list", f"{loc}.flags")
+        for i, flag in enumerate(flags):
+            if not isinstance(flag, str):
+                raise ParseError("flag must be a string", f"{loc}.flags[{i}]")
         try:
             junctions.append(
                 Junction(
@@ -657,7 +672,7 @@ def deserialize(text: str) -> Dendrogram:
                     status=state,
                     total_length=total,
                     depth_range=depth_range,
-                    flags=tuple(str(f) for f in flags),
+                    flags=tuple(flags),
                 )
             )
         except DomainError as exc:

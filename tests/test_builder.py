@@ -509,7 +509,7 @@ class TestBuild:
 class TestResolveLastLink:
     def test_four_language_cross_check_agrees(self, salish_a_dist):
         tree = bl.build(salish_a_dist, mode="paper")
-        res = bl.resolve_last_link(salish_a_dist, None, "paper", tree)
+        res = bl.resolve_last_link(bl.initial_state(salish_a_dist, None, "paper"), tree)
         assert res.resolved
         assert (res.depth, res.lateral) == (19, 36)
         # The rebuild that joins the two root representatives first lands on
@@ -520,7 +520,7 @@ class TestResolveLastLink:
 
     def test_second_group_stays_ambiguous(self, salish_b_dist):
         tree = bl.build(salish_b_dist, mode="paper")
-        res = bl.resolve_last_link(salish_b_dist, None, "paper", tree)
+        res = bl.resolve_last_link(bl.initial_state(salish_b_dist, None, "paper"), tree)
         assert not res.resolved
         assert res.total_length == 85
         # Extremes: widest form at the child anchor, deepest form at h=0.
@@ -544,45 +544,47 @@ class TestResolveLastLink:
         ]
         assert tree.junctions[-1].status == model.RESOLVED
 
+    def test_rejects_a_state_other_than_the_tree_initial_one(self, salish_a_dist):
+        tree = bl.build(salish_a_dist, mode="paper")
+        start = bl.initial_state(salish_a_dist, None, "paper")
+        joined = _join(start, bl.min_link(start), 4, "paper")
+        labels = tuple(f"x{i}" for i in range(4))
+        other = bl.initial_state(
+            DistanceMatrix(LanguageSet(labels), salish_a_dist.values), None, "paper"
+        )
+        for state in (joined, other):
+            with pytest.raises(DomainError, match="initial state over the tree"):
+                bl.resolve_last_link(state, tree)
 
-def _state_forced_join(dm, weights, mode, labels, means):
-    """The forced first join taken through the initial state."""
-    state = bl.initial_state(dm, weights, mode)
-    by_label = {c.key[0]: c for c in state.clusters}
-    pair = (by_label[labels[0]], by_label[labels[1]])
-    offset, near, far = bl.lateral_offset(state, pair, means)
-    link = state.distance(near, far)
-    depth, lateral, flags, offset = bl.join_geometry(
-        link, offset, near.anchor_depth, far.anchor_depth, mode
-    )
-    return bl.JoinGeometry(near, far, link, offset, depth, lateral, flags)
+
+def _junction_floats(tree):
+    return np.array([
+        x for j in tree.junctions
+        for x in (j.depth, j.lateral, j.total_length or 0.0, *(j.depth_range or ()))
+    ])
 
 
 @pytest.mark.parametrize("mode", ["paper", "precise"])
-def test_first_join_equals_the_state_forced_join(mode):
+def test_build_reads_only_the_upper_triangle(mode):
     rng = np.random.default_rng(41)
     upper = np.triu(rng.integers(20, 90, (9, 9)), 1)
     cm = ch.matrix_to_distances(coincidence(
         tuple(f"x{i}" for i in rng.permutation(9)), upper + upper.T + 100 * np.eye(9)
     ), mode)
-    # A lower triangle off by 1e-11: both read the upper one.
-    dm = DistanceMatrix(cm.languages, cm.values + np.tril(np.full((9, 9), 1e-11), -1))
-    labels = dm.languages.labels
-    weights = WeightVector(dm.languages, tuple(rng.uniform(0.5, 3, 9).tolist()))
+    above = np.triu(cm.values, 1)
+    mirrored = DistanceMatrix(cm.languages, above + above.T)
+    # A lower triangle off by 1e-11: the build must not read it.
+    skewed = DistanceMatrix(
+        cm.languages, mirrored.values + np.tril(np.full((9, 9), 1e-11), -1)
+    )
+    weights = WeightVector(cm.languages, tuple(rng.uniform(0.5, 3, 9).tolist()))
     for w in (None, weights):
+        starts = [bl.initial_state(dm, w, mode) for dm in (skewed, mirrored)]
+        assert starts[0].table.tobytes() == starts[1].table.tobytes()
         for means in bl.EXTERNAL_MEANS:
-            for i in range(9):
-                for j in range(9):
-                    if i == j:
-                        continue
-                    pair = (labels[i], labels[j])
-                    got = bl._first_join(dm, w, mode, pair, means)
-                    want = _state_forced_join(dm, w, mode, pair, means)
-                    assert got == want
-                    numbers = ("link_length", "offset", "depth", "lateral")
-                    assert np.array([getattr(got, f) for f in numbers]).tobytes() == (
-                        np.array([getattr(want, f) for f in numbers]).tobytes()
-                    )
+            got, want = (bl.build(dm, w, mode, means) for dm in (skewed, mirrored))
+            assert serialize(got) == serialize(want)
+            assert _junction_floats(got).tobytes() == _junction_floats(want).tobytes()
 
 
 class TestPlantedRecovery:

@@ -553,6 +553,19 @@ class TestTime:
         )
         assert code == 0 and out.strip() == "25.06"
 
+    @pytest.mark.parametrize("depths, mode, message", [
+        (["--t1", "nan"], "paper", "attestation depths must be finite and >= 0"),
+        (["--t1", "inf"], "paper", "attestation depths must be finite and >= 0"),
+        (["--t2", "nan"], "precise", "attestation depths must be finite and >= 0"),
+        (["--t1", "1e308", "--t2", "1e308"], "precise",
+         "divergence time is not finite (got inf)"),
+    ], ids=["t1-nan", "t1-inf", "t2-nan", "sum-overflows"])
+    def test_non_finite_depth_or_time(self, capsys, depths, mode, message):
+        code, out, err = run(capsys, "time", "--coincidence", "74", *depths,
+                             "--mode", mode)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+
 
 class TestRender:
     def test_dot_edge_labels(self, capsys, tmp_path):
@@ -702,6 +715,38 @@ class TestRender:
             f"error: {field} must be a finite number (at {where}[1].{field})"
         ]
 
+    @pytest.mark.parametrize("document, edit, message", [
+        ("tree", lambda d: d["languages"][0].update(name=None),
+         "name must be a string (at languages[0].name)"),
+        ("tree", lambda d: d["languages"][3].update(name=4),
+         "name must be a string (at languages[3].name)"),
+        ("tree", lambda d: d["junctions"][2].update(flags=[3, None]),
+         "flag must be a string (at junctions[2].flags[0])"),
+        ("merged", lambda d: d["nodes"][0].update(id=1),
+         "id must be a string (at nodes[0].id)"),
+        ("merged", lambda d: d["edges"][0].update(a=1),
+         "a must be a string (at edges[0].a)"),
+        ("merged", lambda d: d["edges"][0].update(kind="sideways"),
+         "kind must be one of vertical, lateral, unresolved (at edges[0].kind)"),
+        ("merged", lambda d: d["edges"][0].update(provenance=None),
+         "provenance must be one of shared, A, B (at edges[0].provenance)"),
+    ], ids=["name-null", "name-number", "flags", "id", "edge-end", "kind",
+            "provenance"])
+    def test_text_fields_must_be_json_strings(self, capsys, tmp_path, document, edit,
+                                               message):
+        if document == "merged":
+            doc = self._merged_doc(capsys, tmp_path)
+        else:
+            run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+                "--mode", "paper", "--outdir", str(tmp_path))
+            doc = json.loads((tmp_path / "dendrogram.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("end", ["a", "b"])
     def test_edge_to_undeclared_node(self, capsys, tmp_path, end):
         # One more edge to a fresh id still makes a tree, so only the
@@ -748,6 +793,27 @@ class TestParser:
         )
         assert code == 1
         assert "SVODESH_MODE" in err
+
+
+    @pytest.mark.parametrize("command, option", [
+        ("build", "--resolve-tolerance"), ("merge", "--tolerance"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_a_finite_number_above_zero(self, capsys, tmp_path,
+                                                          command, option, value):
+        for name in ("a", "b"):
+            run(capsys, "build", "--input", str(BUNDLED / f"salish_{name}.csv"),
+                "--mode", "paper", "--outdir", str(tmp_path / name))
+        inputs = {
+            "build": ["--input", str(BUNDLED / "salish_a.csv")],
+            "merge": ["--a", str(tmp_path / "a" / "dendrogram.json"),
+                      "--b", str(tmp_path / "b" / "dendrogram.json")],
+        }[command]
+        code, out, err = run(capsys, command, *inputs, f"{option}={value}",
+                             "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {option} must be a finite number > 0"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestBackToBackCalls:

@@ -69,6 +69,8 @@ class TestSegmentGraph:
         ({"format": "other"}, "unknown format 'other' (at format)"),
         ({"version": 2}, "unsupported version 2 (at version)"),
         ({"version": None}, "unsupported version None (at version)"),
+        ({"version": True}, "unsupported version True (at version)"),
+        ({"version": 1.0}, "unsupported version 1.0 (at version)"),
     ])
     def test_header_errors_match_the_dendrogram_reader(self, tree_a, header, error):
         tree_doc = json.loads(serialize(tree_a))
