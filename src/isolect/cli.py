@@ -590,12 +590,19 @@ def _print_consistency(report: merger.ConsistencyReport, mode: str) -> None:
         f"shared-structure deviations (tolerance {report.tolerance}, "
         f"max {report.max_deviation}):"
     ]
-    lines.extend(
-        f"  {kind:8s} {pair[0]}-{pair[1]}: "
-        f"{format_number(va, mode)} vs {format_number(vb, mode)} "
-        f"(deviation {format_number(dev, mode)})"
-        for kind, pair, va, vb, dev in report.rows
-    )
+    # Each number as format_number writes it, the format chosen once per table.
+    rows = report.rows
+    if mode == PAPER:
+        # round() is format_number's paper rounding of a finite value; a table
+        # with inf or nan in it goes through format_number cell by cell.
+        finite = math.isfinite(sum(v for row in rows for v in row[2:]))
+        cell = round if finite else functools.partial(format_number, mode=PAPER)
+        rows = [(kind, pair, cell(va), cell(vb), cell(dev))
+                for kind, pair, va, vb, dev in rows]
+        line = "  %-8s %s-%s: %s vs %s (deviation %s)"
+    else:
+        line = "  %-8s %s-%s: %.2f vs %.2f (deviation %.2f)"
+    lines.extend(line % (kind, x, y, va, vb, dev) for kind, (x, y), va, vb, dev in rows)
     lines.extend(f"  note: {note}" for note in report.notes)
     print("\n".join(lines))  # one write for the whole table
 

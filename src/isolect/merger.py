@@ -13,10 +13,10 @@ per source leaf.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 
 import networkx as nx
 
@@ -30,9 +30,12 @@ from .model import (
     Dendrogram,
     leaf_distance,
     load_document,
+    _expect,
+    _expect_mode,
     _expect_number,
     _expect_string,
-    _number,
+    _json_list,
+    _json_number,
 )
 from .modes import PRECISE, check_mode, quantize
 
@@ -90,7 +93,7 @@ class ConsistencyReport:
     tolerance: float
     notes: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def max_deviation(self) -> float:
         return max((r[4] for r in self.rows), default=0.0)
 
@@ -409,7 +412,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     nodes = {n.id: n for n in ga.nodes}
     edges = {
         frozenset((e.a, e.b)):
-            replace(e, provenance=PROV_SHARED) if _in_span(e, parent) else e
+            SegmentEdge(e.a, e.b, e.length, e.kind, PROV_SHARED)
+            if _in_span(e, parent) else e
         for e in ga.edges
     }
     only_b = [e for e in gb.edges if not _in_span(e, parent_b)]
@@ -441,7 +445,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
                 raise GraftError(f"node id collision while grafting: {new_id}")
             rename[nid] = new_id
             nodes[new_id] = SegmentNode(new_id, node.depth, node.leaf)
-    grafted = tuple(replace(e, a=rename[e.a], b=rename[e.b]) for e in only_b)
+    grafted = tuple(SegmentEdge(rename[e.a], rename[e.b], e.length, e.kind, e.provenance)
+                    for e in only_b)
 
     return SegmentGraph(tuple(nodes.values()), tuple(edges.values()) + grafted,
                         a.languages.labels, b.languages.labels, ga.mode, report)
@@ -484,34 +489,36 @@ def cross_pairs(graph: SegmentGraph) -> tuple[tuple[str, str], ...]:
 
 
 def serialize_graph(graph: SegmentGraph) -> str:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "kind": "segment-graph",
-        "mode": graph.mode,
-        "languages": [
-            {"name": n.leaf, "depth": _number(n.depth)}
-            for n in graph.nodes
-            if n.leaf is not None
-        ],
-        "leaves_a": list(graph.leaves_a),
-        "leaves_b": list(graph.leaves_b),
-        "nodes": [
-            {"id": n.id, "depth": _number(n.depth), "leaf": n.leaf}
-            for n in graph.nodes
-        ],
-        "edges": [
-            {
-                "a": e.a,
-                "b": e.b,
-                "length": _number(e.length),
-                "kind": e.kind,
-                "provenance": e.provenance,
-            }
-            for e in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Serialize to the versioned segment-graph document (stable field order).
+
+    Written directly, byte for byte as ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` lays the document out (see ``docs/schema.md``).
+    """
+    text = encode_basestring
+    languages, nodes = [], []
+    for n in graph.nodes:
+        depth = _json_number(n.depth)
+        leaf = "null"
+        if n.leaf is not None:
+            leaf = text(n.leaf)
+            languages.append(f'{{\n      "name": {leaf},\n      "depth": {depth}\n    }}')
+        nodes.append(f'{{\n      "id": {text(n.id)},\n      "depth": {depth}'
+                     f',\n      "leaf": {leaf}\n    }}')
+    edges = [
+        f'{{\n      "a": {text(e.a)},\n      "b": {text(e.b)}'
+        f',\n      "length": {_json_number(e.length)},\n      "kind": {text(e.kind)}'
+        f',\n      "provenance": {text(e.provenance)}\n    }}'
+        for e in graph.edges
+    ]
+    return (
+        f'{{\n  "format": {text(FORMAT_NAME)},\n  "version": {FORMAT_VERSION}'
+        f',\n  "kind": "segment-graph",\n  "mode": {text(graph.mode)}'
+        f',\n  "languages": {_json_list(languages, "  ")}'
+        f',\n  "leaves_a": {_json_list(list(map(text, graph.leaves_a)), "  ")}'
+        f',\n  "leaves_b": {_json_list(list(map(text, graph.leaves_b)), "  ")}'
+        f',\n  "nodes": {_json_list(nodes, "  ")}'
+        f',\n  "edges": {_json_list(edges, "  ")}\n}}\n'
+    )
 
 
 def _leaf_names(doc: dict, key: str, leaves: set[str]) -> tuple[str, ...]:
@@ -525,9 +532,35 @@ def _leaf_names(doc: dict, key: str, leaves: set[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _check_languages(doc: dict, nodes: list[SegmentNode]) -> None:
+    """``languages`` must list the leaf nodes in node order with their
+    depths, as ``serialize_graph`` writes it."""
+    leaves = [n for n in nodes if n.leaf is not None]
+    entries = _expect(doc, "languages", "languages")
+    if not isinstance(entries, list):
+        raise ParseError("languages must be a list of the leaf nodes", "languages")
+    for i, entry in enumerate(entries):
+        location = f"languages[{i}]"
+        if i == len(leaves):
+            raise ParseError(f"more languages than the {len(leaves)} leaf nodes", location)
+        if not isinstance(entry, dict):
+            raise ParseError("language entry must be an object", location)
+        name = _expect_string(entry, "name", location)
+        depth = _expect_number(entry, "depth", location, default=0.0)
+        if name != leaves[i].leaf or depth != leaves[i].depth:
+            raise ParseError(
+                f"must name leaf {leaves[i].leaf!r} at depth "
+                f"{_json_number(leaves[i].depth)}, as the nodes do", location)
+    if len(entries) < len(leaves):
+        raise ParseError(
+            f"languages lists {len(entries)} of the {len(leaves)} leaf nodes", "languages")
+
+
 def deserialize_graph(text: str) -> SegmentGraph:
-    """Parse a segment-graph document; every edge must join declared nodes."""
+    """Parse a segment-graph document; every edge must join declared nodes,
+    and ``languages`` must list the leaf nodes.  An absent ``mode`` is precise."""
     doc = load_document(text, "segment-graph")
+    mode = _expect_mode(doc, PRECISE)
     location = None
     try:
         nodes, ids = [], set()
@@ -558,11 +591,12 @@ def deserialize_graph(text: str) -> SegmentGraph:
                                      f"{location}.{end}")
             edges.append(edge)
         location = None
+        _check_languages(doc, nodes)
         leaves = {n.leaf for n in nodes if n.leaf is not None}
         return SegmentGraph(
             tuple(nodes), tuple(edges),
             _leaf_names(doc, "leaves_a", leaves), _leaf_names(doc, "leaves_b", leaves),
-            doc.get("mode", PRECISE),
+            mode,
         )
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise ParseError(f"bad segment-graph payload: {exc}", location) from None

@@ -534,6 +534,14 @@ def _expect_string(doc: dict, key: str, location: str, choices=(), default=None)
     return value
 
 
+def _expect_mode(doc: dict, default: str | None = None) -> str:
+    """The document's arithmetic mode; ``default`` stands in for an absent field."""
+    mode = _expect(doc, "mode", "mode") if default is None else doc.get("mode", default)
+    if mode not in MODES:
+        raise ParseError(f"unknown mode {mode!r}", "mode")
+    return mode
+
+
 def _as_number(value, name: str, location: str) -> float:
     """``value`` as a float if it is a finite JSON number (not a boolean or string)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -571,9 +579,7 @@ def load_document(text: str, kind: str) -> dict:
 def deserialize(text: str) -> Dendrogram:
     """Parse a dendrogram document, enforcing all structural invariants."""
     doc = load_document(text, "dendrogram")
-    mode = _expect(doc, "mode", "mode")
-    if mode not in MODES:
-        raise ParseError(f"unknown mode {mode!r}", "mode")
+    mode = _expect_mode(doc)
 
     langs_doc = _expect(doc, "languages", "languages")
     if not isinstance(langs_doc, list) or not langs_doc:

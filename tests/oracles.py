@@ -9,9 +9,9 @@ The scalar references are per-cell Python loops, one call per cell, that
 the package's array kernels must match bit for bit.  The matrix CSV reader
 at the end is the straightforward one (``csv.reader``, then one ``float``
 per stripped cell) that the CLI's reader must match in values and errors.
-The dendrogram serializer at the very end builds the document as dicts and
-lists and hands it to ``json.dumps``; ``model.serialize`` must match its
-bytes.
+The two document serializers at the very end build the documents as dicts
+and lists and hand them to ``json.dumps``; ``model.serialize`` and
+``merger.serialize_graph`` must match their bytes.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def read_matrix_csv(path, kind: str):
         raise ParseError(str(exc), str(path)) from None
 
 
-# -- the dendrogram document, as dicts through json.dumps -------------------
+# -- the two documents, as dicts through json.dumps -------------------------
 
 
 def _number(x: float):
@@ -393,5 +393,37 @@ def serialize(dendrogram) -> str:
             else None
         ),
         "junctions": [_junction_payload(dendrogram, jn) for jn in dendrogram.junctions],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def serialize_graph(graph) -> str:
+    """The segment-graph document: one dict per object, written by ``json.dumps``."""
+    doc = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": "segment-graph",
+        "mode": graph.mode,
+        "languages": [
+            {"name": n.leaf, "depth": _number(n.depth)}
+            for n in graph.nodes
+            if n.leaf is not None
+        ],
+        "leaves_a": list(graph.leaves_a),
+        "leaves_b": list(graph.leaves_b),
+        "nodes": [
+            {"id": n.id, "depth": _number(n.depth), "leaf": n.leaf}
+            for n in graph.nodes
+        ],
+        "edges": [
+            {
+                "a": e.a,
+                "b": e.b,
+                "length": _number(e.length),
+                "kind": e.kind,
+                "provenance": e.provenance,
+            }
+            for e in graph.edges
+        ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -392,11 +392,11 @@ class TestEvaluate:
 
 
 class TestMerge:
-    def _build_both(self, capsys, tmp_path):
+    def _build_both(self, capsys, tmp_path, mode="paper"):
         run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
-            "--mode", "paper", "--outdir", str(tmp_path / "a"))
+            "--mode", mode, "--outdir", str(tmp_path / "a"))
         run(capsys, "build", "--input", str(BUNDLED / "salish_b.csv"),
-            "--mode", "paper", "--outdir", str(tmp_path / "b"))
+            "--mode", mode, "--outdir", str(tmp_path / "b"))
 
     def test_predictions_csv(self, capsys, tmp_path):
         self._build_both(capsys, tmp_path)
@@ -501,6 +501,33 @@ class TestMerge:
         )
         assert code == expected_code
         assert out.replace(str(tmp_path), "<tmp>") == (DATA / golden).read_text()
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    @pytest.mark.parametrize("odd", [(), (math.inf,), (math.nan, -math.inf)])
+    def test_deviation_table_cells_are_format_number(self, capsys, mode, odd):
+        # Halves round to even, -0.4 prints as 0; inf or nan anywhere leaves
+        # every other cell as format_number writes it.
+        values = [0.5, 1.5, 2.5, -0.4, -0.0, 12.345, 1e20, 1e308, *odd]
+        rows = tuple(("depth", ("a", "b"), v, values[i - 1], abs(v))
+                     for i, v in enumerate(values))
+        cli._print_consistency(cli.merger.ConsistencyReport(("a", "b"), rows, 3.0), mode)
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == [
+            f"  depth    a-b: {cli.format_number(va, mode)} vs "
+            f"{cli.format_number(vb, mode)} (deviation {cli.format_number(dev, mode)})"
+            for _, _, va, vb, dev in rows]
+
+    def test_precise_stdout_matches_golden(self, capsys, tmp_path):
+        # The deviation table and the prediction lines at two decimals.
+        self._build_both(capsys, tmp_path, mode="precise")
+        code, out, _ = run(
+            capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+            "--b", str(tmp_path / "b" / "dendrogram.json"),
+            "--outdir", str(tmp_path / "merged"),
+        )
+        assert code == 0
+        assert out.replace(str(tmp_path), "<tmp>") == (
+            DATA / "merge_precise_stdout.txt").read_text()
 
 
 class TestPerturb:

@@ -124,6 +124,8 @@ def test_fuzz_segment_graph_document(documents, scratch, data):
     pytest.param("m/merged.json", {("edges", 0, "length"): HUGE}, id="edge-length-huge"),
     pytest.param("m/merged.json", {("edges", 0, "length"): True}, id="edge-length-bool"),
     pytest.param("m/merged.json", {("leaves_b",): "xyz"}, id="leaves-string"),
+    pytest.param("m/merged.json", {("languages",): "x"}, id="languages-string"),
+    pytest.param("m/merged.json", {("languages", 0, "name"): "9"}, id="languages-other-leaf"),
 ])
 def test_known_bad_fields(documents, tmp_path, name, edits):
     doc = _load(documents, name)

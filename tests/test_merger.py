@@ -20,6 +20,7 @@ from isolect.model import (
     serialize,
 )
 
+import oracles
 from oracles import sample_caterpillar
 
 
@@ -86,6 +87,39 @@ class TestSegmentGraph:
                 with pytest.raises(ParseError, match=re.escape(error)):
                     read(text)
 
+    @pytest.mark.parametrize("mode", ["sloppy", None, 1])
+    def test_mode_errors_match_the_dendrogram_reader(self, tree_a, mode):
+        tree_doc = json.loads(serialize(tree_a))
+        graph_doc = json.loads(mg.serialize_graph(mg.segment_graph(tree_a)))
+        for read, doc in ((deserialize, tree_doc), (mg.deserialize_graph, graph_doc)):
+            with pytest.raises(ParseError) as exc:
+                read(json.dumps({**doc, "mode": mode}))
+            assert str(exc.value) == f"unknown mode {mode!r} (at mode)"
+
+    def test_absent_mode_reads_as_precise(self, tree_a):
+        doc = json.loads(mg.serialize_graph(mg.segment_graph(tree_a)))
+        del doc["mode"]
+        assert mg.deserialize_graph(json.dumps(doc)).mode == "precise"
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda ls: "x", "languages must be a list of the leaf nodes (at languages)"),
+        (lambda ls: None, "languages must be a list of the leaf nodes (at languages)"),
+        (lambda ls: ls[:-1], "languages lists 3 of the 4 leaf nodes (at languages)"),
+        (lambda ls: ls + [ls[0]], "more languages than the 4 leaf nodes (at languages[4])"),
+        (lambda ls: ls[::-1], "must name leaf '1' at depth 0, as the nodes do (at languages[0])"),
+        (lambda ls: ls[:1] + [{"name": "9", "depth": 0}] + ls[2:],
+         "must name leaf '2' at depth 0, as the nodes do (at languages[1])"),
+        (lambda ls: ls[:3] + [{"name": "4", "depth": 2}],
+         "must name leaf '4' at depth 0, as the nodes do (at languages[3])"),
+        (lambda ls: ls[:2] + ["3"] + ls[3:], "language entry must be an object (at languages[2])"),
+    ])
+    def test_languages_must_list_the_leaf_nodes(self, tree_a, edit, error):
+        doc = json.loads(mg.serialize_graph(mg.segment_graph(tree_a)))
+        doc["languages"] = edit(doc["languages"])
+        with pytest.raises(ParseError) as exc:
+            mg.deserialize_graph(json.dumps(doc))
+        assert str(exc.value) == error
+
     def test_each_reader_refuses_the_other_kind(self, tree_a):
         with pytest.raises(ParseError, match=re.escape(
                 "not a dendrogram document: kind='segment-graph' (at kind)")):
@@ -93,6 +127,55 @@ class TestSegmentGraph:
         with pytest.raises(ParseError, match=re.escape(
                 "not a segment-graph document: kind='dendrogram' (at kind)")):
             mg.deserialize_graph(serialize(tree_a))
+
+
+class TestSerializeGraphMatchesJsonDumps:
+    """``serialize_graph`` writes the bytes ``oracles.serialize_graph`` gets
+    from ``json.dumps(doc, indent=2, ensure_ascii=False)``."""
+
+    @staticmethod
+    def _salish(mode):
+        trees = [bl.build(ch.matrix_to_distances(
+            cli.read_matrix_csv(Path(__file__).parent.parent / "data" / f"salish_{s}.csv",
+                                "coincidence"), mode), mode=mode) for s in "ab"]
+        return [mg.merge(*trees), mg.segment_graph(trees[1], mg.PROV_B)]
+
+    @staticmethod
+    def _planted(labels=None):
+        m, labels_a, labels_b, _ = two_studies(np.random.default_rng(16))
+        if labels is not None:  # the same studies under other names
+            rename = dict(zip(sorted(set(labels_a) | set(labels_b)), labels))
+            labels_a = tuple(rename[x] for x in labels_a)
+            labels_b = tuple(rename[x] for x in labels_b)
+        tree_a = bl.build(DistanceMatrix(LanguageSet(labels_a), m), mode="precise")
+        graphs = [mg.segment_graph(tree_a)]
+        for seed in range(3):
+            noise = np.triu(np.random.default_rng(seed).uniform(-1, 1, size=m.shape), 1)
+            tree_b = bl.build(DistanceMatrix(LanguageSet(labels_b), m + noise + noise.T),
+                              mode="precise")
+            graphs.append(mg.merge(tree_a, tree_b, tolerance=3))
+        return graphs
+
+    def test_merges_and_plain_graphs(self):
+        # Labels that JSON escapes, or writes as themselves when not ASCII.
+        odd = ['é', 'a"b', 'c\\d', '日本', 'tab\there', '\u2028', 'x\ny', '\x7f']
+        odd += [f"L{i}" for i in range(20 - len(odd))]
+        graphs = (self._salish("paper") + self._salish("precise")
+                  + self._planted() + self._planted(odd))
+        seen = set()
+        for graph in graphs:
+            assert mg.serialize_graph(graph) == oracles.serialize_graph(graph)
+            seen.update(e.kind for e in graph.edges)
+            seen.update(e.provenance for e in graph.edges)
+            seen.update(float(x).is_integer()
+                        for x in [n.depth for n in graph.nodes] + [e.length for e in graph.edges])
+            seen.update(graph.leaves())
+            seen.add(("one side", not graph.leaves_a or not graph.leaves_b))
+        # Every edge kind and provenance, integral and fractional numbers,
+        # the odd labels, merged graphs and plain ones.
+        assert set(mg.EDGE_KINDS) | set(mg.PROVENANCES) | {True, False} <= seen
+        assert set(odd) <= seen
+        assert {("one side", True), ("one side", False)} <= seen
 
 
 class TestSharedConsistency:
