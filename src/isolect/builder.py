@@ -14,8 +14,10 @@ path runs through the junction, and leaves are synchronous):
 which is the deepest placement compatible with the observed offset.  The
 final link of a build has no external points left to compute an offset
 from; it is stored by total length and cross-checked by joining that link
-first: ``resolve_last_link`` joins the root's two carrier leaves on the
-build's own first state, through the same ``_join`` as every other join.
+first: ``resolve_last_link(start, root, total, external_means, tolerance)``
+takes the build's first state, the last state's two clusters and the link
+between them, and joins the two clusters' carrier leaves on that first
+state through the same ``_join`` as every other join.
 
 The reduced distances live in one float table indexed by node id, sized
 (2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
@@ -428,19 +430,20 @@ def _join(
 
 def resolve_last_link(
     start: ClusterState,
-    primary: Dendrogram,
+    root: tuple[Cluster, Cluster],
+    total: float,
     external_means: str = "weighted",
     tolerance: float = DEFAULT_RESOLVE_TOLERANCE,
 ) -> ResolutionResult:
-    """Cross-check the root link of a primary build.
+    """Cross-check the root link ``root``, of length ``total``, of a build.
 
     Two independent placements of the root link are compared: the
     simplest-form hypothesis (junction at the deeper child anchor, all
     remaining length lateral) and the geometry the link acquires when the
     build is redone with that link joined first, so that it picks up a
     lateral offset from the then-external points.  That first join is the
-    join of the root's two carrier leaves on ``start``, the build's initial
-    state (its singleton clusters in language order), which is still valid
+    join of the root clusters' carrier leaves (reached through each near
+    child) on ``start``, the build's initial state, which is still valid
     after the build: a reduce writes only the rows and columns of new nodes,
     so the leaf block of the shared table stays as ``initial_state`` wrote
     it.  If the placements agree within ``tolerance`` on both depth and
@@ -448,25 +451,26 @@ def resolve_last_link(
     unresolved and only its total length and feasible depth range are
     reported.
     """
-    mode = start.mode
-    labels = primary.languages.labels
-    if [(c.node, c.first_label, c.children) for c in start.clusters] != [
-        (i, label, ()) for i, label in enumerate(labels)
-    ]:
+    leaves = start.clusters
+    if any(c.node != i or c.children for i, c in enumerate(leaves)):
         raise DomainError(
-            "resolve_last_link needs the initial state over the tree's languages"
+            "resolve_last_link needs an initial state (every cluster a leaf "
+            "at its own index)"
         )
-    root = primary.junctions[-1]
-    k = len(labels)
-    a = primary.anchor_depth(root.near)
-    b = primary.anchor_depth(root.far)
-    if root.status == UNRESOLVED:
-        total = float(root.total_length)
-    else:
-        total = (root.depth - a) + (root.depth - b) + root.lateral
+    pair = []
+    for carrier in root:
+        while carrier.children:
+            carrier = carrier.children[0]
+        if carrier.node >= len(leaves) or carrier != leaves[carrier.node]:
+            raise DomainError(
+                f"carrier leaf {carrier.first_label!r} of the root is not "
+                f"cluster {carrier.node} of the initial state"
+            )
+        pair.append(carrier)
+    a, b = (c.anchor_depth for c in root)
     depth_simple = max(a, b)
     lateral_simple = total - 2 * depth_simple + a + b
-    depth_max = quantize((total + a + b) / 2.0, mode)
+    depth_max = quantize((total + a + b) / 2.0, start.mode)
     depth_range = (depth_simple, depth_max)
     if lateral_simple < 0:
         return ResolutionResult(
@@ -474,14 +478,13 @@ def resolve_last_link(
             (depth_simple, lateral_simple), None, None,
             "total length shorter than the child anchor gap",
         )
-    if k <= 2:
+    if len(leaves) <= 2:
         return ResolutionResult(
             False, depth_max, 0.0, total, depth_range,
             (depth_simple, lateral_simple), None, None,
             "no external points exist for a cross-check",
         )
-    pair = tuple(start.clusters[primary.carrier(j)] for j in (root.near, root.far))
-    alt = _join(start, pair, external_means)
+    alt = _join(start, tuple(pair), external_means)
     near_rep, far_rep = (c.first_label for c in pair)
     deviation = (abs(alt.depth - depth_simple), abs(alt.lateral - lateral_simple))
     if deviation[0] <= tolerance and deviation[1] <= tolerance:
@@ -543,47 +546,23 @@ def build(
 
     # The anchor of a resolved root sits at the deeper child's anchor, so
     # the deeper cluster goes near; ties break lexicographically.
-    near_c, far_c = sorted(
-        state.clusters, key=lambda c: (-c.anchor_depth, c.first_label)
-    )
-    total = state.table.item(near_c.node, far_c.node)
-    a, b = near_c.anchor_depth, far_c.anchor_depth
+    near, far = sorted(state.clusters, key=lambda c: (-c.anchor_depth, c.first_label))
+    total = state.table.item(near.node, far.node)
+    a, b = near.anchor_depth, far.anchor_depth
     if total <= 0:
         # Coinciding anchors: a zero-length root link is not ambiguous.
-        root = Junction(
-            near=near_c.node,
-            far=far_c.node,
-            depth=a,
-            lateral=0.0,
-            status=RESOLVED,
-            flags=(FLAG_INFEASIBLE,) if a != b else (),
-        )
-        return Dendrogram(langs, tuple(junctions) + (root,), mode=mode, weights=weights)
-    nominal_depth = max(quantize((total + a + b) / 2.0, mode), a)
-    provisional_root = Junction(
-        near=near_c.node,
-        far=far_c.node,
-        depth=nominal_depth,
-        lateral=0.0,
-        status=UNRESOLVED,
-        total_length=total,
-        depth_range=(a, nominal_depth),
-        flags=(FLAG_UNRESOLVED_DECOMPOSITION,),
-    )
-    dendrogram = Dendrogram(
-        langs, tuple(junctions) + (provisional_root,), mode=mode, weights=weights
-    )
-    resolution = resolve_last_link(start, dendrogram, external_means, resolve_tolerance)
-    if resolution.resolved:
-        root = Junction(
-            near=near_c.node,
-            far=far_c.node,
-            depth=resolution.depth,
-            lateral=resolution.lateral,
-            status=RESOLVED,
-            flags=(FLAG_CROSS_CHECKED,),
-        )
-        dendrogram = Dendrogram(
-            langs, tuple(junctions) + (root,), mode=mode, weights=weights
-        )
-    return dendrogram
+        root = Junction(near.node, far.node, a, 0.0, RESOLVED,
+                        flags=(FLAG_INFEASIBLE,) if a != b else ())
+    else:
+        res = resolve_last_link(start, (near, far), total, external_means,
+                                resolve_tolerance)
+        if res.resolved:
+            root = Junction(near.node, far.node, res.depth, res.lateral, RESOLVED,
+                            flags=(FLAG_CROSS_CHECKED,))
+        else:
+            # The deepest form, never above the near anchor.
+            depth = max(res.depth, a)
+            root = Junction(near.node, far.node, depth, 0.0, UNRESOLVED,
+                            total_length=total, depth_range=(a, depth),
+                            flags=(FLAG_UNRESOLVED_DECOMPOSITION,))
+    return Dendrogram(langs, tuple(junctions) + (root,), mode=mode, weights=weights)

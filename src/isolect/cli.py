@@ -436,14 +436,19 @@ def _load_weights_arg(value: str, languages: model.LanguageSet):
     table = {}
     for line, row in enumerate(_csv_rows(path), start=1):
         where = f"{path}:{line}"
-        if not row or not row[0].strip():
+        label = row[0].strip() if row else ""
+        if not label:
             continue
         if len(row) < 2:
             raise ParseError("weight rows need 'language,weight'", where)
+        if label in table:
+            raise ParseError(f"language {label!r} is given twice", where)
         try:
-            table[row[0].strip()] = float(row[1])
+            table[label] = float(row[1])
         except ValueError:
             raise ParseError(f"weight {row[1]!r} is not a number", where) from None
+        if not (0 < table[label] < math.inf):
+            raise ParseError(f"weight {row[1]!r} must be finite and > 0", where)
     missing = [lab for lab in languages.labels if lab not in table]
     if missing:
         raise InputError(f"weights file lacks entries for: {', '.join(missing)}")
@@ -559,7 +564,7 @@ def cmd_merge(args) -> int:
     print(f"shared leaves: {', '.join(graph.consistency.shared)}")
     _print_consistency(graph.consistency, mode)
     outdir = Path(args.outdir)
-    predictions = merger.predict_missing(graph, merger.cross_pairs(graph), mode)
+    predictions = merger.predict_missing(graph, merger.cross_pairs(graph))
     atomic_write(outdir / "merged.json", merger.serialize_graph(graph))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -119,6 +119,9 @@ class SegmentGraph:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise DomainError("segment graph node ids must be unique")
+        if len(self.edges) != max(len(ids) - 1, 0):
+            raise DomainError(f"segment graph must be a tree: {len(ids)} nodes, "
+                              f"{len(self.edges)} edges")
         g = self.graph()
         if g.number_of_nodes() > 1 and not nx.is_tree(g):
             raise DomainError("segment graph must be a tree")
@@ -141,8 +144,7 @@ class SegmentGraph:
 
     @cached_property
     def _adjacency(self) -> dict[str, dict[str, float]]:
-        """Node id -> {neighbour: length}, in edge order; a repeated edge keeps
-        its last length, as ``graph()`` does."""
+        """Node id -> {neighbour: length}, in edge order."""
         adj: dict[str, dict[str, float]] = {n.id: {} for n in self.nodes}
         for e in self.edges:
             adj.setdefault(e.a, {})[e.b] = e.length
@@ -452,20 +454,16 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
                         a.languages.labels, b.languages.labels, ga.mode, report)
 
 
-def predict_missing(
-    graph: SegmentGraph,
-    pairs,
-    mode: str | None = None,
-    threshold: float = COINCIDENCE_THRESHOLD,
-) -> tuple[Prediction, ...]:
-    """Predicted distances and coincidences for leaf pairs of a merged graph.
+def predict_missing(graph: SegmentGraph, pairs) -> tuple[Prediction, ...]:
+    """Predicted distances and coincidences for leaf pairs of a merged graph,
+    in the graph's mode.
 
-    Coincidences below ``threshold`` percent are annotated: at that range
-    the retention-based method stops being reliable on its own, and only
-    the presence of intermediate chain links supports the prediction.
+    Coincidences below ``COINCIDENCE_THRESHOLD`` percent are annotated: at
+    that range the retention-based method stops being reliable on its own,
+    and only the presence of intermediate chain links supports the
+    prediction.
     """
-    mode = graph.mode if mode is None else mode
-    check_mode(mode)
+    mode = graph.mode
     out = []
     for pair in pairs:
         x, y = pair
@@ -474,7 +472,7 @@ def predict_missing(
             raise DomainError(f"path {x}-{y} is beyond float range")
         dist = quantize(dist, mode)
         coin = chronometry.svodesh_to_coincidence(dist, mode)
-        out.append(Prediction((x, y), dist, coin, coin < threshold))
+        out.append(Prediction((x, y), dist, coin, coin < COINCIDENCE_THRESHOLD))
     return tuple(out)
 
 
@@ -558,7 +556,8 @@ def _check_languages(doc: dict, nodes: list[SegmentNode]) -> None:
 
 def deserialize_graph(text: str) -> SegmentGraph:
     """Parse a segment-graph document; every edge must join declared nodes,
-    and ``languages`` must list the leaf nodes.  An absent ``mode`` is precise."""
+    each pair of nodes at most once, and ``languages`` must list the leaf
+    nodes.  An absent ``mode`` is precise."""
     doc = load_document(text, "segment-graph")
     mode = _expect_mode(doc, PRECISE)
     location = None
@@ -574,7 +573,7 @@ def deserialize_graph(text: str) -> SegmentGraph:
             nodes.append(SegmentNode(_expect_string(n, "id", location),
                                      _expect_number(n, "depth", location), leaf))
             ids.add(nodes[-1].id)
-        edges = []
+        edges, pairs = [], set()
         for i, e in enumerate(doc["edges"]):
             location = f"edges[{i}]"
             if not isinstance(e, dict):
@@ -589,6 +588,10 @@ def deserialize_graph(text: str) -> SegmentGraph:
                 if node not in ids:
                     raise ParseError(f"edge names undeclared node {node!r}",
                                      f"{location}.{end}")
+            pair = frozenset((edge.a, edge.b))
+            if pair in pairs:
+                raise ParseError(f"edge {edge.a!r}-{edge.b!r} is listed twice", location)
+            pairs.add(pair)
             edges.append(edge)
         location = None
         _check_languages(doc, nodes)

@@ -223,6 +223,8 @@ class Junction:
         if self.status == UNRESOLVED:
             if self.total_length is None or self.total_length <= 0:
                 raise DomainError("unresolved junction requires total_length > 0")
+            if self.depth_range is None or self.depth_range[0] > self.depth_range[1]:
+                raise DomainError("unresolved junction requires a depth range min <= max")
         object.__setattr__(self, "flags", tuple(self.flags))
 
     @property

@@ -26,6 +26,7 @@ from .modes import PAPER, PRECISE, check_mode, quantize_array
 
 DISPERSION_FLOOR = 0.5  # svodesh^2; keeps weights finite on perfect fits
 WEIGHT_MEAN = 10.0
+WEIGHT_CHANGE_TOL = 0.05  # relative; iterate_build stops below it
 
 
 @dataclass(frozen=True)
@@ -147,17 +148,13 @@ def _worst_pairs(residuals: np.ndarray, labels) -> tuple[tuple[str, str, float],
 
 
 def weights_from_dispersions(
-    languages: LanguageSet,
-    dispersions,
-    mode: str = PRECISE,
-    floor: float = DISPERSION_FLOOR,
-    target_mean: float = WEIGHT_MEAN,
+    languages: LanguageSet, dispersions, mode: str = PRECISE
 ) -> WeightVector:
-    """Inverse-dispersion weights, normalized to a mean of ``target_mean``.
+    """Inverse-dispersion weights, normalized to a mean of ``WEIGHT_MEAN``.
 
     Only ratios matter downstream; the normalization keeps integer-mode
-    weights in a legible range.  Dispersions below ``floor`` are floored so
-    perfectly fitted languages do not get infinite weight.
+    weights in a legible range.  Dispersions below ``DISPERSION_FLOOR`` are
+    floored so perfectly fitted languages do not get infinite weight.
     """
     check_mode(mode)
     disp = np.asarray(list(dispersions), dtype=float)
@@ -167,8 +164,8 @@ def weights_from_dispersions(
     if bad.size:
         raise DomainError(f"dispersions must be finite and >= 0 (language "
                           f"{languages.labels[bad[0]]}: {disp[bad[0]]})")
-    inverse = 1.0 / np.maximum(disp, floor)
-    scaled = target_mean * inverse / inverse.mean()
+    inverse = 1.0 / np.maximum(disp, DISPERSION_FLOOR)
+    scaled = WEIGHT_MEAN * inverse / inverse.mean()
     if mode == PAPER:
         scaled = np.maximum(1.0, quantize_array(scaled, PAPER))
     return WeightVector(languages, tuple(float(w) for w in scaled))
@@ -177,7 +174,6 @@ def weights_from_dispersions(
 def iterate_build(
     measured: DistanceMatrix,
     max_passes: int = 3,
-    tol: float = 0.05,
     mode: str = PRECISE,
     external_means: str = "weighted",
 ) -> IterationTrace:
@@ -185,7 +181,7 @@ def iterate_build(
 
     Pass 1 is unweighted; each subsequent pass uses inverse-dispersion
     weights from the previous evaluation.  Stops at ``max_passes`` or when
-    the maximum relative weight change drops below ``tol``.
+    the maximum relative weight change drops below ``WEIGHT_CHANGE_TOL``.
     """
     if max_passes < 1:
         raise DomainError("max_passes must be >= 1")
@@ -205,7 +201,7 @@ def iterate_build(
         change = max(
             abs(nw - w) / w for nw, w in zip(next_weights.values, weights.values)
         )
-        if change < tol:
+        if change < WEIGHT_CHANGE_TOL:
             break
         weights = next_weights
     return IterationTrace(tuple(passes))

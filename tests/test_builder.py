@@ -506,10 +506,29 @@ class TestBuild:
                 assert base_restored.value(x, y) == moved_restored.value(x, y)
 
 
+def _last_link(dm, mode="paper"):
+    """The initial state, the last state's pair ordered as ``build`` orders
+    it (deeper anchor near) and the link between them, through ``_step``."""
+    start = state = bl.initial_state(dm, None, mode)
+    node = len(dm.languages)
+    while len(state.clusters) > 2:
+        _, state = _step(state, node, mode)
+        node += 1
+    near, far = sorted(state.clusters, key=lambda c: (-c.anchor_depth, c.first_label))
+    return start, (near, far), state.distance(near, far)
+
+
+def _anchor_gap_table():
+    """A k = 5 paper-mode table whose root link is shorter than the gap
+    between its child anchors."""
+    upper = np.triu(np.random.default_rng(3).integers(1, 101, (5, 5)), 1)
+    return distances(coincidence(
+        tuple(f"L{i}" for i in range(5)), upper + upper.T + 100 * np.eye(5)))
+
+
 class TestResolveLastLink:
     def test_four_language_cross_check_agrees(self, salish_a_dist):
-        tree = bl.build(salish_a_dist, mode="paper")
-        res = bl.resolve_last_link(bl.initial_state(salish_a_dist, None, "paper"), tree)
+        res = bl.resolve_last_link(*_last_link(salish_a_dist))
         assert res.resolved
         assert (res.depth, res.lateral) == (19, 36)
         # The rebuild that joins the two root representatives first lands on
@@ -519,8 +538,7 @@ class TestResolveLastLink:
         assert abs(res.alternate_candidate[1] - 36) <= 1
 
     def test_second_group_stays_ambiguous(self, salish_b_dist):
-        tree = bl.build(salish_b_dist, mode="paper")
-        res = bl.resolve_last_link(bl.initial_state(salish_b_dist, None, "paper"), tree)
+        res = bl.resolve_last_link(*_last_link(salish_b_dist))
         assert not res.resolved
         assert res.total_length == 85
         # Extremes: widest form at the child anchor, deepest form at h=0.
@@ -544,17 +562,43 @@ class TestResolveLastLink:
         ]
         assert tree.junctions[-1].status == model.RESOLVED
 
+    def test_root_shorter_than_the_anchor_gap(self):
+        dm = _anchor_gap_table()
+        root = bl.build(dm, mode="paper").junctions[-1]
+        assert root.status == model.UNRESOLVED
+        assert (root.depth, root.lateral, root.total_length) == (86, 0, 84)
+        assert root.depth_range == (86, 86)
+        res = bl.resolve_last_link(*_last_link(dm))
+        assert not res.resolved
+        assert res.reason == "total length shorter than the child anchor gap"
+        assert (res.depth, res.depth_range) == (85, (85, 85))
+
     def test_rejects_a_state_other_than_the_tree_initial_one(self, salish_a_dist):
-        tree = bl.build(salish_a_dist, mode="paper")
-        start = bl.initial_state(salish_a_dist, None, "paper")
+        start, root, total = _last_link(salish_a_dist)
         joined = _join(start, bl.min_link(start), 4, "paper")
         labels = tuple(f"x{i}" for i in range(4))
         other = bl.initial_state(
             DistanceMatrix(LanguageSet(labels), salish_a_dist.values), None, "paper"
         )
-        for state in (joined, other):
-            with pytest.raises(DomainError, match="initial state over the tree"):
-                bl.resolve_last_link(state, tree)
+        with pytest.raises(DomainError, match="needs an initial state"):
+            bl.resolve_last_link(joined, root, total)
+        with pytest.raises(DomainError, match="carrier leaf '2' of the root is not cluster 1"):
+            bl.resolve_last_link(other, root, total)
+
+
+def test_one_dendrogram_per_build(monkeypatch, salish_a_dist, salish_b_dist):
+    calls = []
+    check = model.Dendrogram.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(model.Dendrogram, "__post_init__", counted)
+    for dm in (salish_a_dist, salish_b_dist, _anchor_gap_table()):
+        calls.clear()
+        tree = bl.build(dm, mode="paper")
+        assert calls == [tree]
 
 
 def _junction_floats(tree):

@@ -171,7 +171,8 @@ class TestBuild:
 
     def test_weights_file(self, capsys, tmp_path):
         weights = tmp_path / "w.csv"
-        weights.write_text("1,2\n2,2\n3,2\n4,2\n")
+        # A row for a language outside the matrix is allowed and unused.
+        weights.write_text("1,2\n2,2\n3,2\n4,2\nLushootseed,7\n")
         code, _, _ = run(
             capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
             "--mode", "paper", "--weights", str(weights),
@@ -195,6 +196,21 @@ class TestBuild:
         assert err.splitlines() == [
             f"error: weight 'heavy' is not a number (at {weights}:2)"
         ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n2,2\n3,nan\n4,2\n", "weight 'nan' must be finite and > 0 (at {}:3)"),
+        ("1,2\n2,-3\n3,2\n4,2\n", "weight '-3' must be finite and > 0 (at {}:2)"),
+        ("1,2\n2,2\n3,2\n4,2\n2,5\n", "language '2' is given twice (at {}:5)"),
+    ], ids=["nan", "negative", "twice"])
+    def test_bad_weight_row_located(self, capsys, tmp_path, text, message):
+        weights = tmp_path / "w.csv"
+        weights.write_text(text)
+        code, out, err = run(
+            capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--weights", str(weights), "--outdir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: " + message.format(weights)]
 
     def test_non_utf8_matrix_located(self, capsys, tmp_path):
         src = tmp_path / "latin1.csv"
@@ -638,6 +654,19 @@ class TestRender:
             f"error: {field} must be a finite number (at junctions[0].{field})"
         ]
 
+    def test_reversed_depth_range_located(self, capsys, tmp_path):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_b.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path))
+        path = tmp_path / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        doc["junctions"][2]["status"].update(depth_min=90, depth_max=10)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: unresolved junction requires a depth range min <= max (at junctions[2])"
+        ]
+
     def test_single_leaf_document(self, capsys, tmp_path):
         doc = {
             "format": "isolect-dendrogram", "version": 1, "kind": "dendrogram",
@@ -789,6 +818,21 @@ class TestRender:
         assert err.splitlines() == [
             f"error: edge names undeclared node 'ghost' "
             f"(at edges[{len(doc['edges']) - 1}].{end})"
+        ]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_repeated_edge_located(self, capsys, tmp_path, reverse):
+        # nx.Graph collapses a repeat, so the tree check alone let it load.
+        doc = self._merged_doc(capsys, tmp_path)
+        edge = doc["edges"][0]  # 3-j0, length 14
+        a, b = (edge["b"], edge["a"]) if reverse else (edge["a"], edge["b"])
+        doc["edges"].append(dict(edge, a=a, b=b, length=999))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "dot")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: edge {a!r}-{b!r} is listed twice (at edges[{len(doc['edges']) - 1}])"
         ]
 
     def test_render_merged_graph(self, capsys, tmp_path):

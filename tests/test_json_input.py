@@ -119,6 +119,9 @@ def test_fuzz_segment_graph_document(documents, scratch, data):
                                        ("junctions", 1, "lateral"): 1.7e308},
                  id="path-beyond-float-range"),
     pytest.param("a/dendrogram.json", {("weights",): "1234"}, id="weights-string"),
+    pytest.param("b/dendrogram.json", {("junctions", 2, "status", "depth_min"): 90,
+                                       ("junctions", 2, "status", "depth_max"): 10},
+                 id="depth-range-reversed"),
     pytest.param("m/merged.json", {("nodes", 0, "depth"): HUGE}, id="node-depth-huge"),
     pytest.param("m/merged.json", {("nodes", 1, "depth"): "3"}, id="node-depth-string"),
     pytest.param("m/merged.json", {("edges", 0, "length"): HUGE}, id="edge-length-huge"),

@@ -120,6 +120,18 @@ class TestSegmentGraph:
             mg.deserialize_graph(json.dumps(doc))
         assert str(exc.value) == error
 
+    @pytest.mark.parametrize("nodes, edges", [
+        (("x",), (("x", "x"),)),
+        (("x", "y"), (("x", "y"), ("y", "x"))),
+    ], ids=["one-node-self-loop", "repeated-edge"])
+    def test_graph_needs_one_edge_fewer_than_nodes(self, nodes, edges):
+        with pytest.raises(DomainError, match="must be a tree"):
+            mg.SegmentGraph(
+                tuple(mg.SegmentNode(n, 0.0, n) for n in nodes),
+                tuple(mg.SegmentEdge(a, b, 1.0, mg.VERTICAL) for a, b in edges),
+                nodes, (),
+            )
+
     def test_each_reader_refuses_the_other_kind(self, tree_a):
         with pytest.raises(ParseError, match=re.escape(
                 "not a dendrogram document: kind='segment-graph' (at kind)")):

@@ -380,6 +380,17 @@ class TestDendrogramValidation:
                  Junction(near=3, far=2, depth=4, lateral=0)),
             )
 
+    @pytest.mark.parametrize("depth_range", [None, (20.0, 10.0)], ids=["none", "reversed"])
+    def test_unresolved_requires_an_ordered_depth_range(self, depth_range):
+        # Either one used to load and then fail in serialize (TypeError) or
+        # render a range with depth_min > depth_max.
+        with pytest.raises(DomainError, match="depth range min <= max"):
+            Junction(near=0, far=1, depth=15, lateral=0, status=model.UNRESOLVED,
+                     total_length=30, depth_range=depth_range)
+        # A point range is a range; the nominal depth may lie outside it.
+        Junction(near=0, far=1, depth=31, lateral=0, status=model.UNRESOLVED,
+                 total_length=30, depth_range=(10.0, 10.0))
+
     def test_carrier_follows_near_lineage(self):
         tree = salish_tree()
         assert tree.languages.labels[tree.carrier(6)] == "2"
