@@ -93,7 +93,21 @@ def _observed_pairs(matrix, invalid, scalar, mode: str):
             raise DomainError(
                 f"pair ({labels[rows[n]]}, {labels[cols[n]]}): {exc}"
             ) from None
-    return rows[observed], cols[observed], cells[observed].tolist()
+    return rows[observed], cols[observed], cells[observed]
+
+
+def _each(convert, cells: np.ndarray) -> np.ndarray:
+    """``convert`` of each cell, one scalar call per distinct value.
+
+    A table of whole numbers (paper-mode percents and distances) holds few
+    distinct values, so each is converted once and spread back; any other
+    table is converted cell by cell, because deduplicating distinct floats
+    costs more than it saves.
+    """
+    if np.array_equal(cells, np.trunc(cells)):
+        distinct, inverse = np.unique(cells, return_inverse=True)
+        return np.array([convert(c) for c in distinct.tolist()])[inverse]
+    return np.array([convert(c) for c in cells.tolist()])
 
 
 def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
@@ -107,7 +121,11 @@ def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
 
 
 def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> DistanceMatrix:
-    """Elementwise conversion of coincidences to svodesh distances."""
+    """Elementwise conversion of coincidences to svodesh distances.
+
+    Reads the observed upper-triangle cells; a table of whole percents (paper
+    mode's) converts each distinct value once, any other cell by cell.
+    """
     check_mode(mode)
     rows, cols, cells = _observed_pairs(
         matrix,
@@ -115,13 +133,17 @@ def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> Dista
         coincidence_to_svodesh,
         mode,
     )
-    values = quantize_array([_svodesh(c) for c in cells], mode)
+    values = quantize_array(_each(_svodesh, cells), mode)
     out = _symmetric(len(matrix.languages), rows, cols, values, 0.0)
     return DistanceMatrix(matrix.languages, out)
 
 
 def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> CoincidenceMatrix:
-    """Elementwise conversion of svodesh distances to coincidences."""
+    """Elementwise conversion of svodesh distances to coincidences.
+
+    Reads the observed upper-triangle cells; a table of whole distances
+    (paper mode's) converts each distinct value once, any other cell by cell.
+    """
     check_mode(mode)
     rows, cols, cells = _observed_pairs(
         matrix,
@@ -129,7 +151,7 @@ def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> Coinc
         svodesh_to_coincidence,
         mode,
     )
-    exact = np.array([_coincidence(length) for length in cells])
+    exact = _each(_coincidence, cells)
     values = quantize_array(exact, mode)
     # Integer rounding of a sub-half-percent coincidence would leave the
     # (0, 100] range; keep the fractional value.

@@ -45,8 +45,10 @@ def format_number(x: float, mode: str) -> str:
 def format_column(values: np.ndarray, mode: str):
     """``format_number`` of each value of a float array, in order."""
     if mode == PAPER:
-        # np.rint rounds half to even, as round() does.
-        return map(str, map(int, np.rint(values).tolist()))
+        # np.rint rounds half to even, as round() does.  A paper-mode column
+        # holds few distinct integers, so each is written once.
+        distinct, inverse = np.unique(np.rint(values), return_inverse=True)
+        return map([str(int(v)) for v in distinct.tolist()].__getitem__, inverse.tolist())
     return map("{:.2f}".format, values.tolist())
 
 

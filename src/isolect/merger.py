@@ -13,6 +13,7 @@ per source leaf.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +26,7 @@ from .errors import ConsistencyError, DomainError, GraftError, ParseError
 from .model import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    FLAG_CROSS_CHECKED,
     RESOLVED,
     UNRESOLVED,
     Dendrogram,
@@ -254,12 +256,25 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
     width of a run is the total lateral extent of the isolect chain that
     existed at that depth.
     """
-    laterals = [e for e in graph.edges if e.kind == LATERAL]
     by_depth: dict[float, list[SegmentEdge]] = {}
     node_depth = {n.id: n.depth for n in graph.nodes}
-    for e in laterals:
+    made: dict[float, int] = {}  # epoch depth -> the order it was made in
+    depths: list[float] = []  # the same depths, sorted
+    for e in graph.edges:
+        if e.kind != LATERAL:
+            continue
         d = node_depth[e.a]
-        key = next((x for x in by_depth if abs(x - d) <= 1e-6), d)
+        # An edge joins the first-made epoch within 1e-6 of its depth.  x - d
+        # grows with x, so those epochs sit together around d's place.
+        lo = hi = bisect.bisect_left(depths, d)
+        while lo and abs(depths[lo - 1] - d) <= 1e-6:
+            lo -= 1
+        while hi < len(depths) and abs(depths[hi] - d) <= 1e-6:
+            hi += 1
+        key = min(depths[lo:hi], key=made.__getitem__, default=d)
+        if key not in made:
+            made[key] = len(made)
+            depths.insert(lo, key)
         by_depth.setdefault(key, []).append(e)
     runs = []
     for depth, group in by_depth.items():
@@ -299,6 +314,11 @@ def shared_consistency(
     geometry of the junctions where shared pairs meet.  Equal distances are
     guaranteed by equal inputs; agreeing geometry is the substantive check,
     since each dendrogram's shape is determined by its whole dataset.
+
+    A pair whose junction is unresolved in one dendrogram, or resolved by the
+    final-link cross-check in exactly one, is compared by distance only, with
+    a note: a subset of the leaves cannot identify that root's
+    vertical/lateral split.
     """
     shared = tuple(sorted(set(a.languages.labels) & set(b.languages.labels)))
     if len(shared) < 2:
@@ -316,10 +336,16 @@ def shared_consistency(
             ja = a.meeting_junction(*pair)
             jb = b.meeting_junction(*pair)
             if ja.status == RESOLVED and jb.status == RESOLVED:
-                rows.append(("depth", pair, ja.depth, jb.depth,
-                             abs(ja.depth - jb.depth)))
-                rows.append(("lateral", pair, ja.lateral, jb.lateral,
-                             abs(ja.lateral - jb.lateral)))
+                if (FLAG_CROSS_CHECKED in ja.flags) != (FLAG_CROSS_CHECKED in jb.flags):
+                    notes.append(
+                        f"pair {pair[0]}-{pair[1]}: junction resolved by cross-check "
+                        f"in one dendrogram only; compared by distance only"
+                    )
+                else:
+                    rows.append(("depth", pair, ja.depth, jb.depth,
+                                 abs(ja.depth - jb.depth)))
+                    rows.append(("lateral", pair, ja.lateral, jb.lateral,
+                                 abs(ja.lateral - jb.lateral)))
             elif ja.status == UNRESOLVED and jb.status == UNRESOLVED:
                 rows.append(("total", pair, ja.total_length, jb.total_length,
                              abs(ja.total_length - jb.total_length)))

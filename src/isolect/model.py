@@ -232,10 +232,12 @@ class Junction:
         return self.status == RESOLVED
 
 
-class _TreeIndex(NamedTuple):
-    members: tuple[tuple[int, ...], ...]  # all per node id
-    parent: tuple[int, ...]  # -1 at the root
-    carrier: tuple[int, ...]
+class _Layout(NamedTuple):
+    """Leaves in near-first order: each junction's near members, then its far
+    members, recursively from the root."""
+
+    position: tuple[int, ...]  # leaf id -> its place in that order
+    blocks: tuple[tuple[int, int, int], ...]  # per junction: (lo, mid, hi), near [lo, mid)
 
 
 @dataclass(frozen=True)
@@ -290,17 +292,26 @@ class Dendrogram:
         return self.junctions[node_id - k].depth
 
     @cached_property
-    def _index(self) -> _TreeIndex:
-        """Members, parents and carriers, built in one sweep."""
-        k = len(self.languages)
-        members = [(i,) for i in range(k)]
-        parent = [-1] * (k + len(self.junctions))
-        carrier = list(range(k))
-        for idx, jn in enumerate(self.junctions):
-            parent[jn.near] = parent[jn.far] = k + idx
+    def _parent(self) -> tuple[int, ...]:
+        """Each node's parent id, -1 at the root; one pass, no member sort."""
+        parent = [-1] * (len(self.languages) + len(self.junctions))
+        for nid, jn in enumerate(self.junctions, start=len(self.languages)):
+            parent[jn.near] = parent[jn.far] = nid
+        return tuple(parent)
+
+    @cached_property
+    def _members(self) -> tuple[tuple[int, ...], ...]:
+        members = [(i,) for i in range(len(self.languages))]
+        for jn in self.junctions:
             members.append(tuple(sorted(members[jn.near] + members[jn.far])))
+        return tuple(members)
+
+    @cached_property
+    def _carrier(self) -> tuple[int, ...]:
+        carrier = list(range(len(self.languages)))
+        for jn in self.junctions:
             carrier.append(carrier[jn.near])
-        return _TreeIndex(tuple(members), tuple(parent), tuple(carrier))
+        return tuple(carrier)
 
     @cached_property
     def _anchor_tables(self) -> tuple[dict[int, float], ...]:
@@ -324,11 +335,11 @@ class Dendrogram:
 
     def members(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids under a node, in language order."""
-        return self._index.members[node_id]
+        return self._members[node_id]
 
     def carrier(self, node_id: int) -> int:
         """The leaf whose lineage carries the node's anchor."""
-        return self._index.carrier[node_id]
+        return self._carrier[node_id]
 
     def anchor_tables(self) -> tuple[dict[int, float], ...]:
         """Per node id: leaf id -> path length from the leaf to the node's anchor.
@@ -341,27 +352,66 @@ class Dendrogram:
         return self._anchor_tables
 
     @cached_property
-    def _meeting(self) -> np.ndarray:
-        """Leaf pair -> node id where the pair first meets; a leaf's parent if equal."""
+    def _layout(self) -> _Layout:
+        """The near-first leaf order, swept down from the root; block sizes
+        are read through ``members``."""
         k = len(self.languages)
-        start = [0] * (k + len(self.junctions))  # each node's block in near-first leaf order
-        table = np.empty((k, k), dtype=np.intp)
-        for nid, jn in reversed(tuple(enumerate(self.junctions, start=k))):
-            lo = start[nid]  # the pairs meeting at nid: its near x far members
+        start = [0] * (k + len(self.junctions))
+        blocks = [(0, 0, 0)] * len(self.junctions)
+        for idx in reversed(range(len(self.junctions))):
+            jn = self.junctions[idx]
+            lo = start[k + idx]
             mid = lo + len(self.members(jn.near))
-            end = mid + len(self.members(jn.far))
+            blocks[idx] = (lo, mid, mid + len(self.members(jn.far)))
             start[jn.near], start[jn.far] = lo, mid
-            table[lo:mid, mid:end] = table[mid:end, lo:mid] = nid
-        table = table[np.ix_(start[:k], start[:k])]
-        np.fill_diagonal(table, self._index.parent[:k])
+        return _Layout(tuple(start[:k]), tuple(blocks))
+
+    @cached_property
+    def _meeting(self) -> np.ndarray:
+        """Leaf pair -> node id where the pair first meets; a leaf's parent if
+        equal.  Filled from the layout's blocks on a tree's second query."""
+        k = len(self.languages)
+        layout = self._layout
+        table = np.empty((k, k), dtype=np.intp)
+        for nid, (lo, mid, hi) in enumerate(layout.blocks, start=k):
+            table[lo:mid, mid:hi] = table[mid:hi, lo:mid] = nid
+        table = table[np.ix_(layout.position, layout.position)]
+        np.fill_diagonal(table, self._parent[:k])
         return table
 
     def lca_junction(self, a: int, b: int) -> int:
-        """Node id of the lowest junction containing both leaves (a == b: the parent)."""
-        node = int(self._meeting[a, b])
+        """Node id of the lowest junction containing both leaves (a == b: the parent).
+
+        A tree's first query walks parent links up from both leaves.  The
+        second fills the k x k meeting table, which answers it and every
+        later query by lookup, so a tree asked once never builds the table.
+        """
+        try:
+            node = int(self.__dict__["_meeting"][a, b])
+        except KeyError:  # no table yet
+            if "_queried" in self.__dict__:
+                node = int(self._meeting[a, b])
+            else:
+                self.__dict__["_queried"] = True  # frozen: write past __setattr__
+                node = self._walk_to_meeting(a, b)
         if node < 0:
             raise DomainError("leaves do not share a junction")
         return node
+
+    def _walk_to_meeting(self, a: int, b: int) -> int:
+        # A parent's id exceeds its children's, so the lower of two ids
+        # cannot be an ancestor of the other and is the one to step up.
+        k = len(self.languages)
+        if not (0 <= a < k and 0 <= b < k):  # a negative id would never reach the root
+            raise DomainError(f"leaf ids must lie in 0..{k - 1} (got {a}, {b})")
+        parent = self._parent
+        x, y = parent[a], parent[b]
+        while x != y:
+            if x < y:
+                x = parent[x]
+            else:
+                y = parent[y]
+        return x
 
     def meeting_junction(self, a: str, b: str) -> Junction:
         """The junction where leaves ``a`` and ``b`` first share a cluster."""
@@ -407,32 +457,30 @@ def leaf_distance(dendrogram: Dendrogram, a: str, b: str) -> float:
 def restore_distance_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
     """All-pairs leaf distances measured on the dendrogram.
 
-    One sweep over junctions: each leaf pair crosses exactly one junction
-    (its lowest common one), where its distance is the sum of the two
-    anchor distances.  The root's anchor table lists the leaves so that
-    every junction's near members are followed by its far members, so each
-    junction fills one near x far block of that order at once.
+    Reads the tree's near-first leaf layout, not its anchor tables or its
+    meeting table, so it builds neither.  Each leaf pair crosses exactly one
+    junction (its lowest common one), where its distance is the sum of the
+    two anchor distances; in the layout the pairs meeting at a junction
+    form one near x far block.  One sweep up the junctions adds each one's
+    near and far gains to its near and far leaves in place, the same sums in
+    the same order as the anchor tables, and fills the junction's block.
     """
     k = len(dendrogram.languages)
-    tables = dendrogram.anchor_tables()
-    at = {leaf: i for i, leaf in enumerate(tables[-1])}
+    layout = dendrogram._layout
+    depth = (*dendrogram.languages.depths, *(jn.depth for jn in dendrogram.junctions))
+    to_anchor = np.zeros(k)  # per place in the layout: path length to the current anchor
     out = np.zeros((k, k))
-    for idx, jn in enumerate(dendrogram.junctions):
-        near_t, far_t = tables[jn.near], tables[jn.far]
-        if jn.status == UNRESOLVED:
-            to_near = [da + jn.total_length for da in near_t.values()]
-            to_far = list(far_t.values())
-        else:
-            both = list(tables[k + idx].values())
-            to_near, to_far = both[: len(near_t)], both[len(near_t) :]
-        start = at[next(iter(near_t))]
-        mid = start + len(near_t)
-        end = mid + len(far_t)
-        with np.errstate(over="ignore"):  # inf beyond float range, rejected below
-            block = np.add.outer(to_near, to_far)
-        out[start:mid, mid:end] = block
-        out[mid:end, start:mid] = block.T
-    where = np.array([at[leaf] for leaf in range(k)])
+    with np.errstate(over="ignore"):  # inf beyond float range, rejected below
+        for jn, (lo, mid, hi) in zip(dendrogram.junctions, layout.blocks):
+            near, far = to_anchor[lo:mid], to_anchor[mid:hi]
+            if jn.status == UNRESOLVED:  # only the root: its children's anchors are final
+                near = near + jn.total_length
+            else:
+                near += jn.depth - depth[jn.near]
+                far += (jn.depth - depth[jn.far]) + jn.lateral
+            np.add.outer(near, far, out=out[lo:mid, mid:hi])
+        out += out.T  # each block was filled above the diagonal only
+    where = np.array(layout.position)
     return DistanceMatrix(dendrogram.languages, out[where[:, None], where])
 
 

@@ -262,6 +262,27 @@ def chain_widths_nx(graph):
     return tuple(runs)
 
 
+def restore_by_anchor_tables(tree) -> np.ndarray:
+    """All-pairs leaf distances from the per-node anchor tables: each pair's
+    two anchor distances at its meeting junction, an unresolved root's total
+    length between its children's anchors."""
+    k = len(tree.languages)
+    tables = tree.anchor_tables()
+    out = np.zeros((k, k))
+    for idx, jn in enumerate(tree.junctions):
+        near_t, far_t = tables[jn.near], tables[jn.far]
+        if jn.status == UNRESOLVED:
+            near = {a: da + jn.total_length for a, da in near_t.items()}
+            far = far_t
+        else:
+            near = {a: tables[k + idx][a] for a in near_t}
+            far = {b: tables[k + idx][b] for b in far_t}
+        for a, da in near.items():
+            for b, db in far.items():
+                out[a, b] = out[b, a] = da + db
+    return out
+
+
 # -- the matrix CSV reader, one cell at a time through csv.reader -----------
 
 ABSENT_TOKENS = {"", "-", "na", "NA", "n/a"}

@@ -159,6 +159,38 @@ class TestMatrixConversionAgainstScalar:
                     percent = ch.svodesh_to_coincidence(expected, "precise")
                 assert back.values[i, j] == percent
 
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_whole_tables_convert_each_distinct_value_once(self, monkeypatch, whole):
+        # Whole percents and whole distances (paper mode's tables) call the
+        # scalar conversion once per distinct value, any other table once
+        # per observed cell; the cells equal the scalar conversion's.
+        rng = np.random.default_rng(7)
+        k = 30
+        c = np.triu(rng.integers(1, 101, size=(k, k)).astype(float), 1)
+        if not whole:
+            c[0, 1] += 0.25
+        c[3, 9] = np.nan
+        c = c + c.T
+        np.fill_diagonal(c, 100.0)
+        observed = c[np.triu_indices(k, 1)]
+        observed = observed[~np.isnan(observed)]
+        calls = []
+        for name in ("_svodesh", "_coincidence"):
+            scalar = getattr(ch, name)
+            monkeypatch.setattr(ch, name, lambda x, scalar=scalar: calls.append(x) or scalar(x))
+        langs = LanguageSet(tuple(f"l{i}" for i in range(k)))
+        out = ch.matrix_to_distances(CoincidenceMatrix(langs, c), "paper")
+        assert len(calls) == (len(np.unique(observed)) if whole else len(observed))
+        lengths = out.values[np.triu_indices(k, 1)]
+        lengths = lengths[~np.isnan(lengths)]
+        assert lengths.tolist() == [ch.coincidence_to_svodesh(x, "paper") for x in observed]
+        calls.clear()
+        back = ch.matrix_to_coincidences(out, "paper")
+        assert len(calls) == len(np.unique(lengths))
+        assert np.array_equal(back.values, np.vectorize(
+            lambda x: ch.svodesh_to_coincidence(x, "paper") if x == x else x)(out.values),
+            equal_nan=True)
+
     def test_first_bad_pair_reported(self):
         # Matrix classes reject such cells themselves; a bare stand-in
         # reaches the conversion's own check.

@@ -851,6 +851,92 @@ class TestRender:
         assert "unresolved" in out and "85" in out
 
 
+def newick_paths(text: str) -> dict[tuple[str, str], tuple[float, int]]:
+    """Leaf pair -> (summed branch length, branch count) of a Newick tree
+    with plain labels and a length on every branch below the root."""
+    pos = 0
+    up: dict[int, tuple[int, float]] = {}  # node -> (parent, branch length)
+    leaves: dict[str, int] = {}
+
+    def clade() -> int:
+        nonlocal pos
+        node = len(up) + len(leaves) + 1
+        if text[pos] == "(":
+            up[node] = (0, 0.0)  # placeholder until its branch is read
+            while text[pos] in "(,":
+                pos += 1
+                child = clade()
+                end = min(text.index(c, pos) for c in ",)" if c in text[pos:])
+                up[child] = (node, float(text[pos + 1:end]))
+                pos = end
+            pos += 1  # ")"
+        else:
+            end = min(text.index(c, pos) for c in ":;,)" if c in text[pos:])
+            leaves[text[pos:end]] = node
+            pos = end
+        return node
+
+    root = clade()
+    assert text[pos:] == ";\n"
+
+    def ancestry(node: int) -> list[tuple[int, float]]:
+        chain = []
+        while node != root:
+            parent, length = up[node]
+            chain.append((node, length))
+            node = parent
+        return chain
+
+    out = {}
+    for a, na in leaves.items():
+        for b, nb in leaves.items():
+            chain_a, chain_b = ancestry(na), ancestry(nb)
+            common = {n for n, _ in chain_a} & {n for n, _ in chain_b}
+            path = [x for x in chain_a + chain_b if x[0] not in common]
+            out[a, b] = (sum(length for _, length in path), len(path))
+    return out
+
+
+class TestRenderForms:
+    """The text and Newick renderings of the Salish trees, in both modes."""
+
+    @pytest.fixture(params=[("a", "paper"), ("b", "paper"), ("a", "precise"),
+                            ("b", "precise")], ids=lambda p: "-".join(p))
+    def tree_file(self, request, capsys, tmp_path):
+        group, mode = request.param
+        run(capsys, "build", "--input", str(BUNDLED / f"salish_{group}.csv"),
+            "--mode", mode, "--outdir", str(tmp_path))
+        return tmp_path / "dendrogram.json"
+
+    def test_text_lists_every_node_and_edge_once(self, capsys, tree_file):
+        code, out, err = run(capsys, "render", "--tree", str(tree_file), "--format", "text")
+        assert code == 0 and err == ""
+        graph = cli.merger.segment_graph(model.deserialize(tree_file.read_text()))
+        lines = out.splitlines()
+        assert lines[0] == "segment graph"
+        nodes = [line.split()[1] for line in lines if line.startswith("  node ")]
+        assert sorted(nodes) == sorted(n.id for n in graph.nodes)
+        edges = [(words[0], words[1], words[3]) for words in map(str.split, lines)
+                 if len(words) == 7 and words[2] == "--"]
+        assert sorted(edges) == sorted((e.kind, e.a, e.b) for e in graph.edges)
+
+    def test_newick_path_sums_equal_restored_distances(self, capsys, tree_file):
+        code, out, err = run(capsys, "render", "--tree", str(tree_file),
+                             "--format", "newick-lossy")
+        assert code == 0
+        # The warning goes to stderr only; stdout is the one Newick line.
+        assert err == ("warning: newick output folds lateral widths into far branch "
+                       "lengths; chain structure is lost\n")
+        assert out.count("\n") == 1 and "warning" not in out
+        tree = model.deserialize(tree_file.read_text())
+        restored = model.restore_distance_matrix(tree)
+        half_unit = 0.5 if tree.mode == "paper" else 0.005  # of the printed digits
+        paths = newick_paths(out)
+        assert {a for a, _ in paths} == set(tree.languages.labels)
+        for (a, b), (length, branches) in paths.items():
+            assert abs(length - restored.value(a, b)) <= half_unit * branches + 1e-9
+
+
 class TestParser:
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

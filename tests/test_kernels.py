@@ -371,6 +371,28 @@ def test_chain_widths_on_depths_1e6_apart_in_random_order(seed):
     assert mg.chain_widths(graph) == oracles.chain_widths_nx(graph)
 
 
+def _scale_graph(case: str) -> mg.SegmentGraph:
+    kind, seed = case.rsplit("-", 1)
+    if kind == "caterpillar":
+        k = 512
+        m = oracles.sample_caterpillar(np.random.default_rng(int(seed)), k).distance_matrix()
+        dm = DistanceMatrix(LanguageSet(tuple(f"L{i:03d}" for i in range(k))), m)
+        return mg.segment_graph(bl.build(dm, mode="precise"))
+    return mg.segment_graph(bl.build(
+        ch.matrix_to_distances(random_percents(int(seed), 128), "paper"), mode="paper"))
+
+
+@pytest.mark.parametrize("case", ["caterpillar-0", "caterpillar-1", "paper-0", "paper-1",
+                                  "paper-2"])
+def test_chain_widths_match_networkx_at_scale(case):
+    # A k = 512 caterpillar opens an epoch at nearly every join; a paper-mode
+    # build's integer depths put many laterals in each of few epochs.
+    graph = _scale_graph(case)
+    runs = mg.chain_widths(graph)
+    assert len(runs) >= (400 if case.startswith("caterpillar") else 10)
+    assert runs == oracles.chain_widths_nx(graph)
+
+
 def test_chain_width_cases_include_multi_segment_and_tied_runs():
     synthetic = [mg.chain_widths(g) for name, g in GRAPHS if name.startswith("synthetic")]
     built = [mg.chain_widths(g) for name, g in GRAPHS if not name.startswith("synthetic")]

@@ -218,6 +218,39 @@ class TestSharedConsistency:
             mg.shared_consistency(tree_a, other)
 
 
+class TestWindowMerges:
+    """Two windows of one planted 9-leaf caterpillar, built separately.
+
+    A window's root is resolved by the final-link cross-check, but where the
+    other window's leaves go on, the same pair meets at an inner junction,
+    whose vertical/lateral split differs from the cross-check's: such pairs
+    are compared by distance only.  The graft then recovers every distance.
+    """
+
+    K = 9
+
+    @staticmethod
+    def window(distances, leaves):
+        labels = tuple(f"L{i}" for i in leaves)
+        return bl.build(DistanceMatrix(LanguageSet(labels), distances[np.ix_(leaves, leaves)]),
+                        mode="precise")
+
+    @pytest.mark.parametrize("shared", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_merge_predicts_every_missing_distance(self, seed, shared):
+        m = sample_caterpillar(np.random.default_rng(seed), self.K).distance_matrix()
+        end_a = (self.K + shared + 1) // 2
+        tree_a = self.window(m, list(range(end_a)))
+        tree_b = self.window(m, list(range(end_a - shared, self.K)))
+        graph = mg.merge(tree_a, tree_b, tolerance=1e-6)
+        assert any("cross-check in one dendrogram only" in n for n in graph.consistency.notes)
+        predictions = mg.predict_missing(graph, mg.cross_pairs(graph))
+        assert len(predictions) == (end_a - shared) * (self.K - end_a)
+        for p in predictions:
+            i, j = (int(label[1:]) for label in p.pair)
+            assert p.distance == pytest.approx(m[i, j], abs=1e-6)
+
+
 class TestMerge:
     def test_salish_fusion(self, tree_a, tree_b):
         graph = mg.merge(tree_a, tree_b)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -496,3 +497,77 @@ class TestTreeIndexOracle:
         for a, b in itertools.product(range(k), repeat=2):
             lowest = next(n for n in nodes[k:] if {a, b} <= set(naive_members(tree, n)))
             assert tree.lca_junction(a, b) == lowest
+
+    @settings(max_examples=60, deadline=None)
+    @given(dendrograms())
+    def test_first_query_walk_equals_naive_walk(self, tree):
+        # A fresh tree answers its first query by walking parent links.
+        k = len(tree.languages)
+        for a, b in itertools.product(range(k), repeat=2):
+            fresh = Dendrogram(tree.languages, tree.junctions)
+            lowest = next(n for n in range(k, 2 * k - 1)
+                          if {a, b} <= set(naive_members(tree, n)))
+            assert fresh.lca_junction(a, b) == lowest
+
+    @settings(max_examples=60, deadline=None)
+    @given(dendrograms())
+    def test_restore_equals_anchor_table_sums_bit_for_bit(self, tree):
+        restored = restore_distance_matrix(tree).values
+        assert restored.tobytes() == oracles.restore_by_anchor_tables(tree).tobytes()
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restore_of_builds_equals_anchor_table_sums_bit_for_bit(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        k = 40
+        upper = np.triu(rng.uniform(5, 95, size=(k, k)), 1)
+        values = upper + upper.T + np.diag(np.full(k, 100.0))
+        langs = LanguageSet(tuple(f"L{i}" for i in range(k)))
+        tree = builder.build(chronometry.matrix_to_distances(
+            model.CoincidenceMatrix(langs, values), mode), mode=mode)
+        restored = restore_distance_matrix(tree).values
+        assert restored.tobytes() == oracles.restore_by_anchor_tables(tree).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, 4), (4, 4)])
+    def test_first_query_rejects_leaf_ids_out_of_range(self, a, b):
+        # The walk from a negative id would never reach the root.
+        with pytest.raises(DomainError, match="leaf ids must lie in 0..3"):
+            salish_tree().lca_junction(a, b)
+
+
+class TestMeetingTableBuilds:
+    """The k x k meeting table is filled only for a tree asked more than once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        fill = Dendrogram.__dict__["_meeting"].func
+        counted = []
+
+        def meeting(self):
+            counted.append(self)
+            return fill(self)
+
+        prop = cached_property(meeting)
+        prop.__set_name__(Dendrogram, "_meeting")
+        monkeypatch.setattr(Dendrogram, "_meeting", prop)
+        return counted
+
+    def test_none_per_perturb(self, builds, salish_a):
+        report = refinement.perturb(salish_a, ("1", "4"), [4, -4], track=("1", "2"),
+                                    mode="paper")
+        assert len(report.rows) == 3
+        assert builds == []
+
+    def test_one_per_tree_per_merge(self, builds, salish_a, salish_b):
+        tree_a = builder.build(chronometry.matrix_to_distances(salish_a, "paper"), mode="paper")
+        tree_b = builder.build(chronometry.matrix_to_distances(salish_b, "paper"), mode="paper")
+        merger.merge(tree_a, tree_b)
+        assert len(builds) == 2
+        assert {id(t) for t in builds} == {id(tree_a), id(tree_b)}
+
+    def test_second_query_fills_the_table_once(self, builds):
+        tree = salish_tree()
+        assert tree.lca_junction(0, 1) == 6
+        assert builds == []
+        assert [tree.lca_junction(a, b) for a, b in ((2, 3), (1, 3), (1, 1))] == [4, 5, 5]
+        assert builds == [tree]

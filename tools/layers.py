@@ -1,0 +1,146 @@
+"""Per-layer timings at k = 16, 32, ..., 512, written to ``bench/BENCH_<commit>.json``.
+
+Usage, from the root of a source checkout::
+
+    python3 tools/layers.py [--max-k 512] [--repeat 7] [--outdir bench]
+
+``isolect`` is imported from the checkout's ``src/``.  Each layer is timed
+in this process, and the minimum of ``--repeat`` runs is kept: the host's
+noise only ever adds time.  Inputs are seeded chain trees from
+``perfbench/planted.py``, the generator of the benchmark's iterate-paper
+workload:
+
+- ``matrix_to_distances.whole``: paper mode on integer percents with
+  log-normal noise, the workload's table kind;
+- ``matrix_to_distances.distinct``: precise mode on the tree's exact
+  coincidences, all distinct floats;
+- ``chain_widths`` (on the tree's segment graph) and ``format_column``
+  (paper mode, the restored upper triangle) on the paper-mode build of the
+  whole table;
+- ``restore_distance_matrix``, as ``evaluate`` calls it, and
+  ``meeting_junction.first``, the one query ``perturb`` asks of each
+  rebuild, each on a fresh ``Dendrogram`` over that build's junctions, so
+  what a tree caches is built inside the timing.
+
+The file records the commit (``git rev-parse --short HEAD``, with
+``dirty`` set when ``src/`` differs from it), the Python and numpy
+versions, the seconds per layer and size, and each layer's log-log slope
+over the sizes measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import planted  # noqa: E402
+from isolect import builder, chronometry, cli, merger, model  # noqa: E402
+
+SEED = 0
+
+
+def best_of(repeat: int, fn) -> float:
+    """The shortest of ``repeat`` wall times of ``fn()``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def layer_times(k: int, repeat: int) -> dict[str, float]:
+    """Seconds per call of each layer at size ``k``."""
+    rng = np.random.default_rng(SEED)
+    tree = planted.chain_tree(rng, k)
+    languages = model.LanguageSet(tree.labels)
+    whole = model.CoincidenceMatrix(languages, planted.noisy_percent(rng, tree.distances))
+    distinct = model.CoincidenceMatrix(languages, 100.0 * np.exp(-tree.distances / 100.0))
+    built = builder.build(chronometry.matrix_to_distances(whole, "paper"), mode="paper")
+    graph = merger.segment_graph(built)
+    upper = model.restore_distance_matrix(built).values[np.triu_indices(k, 1)]
+    a, b = tree.labels[0], tree.labels[-1]
+
+    def fresh():
+        """Fresh copies of the build, one per run: a tree caches what it derives."""
+        return iter([model.Dendrogram(languages, built.junctions, mode="paper")
+                     for _ in range(repeat)])
+
+    to_query, to_restore = fresh(), fresh()
+    return {
+        "matrix_to_distances.whole":
+            best_of(repeat, lambda: chronometry.matrix_to_distances(whole, "paper")),
+        "matrix_to_distances.distinct":
+            best_of(repeat, lambda: chronometry.matrix_to_distances(distinct, "precise")),
+        "restore_distance_matrix":
+            best_of(repeat, lambda: model.restore_distance_matrix(next(to_restore))),
+        "meeting_junction.first":
+            best_of(repeat, lambda: next(to_query).meeting_junction(a, b)),
+        "chain_widths": best_of(repeat, lambda: merger.chain_widths(graph)),
+        "format_column": best_of(repeat, lambda: list(cli.format_column(upper, "paper"))),
+    }
+
+
+def git(*args: str) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+
+
+def slope(sizes: list[int], seconds: list[float]) -> float | None:
+    """Least-squares slope of log(seconds) against log(k); None for one size."""
+    if len(sizes) < 2:
+        return None
+    return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-k", type=int, default=512)
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--outdir", type=Path, default=ROOT / "bench")
+    args = parser.parse_args(argv)
+    if args.max_k < 16 or args.repeat < 1:
+        parser.error("--max-k must be >= 16 and --repeat >= 1")
+    sizes = [16]
+    while sizes[-1] * 2 <= args.max_k:
+        sizes.append(sizes[-1] * 2)
+    seconds: dict[str, list[float]] = {}
+    for k in sizes:
+        for name, value in layer_times(k, args.repeat).items():
+            seconds.setdefault(name, []).append(value)
+        print(f"k = {k}: done", file=sys.stderr)
+    commit = git("rev-parse", "--short", "HEAD") or "unknown"
+    doc = {
+        "commit": commit,
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "seed": SEED,
+        "repeat": args.repeat,
+        "sizes": sizes,
+        "seconds": {name: dict(zip(map(str, sizes), values))
+                    for name, values in seconds.items()},
+        "slope": {name: slope(sizes, values) for name, values in seconds.items()},
+    }
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    path = args.outdir / f"BENCH_{commit}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
