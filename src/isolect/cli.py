@@ -23,7 +23,7 @@ import numpy as np
 
 from . import builder, chronometry, merger, model, refinement
 from .errors import ConsistencyError, DomainError, InputError, IsolectError, ParseError
-from .modes import MODES, PAPER, PRECISE
+from .modes import MODES, PAPER
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,20 +75,34 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-# -- matrix CSV --------------------------------------------------------------
+def _csv_text(header: list[str], rows) -> str:
+    """A CSV document: the header row, then ``rows``, each line ending in LF."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
-def _csv_rows(path) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file; undecodable bytes are reported by line."""
+# -- input files and matrix CSV ----------------------------------------------
+
+
+def _read_text(path) -> str:
+    """A UTF-8 input file's text; undecodable bytes are reported by line."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError("file is not UTF-8 text", f"{path}:{line}") from None
+
+
+def _csv_rows(path) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file."""
+    text = _read_text(path)
     lines = text.split("\n")
     if lines[-1] == "":  # the final newline, or an empty file
         lines.pop()
@@ -188,20 +202,12 @@ def read_matrix_csv(path, kind: str):
 
 def matrix_to_csv(matrix, mode: str) -> str:
     labels = matrix.languages.labels
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    for i, label in enumerate(labels):
-        cells = [label]
-        for j in range(len(labels)):
-            if i == j:
-                cells.append("-")
-            elif np.isnan(matrix.values[i, j]):
-                cells.append("")
-            else:
-                cells.append(format_number(matrix.values[i, j], mode))
-        writer.writerow(cells)
-    return out.getvalue()
+    rows = (
+        [label] + ["-" if i == j else "" if np.isnan(v) else format_number(v, mode)
+                   for j, v in enumerate(matrix.values[i])]
+        for i, label in enumerate(labels)
+    )
+    return _csv_text([""] + list(labels), rows)
 
 
 # -- naming and reports ------------------------------------------------------
@@ -382,13 +388,10 @@ def render_newick_lossy(dendrogram: model.Dendrogram, mode: str) -> str:
     Leaf-to-leaf path lengths are preserved; the vertical/lateral split is
     not representable in Newick and is lost.
     """
-    k = len(dendrogram.languages)
     anchor = dendrogram.anchor_depth
-
-    def emit(node_id: int) -> str:
-        if node_id < k:
-            return _quote_newick(dendrogram.languages.labels[node_id])
-        jn = dendrogram.junction_at(node_id)
+    # Each node's text, by node id: a junction's children come before it.
+    texts = [_quote_newick(label) for label in dendrogram.languages.labels]
+    for jn in dendrogram.junctions:
         if jn.status == model.UNRESOLVED:
             # Split the fixed total so the two displayed branches sum to it
             # exactly even after integer-mode formatting.
@@ -399,12 +402,11 @@ def render_newick_lossy(dendrogram: model.Dendrogram, mode: str) -> str:
         else:
             near_len = jn.depth - anchor(jn.near)
             far_len = (jn.depth - anchor(jn.far)) + jn.lateral
-        return (
-            f"({emit(jn.near)}:{format_number(near_len, mode)},"
-            f"{emit(jn.far)}:{format_number(far_len, mode)})"
+        texts.append(
+            f"({texts[jn.near]}:{format_number(near_len, mode)},"
+            f"{texts[jn.far]}:{format_number(far_len, mode)})"
         )
-
-    return emit(dendrogram.root_id()) + ";\n"
+    return texts[-1] + ";\n"
 
 
 # -- commands ----------------------------------------------------------------
@@ -464,11 +466,6 @@ def cmd_build(args) -> int:
     distances = read_matrix_csv(args.input, args.kind)
     if args.kind == "coincidence":
         distances = chronometry.matrix_to_distances(distances, mode)
-    if not distances.is_complete():
-        raise InputError(
-            "input matrix has absent entries; build requires a complete "
-            "matrix -- build per subsystem and combine with 'isolect merge'"
-        )
     weights_arg = _load_weights_arg(args.weights, distances.languages)
     trace = None
     if weights_arg == "iterate":
@@ -505,8 +502,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        dendrogram = model.deserialize(fh.read())
+    dendrogram = model.deserialize(_read_text(args.tree))
     mode = dendrogram.mode
     if args.kind == "coincidence":
         measured = chronometry.matrix_to_distances(
@@ -516,15 +512,12 @@ def cmd_evaluate(args) -> int:
         measured = read_matrix_csv(args.input, "distance")
     report = refinement.evaluate(dendrogram, measured)
     labels = report.languages.labels
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["language_a", "language_b", "measured", "restored", "residual"])
     order = [measured.languages.index(lab) for lab in labels]
     rows, cols = np.triu_indices(len(labels), 1)
     aligned = measured.values[np.ix_(order, order)][rows, cols]
     observed = ~np.isnan(aligned)
     rows, cols = rows[observed], cols[observed]
-    writer.writerows(zip(
+    text = _csv_text(["language_a", "language_b", "measured", "restored", "residual"], zip(
         map(labels.__getitem__, rows.tolist()),
         map(labels.__getitem__, cols.tolist()),
         format_column(aligned[observed], mode),
@@ -534,7 +527,7 @@ def cmd_evaluate(args) -> int:
     weights = refinement.weights_from_dispersions(
         report.languages, report.dispersions, mode
     )
-    atomic_write(Path(args.output), out.getvalue())
+    atomic_write(Path(args.output), text)
     print(f"evaluation written to {args.output}")
     print(f"max |residual|: {format_number(report.max_abs_residual(), mode)}")
     print("dispersions (low to high) and derived weights:")
@@ -551,10 +544,8 @@ def cmd_evaluate(args) -> int:
 def cmd_merge(args) -> int:
     if not (0 < args.tolerance < math.inf):
         raise InputError("--tolerance must be a finite number > 0")
-    with open(args.a, "r", encoding="utf-8") as fh:
-        tree_a = model.deserialize(fh.read())
-    with open(args.b, "r", encoding="utf-8") as fh:
-        tree_b = model.deserialize(fh.read())
+    tree_a = model.deserialize(_read_text(args.a))
+    tree_b = model.deserialize(_read_text(args.b))
     mode = tree_a.mode
     try:
         graph = merger.merge(tree_a, tree_b, tolerance=args.tolerance)
@@ -568,27 +559,16 @@ def cmd_merge(args) -> int:
     outdir = Path(args.outdir)
     predictions = merger.predict_missing(graph, merger.cross_pairs(graph))
     atomic_write(outdir / "merged.json", merger.serialize_graph(graph))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["language_a", "language_b", "svodesh", "coincidence",
-                     "below_threshold"])
-    for pred in predictions:
-        writer.writerow([
-            pred.pair[0], pred.pair[1],
-            format_number(pred.distance, mode),
-            format_number(pred.coincidence, mode),
-            "yes" if pred.below_threshold else "no",
-        ])
-    atomic_write(outdir / "predictions.csv", out.getvalue())
+    rows = [(*pred.pair, format_number(pred.distance, mode),
+             format_number(pred.coincidence, mode), "yes" if pred.below_threshold else "no")
+            for pred in predictions]
+    atomic_write(outdir / "predictions.csv", _csv_text(
+        ["language_a", "language_b", "svodesh", "coincidence", "below_threshold"], rows))
     print(f"merged graph written to {outdir / 'merged.json'}")
     print(f"{len(predictions)} predictions written to {outdir / 'predictions.csv'}")
-    for pred in predictions:
-        flag = "  (below reliability threshold)" if pred.below_threshold else ""
-        print(
-            f"  {pred.pair[0]}-{pred.pair[1]}: "
-            f"{format_number(pred.distance, mode)} svodesh -> "
-            f"{format_number(pred.coincidence, mode)}%{flag}"
-        )
+    for a, b, distance, coincidence, below in rows:
+        flag = "  (below reliability threshold)" if below == "yes" else ""
+        print(f"  {a}-{b}: {distance} svodesh -> {coincidence}%{flag}")
     return EXIT_OK
 
 
@@ -597,17 +577,12 @@ def _print_consistency(report: merger.ConsistencyReport, mode: str) -> None:
         f"shared-structure deviations (tolerance {report.tolerance}, "
         f"max {report.max_deviation}):"
     ]
-    # Each number as format_number writes it, the format chosen once per table.
     rows = report.rows
-    if mode == PAPER:
-        # round() is format_number's paper rounding of a finite value; a table
-        # with inf or nan in it goes through format_number cell by cell.
-        finite = math.isfinite(sum(v for row in rows for v in row[2:]))
-        cell = round if finite else functools.partial(format_number, mode=PAPER)
-        rows = [(kind, pair, cell(va), cell(vb), cell(dev))
-                for kind, pair, va, vb, dev in rows]
+    if mode == PAPER:  # the paper's tables are small: cell by cell
+        rows = [(kind, pair, *(format_number(v, PAPER) for v in values))
+                for kind, pair, *values in rows]
         line = "  %-8s %s-%s: %s vs %s (deviation %s)"
-    else:
+    else:  # format_number's precise form, one template per row
         line = "  %-8s %s-%s: %.2f vs %.2f (deviation %.2f)"
     lines.extend(line % (kind, x, y, va, vb, dev) for kind, (x, y), va, vb, dev in rows)
     lines.extend(f"  note: {note}" for note in report.notes)
@@ -645,8 +620,7 @@ def cmd_time(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.tree)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError):  # rejected again by the reader below
@@ -708,6 +682,10 @@ def make_parser() -> argparse.ArgumentParser:
             help="arithmetic mode (default: SVODESH_MODE env var, else paper)",
         )
 
+    def add_external_means(p):
+        p.add_argument("--external-means", choices=builder.EXTERNAL_MEANS,
+                       default="weighted")
+
     p = sub.add_parser("convert", help="convert a matrix between percent and svodesh")
     p.add_argument("--input", required=True, help="matrix CSV")
     p.add_argument("--direction", choices=("to-svodesh", "to-coincidence"),
@@ -722,8 +700,7 @@ def make_parser() -> argparse.ArgumentParser:
                    default="coincidence", help="what the input cells hold")
     p.add_argument("--weights", default="unit",
                    help="'unit', 'iterate', or a language,weight CSV")
-    p.add_argument("--external-means", choices=builder.EXTERNAL_MEANS,
-                   default="weighted", dest="external_means")
+    add_external_means(p)
     p.add_argument("--resolve-tolerance", type=float,
                    default=builder.DEFAULT_RESOLVE_TOLERANCE,
                    dest="resolve_tolerance",
@@ -758,8 +735,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="percentage delta (repeatable)")
     p.add_argument("--track", default=None,
                    help="pair whose junction to report (default: --pair)")
-    p.add_argument("--external-means", choices=builder.EXTERNAL_MEANS,
-                   default="weighted", dest="external_means")
+    add_external_means(p)
     add_mode(p)
     p.set_defaults(func=cmd_perturb)
 

@@ -121,6 +121,8 @@ class SegmentGraph:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise DomainError("segment graph node ids must be unique")
+        if len(self._leaf_nodes) != len(self.leaves()):
+            raise DomainError("segment graph leaf labels must be unique")
         if len(self.edges) != max(len(ids) - 1, 0):
             raise DomainError(f"segment graph must be a tree: {len(ids)} nodes, "
                               f"{len(self.edges)} edges")
@@ -141,8 +143,8 @@ class SegmentGraph:
 
     @cached_property
     def _leaf_nodes(self) -> dict[str, str]:
-        """Leaf label -> id of the first node carrying it."""
-        return {n.leaf: n.id for n in reversed(self.nodes) if n.leaf is not None}
+        """Leaf label -> id of the node carrying it."""
+        return {n.leaf: n.id for n in self.nodes if n.leaf is not None}
 
     @cached_property
     def _adjacency(self) -> dict[str, dict[str, float]]:

@@ -387,13 +387,17 @@ class Dendrogram:
         later query by lookup, so a tree asked once never builds the table.
         """
         try:
+            if a < 0 or b < 0:  # numpy would wrap a negative id
+                raise IndexError
             node = int(self.__dict__["_meeting"][a, b])
+        except IndexError:  # an id out of range, which the walk rejects
+            node = self._walk_to_meeting(a, b)
         except KeyError:  # no table yet
             if "_queried" in self.__dict__:
-                node = int(self._meeting[a, b])
-            else:
-                self.__dict__["_queried"] = True  # frozen: write past __setattr__
-                node = self._walk_to_meeting(a, b)
+                _ = self._meeting  # the second query fills the table
+                return self.lca_junction(a, b)
+            self.__dict__["_queried"] = True  # frozen: write past __setattr__
+            node = self._walk_to_meeting(a, b)
         if node < 0:
             raise DomainError("leaves do not share a junction")
         return node

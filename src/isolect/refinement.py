@@ -27,6 +27,7 @@ from .modes import PAPER, PRECISE, check_mode, quantize_array
 DISPERSION_FLOOR = 0.5  # svodesh^2; keeps weights finite on perfect fits
 WEIGHT_MEAN = 10.0
 WEIGHT_CHANGE_TOL = 0.05  # relative; iterate_build stops below it
+MAX_PASSES = 3  # iterate_build stops after at most this many builds
 
 
 @dataclass(frozen=True)
@@ -173,23 +174,20 @@ def weights_from_dispersions(
 
 def iterate_build(
     measured: DistanceMatrix,
-    max_passes: int = 3,
     mode: str = PRECISE,
     external_means: str = "weighted",
 ) -> IterationTrace:
     """Build, evaluate, reweight, repeat.
 
     Pass 1 is unweighted; each subsequent pass uses inverse-dispersion
-    weights from the previous evaluation.  Stops at ``max_passes`` or when
+    weights from the previous evaluation.  Stops at ``MAX_PASSES`` or when
     the maximum relative weight change drops below ``WEIGHT_CHANGE_TOL``.
     """
-    if max_passes < 1:
-        raise DomainError("max_passes must be >= 1")
     langs = measured.languages
     weights = WeightVector.unit(langs)
     passes: list[BuildPass] = []
     change: float | None = None
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         dendrogram = builder.build(
             measured, weights, mode=mode, external_means=external_means
         )

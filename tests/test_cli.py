@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from isolect import cli, model
 from isolect.cli import main
 
@@ -136,12 +139,14 @@ class TestBuild:
     def test_absent_entries_exit_one_with_merge_hint(self, capsys, tmp_path):
         src = tmp_path / "gap.csv"
         src.write_text(",a,b,c\na,-,50,\nb,50,-,40\nc,,40,-\n")
-        code, _, err = run(
-            capsys, "build", "--input", str(src), "--mode", "paper",
-            "--outdir", str(tmp_path),
-        )
-        assert code == 1
-        assert "merge" in err
+        for weights in ("unit", "iterate"):
+            code, out, err = run(
+                capsys, "build", "--input", str(src), "--mode", "paper",
+                "--weights", weights, "--outdir", str(tmp_path / "out"),
+            )
+            assert code == 1
+            assert "merge" in err and err.count("\n") == 1
+            assert out == "" and not (tmp_path / "out").exists()
 
     def test_strict_escalates_clamp_flags(self, capsys, tmp_path):
         src = tmp_path / "clamped.csv"
@@ -701,8 +706,6 @@ class TestRender:
         )
         assert code == 0
         # ((5:25,6:29):M,(1:19,2:54):N) with M + N == the unresolved total.
-        import re
-
         tree = model.deserialize((tmp_path / "dendrogram.json").read_text())
         total = tree.junctions[-1].total_length
         stem_lengths = [int(m) for m in re.findall(r"\):(\d+)", out)]
@@ -851,50 +854,69 @@ class TestRender:
         assert "unresolved" in out and "85" in out
 
 
-def newick_paths(text: str) -> dict[tuple[str, str], tuple[float, int]]:
+def newick_paths(text: str, pairs=None) -> dict[tuple[str, str], tuple[float, int]]:
     """Leaf pair -> (summed branch length, branch count) of a Newick tree
-    with plain labels and a length on every branch below the root."""
-    pos = 0
-    up: dict[int, tuple[int, float]] = {}  # node -> (parent, branch length)
+    with plain labels and a length on every branch below the root, for
+    every pair of leaves or only for ``pairs``.  Read without recursion."""
+    assert text.endswith(";\n") and text.count("\n") == 1
+    up: dict[int, int] = {}  # node -> parent, the root absent
+    length: dict[int, float] = {}  # node -> its branch's length
     leaves: dict[str, int] = {}
-
-    def clade() -> int:
-        nonlocal pos
-        node = len(up) + len(leaves) + 1
-        if text[pos] == "(":
-            up[node] = (0, 0.0)  # placeholder until its branch is read
-            while text[pos] in "(,":
-                pos += 1
-                child = clade()
-                end = min(text.index(c, pos) for c in ",)" if c in text[pos:])
-                up[child] = (node, float(text[pos + 1:end]))
-                pos = end
-            pos += 1  # ")"
-        else:
-            end = min(text.index(c, pos) for c in ":;,)" if c in text[pos:])
-            leaves[text[pos:end]] = node
-            pos = end
-        return node
-
-    root = clade()
-    assert text[pos:] == ";\n"
+    open_clades: list[int] = []
+    node = count = 0
+    for token in re.findall(r"[(),]|:[^(),]+|[^(),:]+", text[:-2]):
+        if token == ")":
+            node = open_clades.pop()
+        elif token.startswith(":"):
+            length[node] = float(token[1:])
+        elif token != ",":  # a clade opens, or a leaf
+            node = count = count + 1
+            if open_clades:
+                up[node] = open_clades[-1]
+            if token == "(":
+                open_clades.append(node)
+            else:
+                leaves[token] = node
+    assert not open_clades
 
     def ancestry(node: int) -> list[tuple[int, float]]:
         chain = []
-        while node != root:
-            parent, length = up[node]
-            chain.append((node, length))
-            node = parent
+        while node in up:
+            chain.append((node, length[node]))
+            node = up[node]
         return chain
 
     out = {}
-    for a, na in leaves.items():
-        for b, nb in leaves.items():
-            chain_a, chain_b = ancestry(na), ancestry(nb)
-            common = {n for n, _ in chain_a} & {n for n, _ in chain_b}
-            path = [x for x in chain_a + chain_b if x[0] not in common]
-            out[a, b] = (sum(length for _, length in path), len(path))
+    for a, b in pairs or itertools.product(leaves, repeat=2):
+        chain_a, chain_b = ancestry(leaves[a]), ancestry(leaves[b])
+        common = {n for n, _ in chain_a} & {n for n, _ in chain_b}
+        path = [x for x in chain_a + chain_b if x[0] not in common]
+        out[a, b] = (sum(branch for _, branch in path), len(path))
     return out
+
+
+def test_deep_caterpillar_renders_in_every_format(capsys, tmp_path):
+    # Deep enough that a recursive walk from the root would exceed
+    # Python's default recursion limit.
+    k = 1010
+    dist = oracles.sample_caterpillar(np.random.default_rng(0), k).distance_matrix()
+    labels = [f"L{i:04d}" for i in range(k)]
+    src = tmp_path / "caterpillar.csv"
+    src.write_text("\n".join([",".join(["", *labels])] + [
+        ",".join([label, *("-" if i == j else repr(d) for j, d in enumerate(row))])
+        for i, (label, row) in enumerate(zip(labels, dist.tolist()))]) + "\n")
+    code, _, err = run(capsys, "build", "--input", str(src), "--kind", "distance",
+                       "--mode", "precise", "--outdir", str(tmp_path))
+    assert code == 0, err
+    tree_file = tmp_path / "dendrogram.json"
+    for fmt in ("dot", "text", "newick-lossy"):
+        code, out, _ = run(capsys, "render", "--tree", str(tree_file), "--format", fmt)
+        assert code == 0
+    restored = model.restore_distance_matrix(model.deserialize(tree_file.read_text()))
+    pairs = [(labels[0], labels[1]), (labels[0], labels[-1]), (labels[1], labels[k // 2]),
+             (labels[k // 2], labels[-1])]
+    for (a, b), (length, branches) in newick_paths(out, pairs).items():
+        assert abs(length - restored.value(a, b)) <= 0.005 * branches + 1e-9
 
 
 class TestRenderForms:

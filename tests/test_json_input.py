@@ -145,3 +145,36 @@ def test_text_python_cannot_decode(documents, tmp_path, what):
     text = text.replace('"depth": 14', '"depth": ' + spelled, 1)
     assert spelled in text
     _check_every_reader(documents, text, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["a/dendrogram.json", "m/merged.json"])
+@pytest.mark.parametrize("reader", ["evaluate", "merge-a", "merge-b", "render"])
+def test_byte_beyond_utf8_is_one_located_line(documents, tmp_path, name, reader):
+    lines = (documents / name).read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\n".join(lines))
+    other = str(documents / "b" / "dendrogram.json")
+    argv = {
+        "evaluate": ["evaluate", "--tree", str(bad), "--input", str(BUNDLED / "salish_a.csv"),
+                     "--output", str(tmp_path / "evaluation.csv")],
+        "merge-a": ["merge", "--a", str(bad), "--b", other, "--outdir", str(tmp_path)],
+        "merge-b": ["merge", "--a", other, "--b", str(bad), "--outdir", str(tmp_path)],
+        "render": ["render", "--tree", str(bad), "--format", "text"],
+    }[reader]
+    assert _run(argv) == (cli.EXIT_INPUT, f"error: file is not UTF-8 text (at {bad}:3)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_segment_graph_repeating_a_leaf_label_is_rejected(documents, tmp_path):
+    # Node 2 carries leaf 1 too; the lists of leaves agree with the nodes.
+    doc = _load(documents, "m/merged.json")
+    doc["nodes"][1]["leaf"] = doc["languages"][1]["name"] = "1"
+    for key in ("leaves_a", "leaves_b"):
+        doc[key].remove("2")
+    mutated = tmp_path / "merged.json"
+    mutated.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    for fmt in ("dot", "text", "newick-lossy"):
+        assert _run(["render", "--tree", str(mutated), "--format", fmt]) == (
+            cli.EXIT_INPUT,
+            "error: bad segment-graph payload: segment graph leaf labels must be unique\n")

@@ -528,11 +528,18 @@ class TestTreeIndexOracle:
         restored = restore_distance_matrix(tree).values
         assert restored.tobytes() == oracles.restore_by_anchor_tables(tree).tobytes()
 
-    @pytest.mark.parametrize("a, b", [(-1, 0), (0, 4), (4, 4)])
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, 4), (4, 4), (0, -1)])
     def test_first_query_rejects_leaf_ids_out_of_range(self, a, b):
-        # The walk from a negative id would never reach the root.
-        with pytest.raises(DomainError, match="leaf ids must lie in 0..3"):
-            salish_tree().lca_junction(a, b)
+        # The walk from a negative id would never reach the root, and the
+        # k x k table of a tree asked twice would wrap it to the last leaf.
+        fresh, tabled = salish_tree(), salish_tree()
+        for _ in range(2):  # the second query fills the table
+            tabled.lca_junction(0, 1)
+        assert "_meeting" not in fresh.__dict__ and "_meeting" in tabled.__dict__
+        for tree in (fresh, tabled):
+            with pytest.raises(DomainError, match="leaf ids must lie in 0..3"):
+                tree.lca_junction(a, b)
+            assert tree.lca_junction(2, 3) == 4  # the tree still answers
 
 
 class TestMeetingTableBuilds:

@@ -163,7 +163,7 @@ class TestIterateBuild:
 
     def test_tree_metric_input_stable_thereafter(self):
         dm = planted_matrix(seed=77, k=6)
-        trace = rf.iterate_build(dm, mode="precise", max_passes=4)
+        trace = rf.iterate_build(dm, mode="precise")
         first = restore_distance_matrix(trace.passes[0].dendrogram)
         for rec in trace.passes[1:]:
             again = restore_distance_matrix(rec.dendrogram)

@@ -14,13 +14,16 @@ workload:
   log-normal noise, the workload's table kind;
 - ``matrix_to_distances.distinct``: precise mode on the tree's exact
   coincidences, all distinct floats;
-- ``chain_widths`` (on the tree's segment graph) and ``format_column``
-  (paper mode, the restored upper triangle) on the paper-mode build of the
-  whole table;
+- ``chain_widths`` (on the tree's segment graph), ``format_column``
+  (paper mode, the restored upper triangle) and ``render_newick_lossy`` on
+  the paper-mode build of the whole table;
 - ``restore_distance_matrix``, as ``evaluate`` calls it, and
   ``meeting_junction.first``, the one query ``perturb`` asks of each
   rebuild, each on a fresh ``Dendrogram`` over that build's junctions, so
-  what a tree caches is built inside the timing.
+  what a tree caches is built inside the timing;
+- ``lca_junction.table``, one leaf-pair query on a tree that already holds
+  its k x k meeting table, as ``leaf_distance`` and ``shared_consistency``
+  ask it.
 
 The file records the commit (``git rev-parse --short HEAD``, with
 ``dirty`` set when ``src/`` differs from it), the Python and numpy
@@ -77,6 +80,9 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
                      for _ in range(repeat)])
 
     to_query, to_restore = fresh(), fresh()
+    tabled = model.Dendrogram(languages, built.junctions, mode="paper")
+    for _ in range(2):  # the second query fills the k x k table
+        tabled.lca_junction(0, 1)
     return {
         "matrix_to_distances.whole":
             best_of(repeat, lambda: chronometry.matrix_to_distances(whole, "paper")),
@@ -88,6 +94,8 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
             best_of(repeat, lambda: next(to_query).meeting_junction(a, b)),
         "chain_widths": best_of(repeat, lambda: merger.chain_widths(graph)),
         "format_column": best_of(repeat, lambda: list(cli.format_column(upper, "paper"))),
+        "render_newick_lossy": best_of(repeat, lambda: cli.render_newick_lossy(built, "paper")),
+        "lca_junction.table": best_of(repeat, lambda: tabled.lca_junction(0, k - 1)),
     }
 
 
