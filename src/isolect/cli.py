@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -470,7 +469,8 @@ def cmd_build(args) -> int:
     trace = None
     if weights_arg == "iterate":
         trace = refinement.iterate_build(
-            distances, mode=mode, external_means=args.external_means
+            distances, mode=mode, external_means=args.external_means,
+            resolve_tolerance=args.resolve_tolerance,
         )
         dendrogram = trace.final
         weights_source = "iterate"
@@ -620,21 +620,15 @@ def cmd_time(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = _read_text(args.tree)
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):  # rejected again by the reader below
-        doc = None
-    # Anything but a segment-graph object is read, and rejected, as a dendrogram.
-    kind = doc.get("kind", "dendrogram") if isinstance(doc, dict) else "dendrogram"
-    if kind == "segment-graph":
-        graph = merger.deserialize_graph(text)
-        mode = graph.mode
+    doc = model.load_document(_read_text(args.tree))
+    # Any other kind is read, and rejected, as a dendrogram.
+    if doc.get("kind") == "segment-graph":
+        graph = merger.read_graph(doc)
         dendrogram = None
     else:
-        dendrogram = model.deserialize(text)
-        mode = dendrogram.mode
+        dendrogram = model.read_dendrogram(doc)
         graph = merger.segment_graph(dendrogram)
+    mode = graph.mode
     if args.format == "dot":
         sys.stdout.write(render_dot(graph, mode))
     elif args.format == "text":

@@ -32,12 +32,14 @@ from .model import (
     Dendrogram,
     leaf_distance,
     load_document,
-    _expect,
+    _expect_kind,
     _expect_mode,
     _expect_number,
     _expect_string,
     _json_list,
     _json_number,
+    _languages,
+    _objects,
 )
 from .modes import PRECISE, check_mode, quantize
 
@@ -558,76 +560,66 @@ def _leaf_names(doc: dict, key: str, leaves: set[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_languages(doc: dict, nodes: list[SegmentNode]) -> None:
-    """``languages`` must list the leaf nodes in node order with their
-    depths, as ``serialize_graph`` writes it."""
-    leaves = [n for n in nodes if n.leaf is not None]
-    entries = _expect(doc, "languages", "languages")
-    if not isinstance(entries, list):
-        raise ParseError("languages must be a list of the leaf nodes", "languages")
-    for i, entry in enumerate(entries):
-        location = f"languages[{i}]"
-        if i == len(leaves):
-            raise ParseError(f"more languages than the {len(leaves)} leaf nodes", location)
-        if not isinstance(entry, dict):
-            raise ParseError("language entry must be an object", location)
-        name = _expect_string(entry, "name", location)
-        depth = _expect_number(entry, "depth", location, default=0.0)
-        if name != leaves[i].leaf or depth != leaves[i].depth:
-            raise ParseError(
-                f"must name leaf {leaves[i].leaf!r} at depth "
-                f"{_json_number(leaves[i].depth)}, as the nodes do", location)
-    if len(entries) < len(leaves):
-        raise ParseError(
-            f"languages lists {len(entries)} of the {len(leaves)} leaf nodes", "languages")
-
-
 def deserialize_graph(text: str) -> SegmentGraph:
-    """Parse a segment-graph document; every edge must join declared nodes,
-    each pair of nodes at most once, and ``languages`` must list the leaf
-    nodes.  An absent ``mode`` is precise."""
-    doc = load_document(text, "segment-graph")
+    """Parse a segment-graph document (see ``read_graph``)."""
+    return read_graph(load_document(text))
+
+
+def read_graph(doc: dict) -> SegmentGraph:
+    """The segment graph of a decoded document (see ``load_document``); every
+    edge must join declared nodes, each pair at most once, and ``languages``
+    must list the leaf nodes as ``serialize_graph`` writes them.  An absent
+    ``mode`` is precise."""
+    _expect_kind(doc, "segment-graph")
     mode = _expect_mode(doc, PRECISE)
-    location = None
-    try:
-        nodes, ids = [], set()
-        for i, n in enumerate(doc["nodes"]):
-            location = f"nodes[{i}]"
-            if not isinstance(n, dict):
-                raise ParseError("node must be an object", location)
-            leaf = n.get("leaf")
-            if not (leaf is None or isinstance(leaf, str)):
-                raise ParseError("leaf must be a string or null", f"{location}.leaf")
-            nodes.append(SegmentNode(_expect_string(n, "id", location),
-                                     _expect_number(n, "depth", location), leaf))
-            ids.add(nodes[-1].id)
-        edges, pairs = [], set()
-        for i, e in enumerate(doc["edges"]):
-            location = f"edges[{i}]"
-            if not isinstance(e, dict):
-                raise ParseError("edge must be an object", location)
+    nodes, ids = [], set()
+    for location, n in _objects(doc, "nodes", "node"):
+        leaf = n.get("leaf")
+        if not (leaf is None or isinstance(leaf, str)):
+            raise ParseError("leaf must be a string or null", f"{location}.leaf")
+        nodes.append(SegmentNode(_expect_string(n, "id", location),
+                                 _expect_number(n, "depth", location), leaf))
+        ids.add(nodes[-1].id)
+    edges, pairs = [], set()
+    for location, e in _objects(doc, "edges", "edge"):
+        try:
             edge = SegmentEdge(
                 _expect_string(e, "a", location), _expect_string(e, "b", location),
                 _expect_number(e, "length", location),
                 _expect_string(e, "kind", location, EDGE_KINDS),
                 _expect_string(e, "provenance", location, PROVENANCES, default=PROV_A),
             )
-            for end, node in (("a", edge.a), ("b", edge.b)):
-                if node not in ids:
-                    raise ParseError(f"edge names undeclared node {node!r}",
-                                     f"{location}.{end}")
-            pair = frozenset((edge.a, edge.b))
-            if pair in pairs:
-                raise ParseError(f"edge {edge.a!r}-{edge.b!r} is listed twice", location)
-            pairs.add(pair)
-            edges.append(edge)
-        location = None
-        _check_languages(doc, nodes)
-        leaves = {n.leaf for n in nodes if n.leaf is not None}
+        except DomainError as exc:
+            raise ParseError(f"bad segment-graph payload: {exc}", location) from None
+        for end, node in (("a", edge.a), ("b", edge.b)):
+            if node not in ids:
+                raise ParseError(f"edge names undeclared node {node!r}",
+                                 f"{location}.{end}")
+        pair = frozenset((edge.a, edge.b))
+        if pair in pairs:
+            raise ParseError(f"edge {edge.a!r}-{edge.b!r} is listed twice", location)
+        pairs.add(pair)
+        edges.append(edge)
+    leaves = [n for n in nodes if n.leaf is not None]
+    count = 0
+    for count, (location, name, depth) in enumerate(
+            _languages(doc, "a list of the leaf nodes"), 1):
+        if count > len(leaves):
+            raise ParseError(f"more languages than the {len(leaves)} leaf nodes", location)
+        leaf = leaves[count - 1]
+        if name != leaf.leaf or depth != leaf.depth:
+            raise ParseError(
+                f"must name leaf {leaf.leaf!r} at depth "
+                f"{_json_number(leaf.depth)}, as the nodes do", location)
+    if count < len(leaves):
+        raise ParseError(
+            f"languages lists {count} of the {len(leaves)} leaf nodes", "languages")
+    labels = {n.leaf for n in leaves}
+    try:
         return SegmentGraph(
             tuple(nodes), tuple(edges),
-            _leaf_names(doc, "leaves_a", leaves), _leaf_names(doc, "leaves_b", leaves),
+            _leaf_names(doc, "leaves_a", labels), _leaf_names(doc, "leaves_b", labels),
             mode,
         )
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ParseError(f"bad segment-graph payload: {exc}", location) from None
+    except DomainError as exc:
+        raise ParseError(f"bad segment-graph payload: {exc}") from None

@@ -607,11 +607,31 @@ def _as_number(value, name: str, location: str) -> float:
     raise ParseError(f"{name} must be a finite number", location)
 
 
-def load_document(text: str, kind: str) -> dict:
-    """Decode a document and check its format, version and kind.
+def _objects(doc: dict, key: str, entry: str, listed: str = "a list"):
+    """Each entry of the list field ``key`` with its location, in document
+    order.  An entry is checked to be an object (``entry`` names it) only when
+    the walk reaches it, so the first fault in document order is reported."""
+    items = _expect(doc, key, key)
+    if not isinstance(items, list):
+        raise ParseError(f"{key} must be {listed}", key)
+    for i, item in enumerate(items):
+        location = f"{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ParseError(f"{entry} must be an object", location)
+        yield location, item
 
-    A document without a ``kind`` is a dendrogram.
-    """
+
+def _languages(doc: dict, listed: str):
+    """Each ``languages`` entry as its location, name and depth, in document
+    order; an entry without ``depth`` has depth 0."""
+    for location, entry in _objects(doc, "languages", "language entry", listed):
+        yield (location, _expect_string(entry, "name", location),
+               _expect_number(entry, "depth", location, default=0.0))
+
+
+def load_document(text: str) -> dict:
+    """Decode a document and check its format and version; each kind's
+    reader (``read_dendrogram``, ``merger.read_graph``) checks its ``kind``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -625,28 +645,31 @@ def load_document(text: str, kind: str) -> dict:
     version = doc.get("version")
     if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
         raise ParseError(f"unsupported version {version!r}", "version")
+    return doc
+
+
+def _expect_kind(doc: dict, kind: str) -> None:
+    """A document without ``kind`` is a dendrogram."""
     if doc.get("kind", "dendrogram") != kind:
         raise ParseError(f"not a {kind} document: kind={doc.get('kind')!r}", "kind")
-    return doc
 
 
 def deserialize(text: str) -> Dendrogram:
     """Parse a dendrogram document, enforcing all structural invariants."""
-    doc = load_document(text, "dendrogram")
+    return read_dendrogram(load_document(text))
+
+
+def read_dendrogram(doc: dict) -> Dendrogram:
+    """The dendrogram of a decoded document (see ``load_document``),
+    enforcing all structural invariants."""
+    _expect_kind(doc, "dendrogram")
     mode = _expect_mode(doc)
 
-    langs_doc = _expect(doc, "languages", "languages")
-    if not isinstance(langs_doc, list) or not langs_doc:
+    entries = [(name, depth) for _, name, depth in _languages(doc, "a non-empty list")]
+    if not entries:
         raise ParseError("languages must be a non-empty list", "languages")
-    names, depths = [], []
-    for i, entry in enumerate(langs_doc):
-        loc = f"languages[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError("language entry must be an object", loc)
-        names.append(_expect_string(entry, "name", loc))
-        depths.append(_expect_number(entry, "depth", loc, default=0.0))
     try:
-        languages = LanguageSet(tuple(names), tuple(depths))
+        languages = LanguageSet(*zip(*entries))
     except DomainError as exc:
         raise ParseError(str(exc), "languages") from None
 
@@ -662,37 +685,24 @@ def deserialize(text: str) -> Dendrogram:
             raise ParseError(f"bad weights: {exc}", "weights") from None
 
     k = len(languages)
-    juncs_doc = _expect(doc, "junctions", "junctions")
-    if not isinstance(juncs_doc, list):
-        raise ParseError("junctions must be a list", "junctions")
+
+    def node_ref(value, location):
+        if isinstance(value, str):
+            try:
+                return languages.index(value)
+            except DomainError:
+                raise ParseError(f"unknown leaf {value!r}", location) from None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError("node reference must be a leaf name or junction index", location)
+        if not (0 <= value < len(doc["junctions"])):  # a list once its walk has begun
+            raise ParseError(f"junction index {value} out of range", location)
+        return k + value
+
     junctions = []
     unresolved_seen = 0
-    for idx, entry in enumerate(juncs_doc):
-        loc = f"junctions[{idx}]"
-        if not isinstance(entry, dict):
-            raise ParseError("junction must be an object", loc)
-
-        def node_ref(value, field_name):
-            if isinstance(value, str):
-                try:
-                    return languages.index(value)
-                except DomainError:
-                    raise ParseError(
-                        f"unknown leaf {value!r}", f"{loc}.{field_name}"
-                    ) from None
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(
-                    "node reference must be a leaf name or junction index",
-                    f"{loc}.{field_name}",
-                )
-            if not (0 <= value < len(juncs_doc)):
-                raise ParseError(
-                    f"junction index {value} out of range", f"{loc}.{field_name}"
-                )
-            return k + value
-
-        near = node_ref(_expect(entry, "near", loc), "near")
-        far = node_ref(_expect(entry, "far", loc), "far")
+    for loc, entry in _objects(doc, "junctions", "junction"):
+        near = node_ref(_expect(entry, "near", loc), f"{loc}.near")
+        far = node_ref(_expect(entry, "far", loc), f"{loc}.far")
         depth = _expect_number(entry, "depth", loc)
         lateral = _expect_number(entry, "lateral", loc)
         if lateral < 0:

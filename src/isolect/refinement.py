@@ -176,6 +176,7 @@ def iterate_build(
     measured: DistanceMatrix,
     mode: str = PRECISE,
     external_means: str = "weighted",
+    resolve_tolerance: float = builder.DEFAULT_RESOLVE_TOLERANCE,
 ) -> IterationTrace:
     """Build, evaluate, reweight, repeat.
 
@@ -189,7 +190,8 @@ def iterate_build(
     change: float | None = None
     for _ in range(MAX_PASSES):
         dendrogram = builder.build(
-            measured, weights, mode=mode, external_means=external_means
+            measured, weights, mode=mode, external_means=external_means,
+            resolve_tolerance=resolve_tolerance,
         )
         report = evaluate(dendrogram, measured)
         passes.append(BuildPass(dendrogram, weights, report, change))

@@ -136,6 +136,21 @@ class TestBuild:
         assert "anchor on Belarusian" in report
         assert "iterated build: 3 passes" in report
 
+    @pytest.mark.parametrize("tolerance, status, flag", [
+        ("0.001", model.UNRESOLVED, model.FLAG_UNRESOLVED_DECOMPOSITION),
+        ("2.0", model.RESOLVED, model.FLAG_CROSS_CHECKED),
+    ])
+    def test_iterated_build_takes_the_resolve_tolerance(self, capsys, tmp_path, tolerance,
+                                                         status, flag):
+        code, _, _ = run(
+            capsys, "build", "--input", str(BUNDLED / "baltoslavic.csv"), "--mode", "paper",
+            "--weights", "iterate", "--resolve-tolerance", tolerance,
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        root = model.deserialize((tmp_path / "dendrogram.json").read_text()).junctions[-1]
+        assert (root.status, root.flags) == (status, (flag,))
+
     def test_absent_entries_exit_one_with_merge_hint(self, capsys, tmp_path):
         src = tmp_path / "gap.csv"
         src.write_text(",a,b,c\na,-,50,\nb,50,-,40\nc,,40,-\n")
@@ -739,6 +754,40 @@ class TestRender:
         assert err.splitlines() == [
             "error: leaf must be a string or null (at nodes[2].leaf)"
         ]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("nodes"), "missing field 'nodes' (at nodes)"),
+        (lambda d: d.update(nodes=5), "nodes must be a list (at nodes)"),
+        (lambda d: d.pop("edges"), "missing field 'edges' (at edges)"),
+        (lambda d: d.update(edges={"x": 1}), "edges must be a list (at edges)"),
+    ], ids=["nodes-missing", "nodes-number", "edges-missing", "edges-object"])
+    def test_graph_lists_located(self, capsys, tmp_path, edit, message):
+        # An object must not be read as the list of its keys.
+        doc = self._merged_doc(capsys, tmp_path)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("document", ["tree", "merged"])
+    def test_unknown_kind_refused(self, capsys, tmp_path, document):
+        if document == "merged":
+            doc = self._merged_doc(capsys, tmp_path)
+        else:
+            run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+                "--mode", "paper", "--outdir", str(tmp_path))
+            doc = json.loads((tmp_path / "dendrogram.json").read_text())
+        doc["kind"] = "xyz"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("dot", "text", "newick-lossy"):
+            code, out, err = run(capsys, "render", "--tree", str(path), "--format", fmt)
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                "error: not a dendrogram document: kind='xyz' (at kind)"
+            ]
 
     @pytest.mark.parametrize("leaves, message", [
         ("xyz", "leaves_b must be a list of leaf names (at leaves_b)"),

@@ -21,7 +21,8 @@ def test_layers_writes_a_bench_file_at_k16(tmp_path):
     assert doc["sizes"] == [16] and doc["repeat"] == 1
     layers = {"matrix_to_distances.whole", "matrix_to_distances.distinct",
               "restore_distance_matrix", "meeting_junction.first", "chain_widths",
-              "format_column", "render_newick_lossy", "lca_junction.table"}
+              "format_column", "render_newick_lossy", "lca_junction.table",
+              "deserialize", "deserialize_graph"}
     assert set(doc["seconds"]) == set(doc["slope"]) == layers
     for name in layers:
         assert set(doc["seconds"][name]) == {"16"}

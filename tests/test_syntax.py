@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
-SOURCES = sorted([*(ROOT / "src" / "isolect").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted(path for folder in ("src/isolect", "tests", "tools", "perfbench")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def test_sources_found():

@@ -23,7 +23,10 @@ workload:
   what a tree caches is built inside the timing;
 - ``lca_junction.table``, one leaf-pair query on a tree that already holds
   its k x k meeting table, as ``leaf_distance`` and ``shared_consistency``
-  ask it.
+  ask it;
+- ``deserialize`` and ``deserialize_graph``, reading the text of that
+  build's ``dendrogram.json`` and of its segment graph, as ``evaluate``,
+  ``merge`` and ``render`` read their inputs.
 
 The file records the commit (``git rev-parse --short HEAD``, with
 ``dirty`` set when ``src/`` differs from it), the Python and numpy
@@ -73,6 +76,7 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
     graph = merger.segment_graph(built)
     upper = model.restore_distance_matrix(built).values[np.triu_indices(k, 1)]
     a, b = tree.labels[0], tree.labels[-1]
+    tree_text, graph_text = model.serialize(built), merger.serialize_graph(graph)
 
     def fresh():
         """Fresh copies of the build, one per run: a tree caches what it derives."""
@@ -96,6 +100,8 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
         "format_column": best_of(repeat, lambda: list(cli.format_column(upper, "paper"))),
         "render_newick_lossy": best_of(repeat, lambda: cli.render_newick_lossy(built, "paper")),
         "lca_junction.table": best_of(repeat, lambda: tabled.lca_junction(0, k - 1)),
+        "deserialize": best_of(repeat, lambda: model.deserialize(tree_text)),
+        "deserialize_graph": best_of(repeat, lambda: merger.deserialize_graph(graph_text)),
     }
 
 
