@@ -8,7 +8,16 @@ class IsolectError(Exception):
 
 
 class DomainError(IsolectError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
+    """An argument is outside the mathematical domain of an operation.
+
+    ``field``, when given, names the offending field below the object that
+    was checked (``"lateral"``, ``"junctions[2].status"``), so that a
+    document reader can point at it.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class InputError(IsolectError):

@@ -331,14 +331,13 @@ def shared_consistency(
         )
     rows = []
     notes = []
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            pair = (shared[i], shared[j])
-            da = leaf_distance(a, *pair)
-            db = leaf_distance(b, *pair)
+    meet_a, meet_b = a.meeting_junctions(shared), b.meeting_junctions(shared)
+    for i, first in enumerate(shared):
+        for second, ja, jb in zip(shared[i + 1:], meet_a[i][i + 1:], meet_b[i][i + 1:]):
+            pair = (first, second)
+            da = leaf_distance(a, first, second)
+            db = leaf_distance(b, first, second)
             rows.append(("distance", pair, da, db, abs(da - db)))
-            ja = a.meeting_junction(*pair)
-            jb = b.meeting_junction(*pair)
             if ja.status == RESOLVED and jb.status == RESOLVED:
                 if (FLAG_CROSS_CHECKED in ja.flags) != (FLAG_CROSS_CHECKED in jb.flags):
                     notes.append(

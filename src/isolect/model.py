@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -212,14 +213,14 @@ class Junction:
 
     def __post_init__(self):
         if self.status not in (RESOLVED, UNRESOLVED):
-            raise DomainError(f"unknown junction status {self.status!r}")
+            raise DomainError(f"unknown junction status {self.status!r}", "status")
         numbers = (self.depth, self.lateral, self.total_length, *(self.depth_range or ()))
         if not all(x is None or math.isfinite(x) for x in numbers):
             raise DomainError("junction geometry must be finite")
         if self.lateral < 0:
-            raise DomainError("lateral width must be >= 0")
+            raise DomainError("lateral width must be >= 0", "lateral")
         if self.depth < 0:
-            raise DomainError("junction depth must be >= 0")
+            raise DomainError("junction depth must be >= 0", "depth")
         if self.status == UNRESOLVED:
             if self.total_length is None or self.total_length <= 0:
                 raise DomainError("unresolved junction requires total_length > 0")
@@ -271,7 +272,8 @@ class Dendrogram:
             if jn.near == jn.far:
                 raise DomainError(f"junction {idx} joins a node with itself")
             if jn.status == UNRESOLVED and idx != len(self.junctions) - 1:
-                raise DomainError("only the root junction may be unresolved")
+                raise DomainError("only the root junction may be unresolved",
+                                  f"junctions[{idx}].status")
         # Exactly one root: every node except the last junction is a child.
         if k > 1 and len(seen_child) != k + len(self.junctions) - 1:
             raise DomainError("dendrogram must have exactly one root")
@@ -324,11 +326,8 @@ class Dendrogram:
             tables.append(table)
         return tuple(tables)
 
-    def root_id(self) -> int:
-        return len(self.languages) + len(self.junctions) - 1
-
     def junction_at(self, node_id: int) -> Junction:
-        k = len(self.languages)
+        k = len(self.languages.labels)
         if node_id < k:
             raise DomainError(f"node {node_id} is a leaf")
         return self.junctions[node_id - k]
@@ -389,7 +388,7 @@ class Dendrogram:
         try:
             if a < 0 or b < 0:  # numpy would wrap a negative id
                 raise IndexError
-            node = int(self.__dict__["_meeting"][a, b])
+            node = self.__dict__["_meeting"].item(a, b)
         except IndexError:  # an id out of range, which the walk rejects
             node = self._walk_to_meeting(a, b)
         except KeyError:  # no table yet
@@ -416,6 +415,16 @@ class Dendrogram:
             else:
                 y = parent[y]
         return x
+
+    def meeting_junctions(self, labels: Sequence[str]) -> list[list[Junction]]:
+        """The junction where each pair of the given leaves first meets, read
+        as one block of the k x k meeting table (built here if the tree has
+        none): entry [i][j] for ``labels[i]`` and ``labels[j]``, a leaf's
+        parent on the diagonal.  The tree needs two or more leaves."""
+        ids = [self.languages.index(label) for label in labels]
+        junctions = np.empty(len(self.junctions), dtype=object)
+        junctions[:] = self.junctions
+        return junctions[self._meeting[np.ix_(ids, ids)] - len(self.languages.labels)].tolist()
 
     def meeting_junction(self, a: str, b: str) -> Junction:
         """The junction where leaves ``a`` and ``b`` first share a cluster."""
@@ -699,14 +708,11 @@ def read_dendrogram(doc: dict) -> Dendrogram:
         return k + value
 
     junctions = []
-    unresolved_seen = 0
     for loc, entry in _objects(doc, "junctions", "junction"):
         near = node_ref(_expect(entry, "near", loc), f"{loc}.near")
         far = node_ref(_expect(entry, "far", loc), f"{loc}.far")
         depth = _expect_number(entry, "depth", loc)
         lateral = _expect_number(entry, "lateral", loc)
-        if lateral < 0:
-            raise ParseError("lateral width must be >= 0", f"{loc}.lateral")
         status_doc = _expect(entry, "status", loc)
         if not isinstance(status_doc, dict) or "state" not in status_doc:
             raise ParseError("status must carry a state", f"{loc}.status")
@@ -714,18 +720,11 @@ def read_dendrogram(doc: dict) -> Dendrogram:
         total = None
         depth_range = None
         if state == UNRESOLVED:
-            unresolved_seen += 1
-            if unresolved_seen > 1:
-                raise ParseError(
-                    "at most one junction may be unresolved", f"{loc}.status"
-                )
             total = _expect_number(status_doc, "total_length", f"{loc}.status")
             depth_range = (
                 _expect_number(status_doc, "depth_min", f"{loc}.status"),
                 _expect_number(status_doc, "depth_max", f"{loc}.status"),
             )
-        elif state != RESOLVED:
-            raise ParseError(f"unknown state {state!r}", f"{loc}.status")
         flags = entry.get("flags", [])
         if not isinstance(flags, list):
             raise ParseError("flags must be a list", f"{loc}.flags")
@@ -746,8 +745,8 @@ def read_dendrogram(doc: dict) -> Dendrogram:
                 )
             )
         except DomainError as exc:
-            raise ParseError(str(exc), loc) from None
+            raise ParseError(str(exc), f"{loc}.{exc.field}" if exc.field else loc) from None
     try:
         return Dendrogram(languages, tuple(junctions), mode=mode, weights=weights)
     except DomainError as exc:
-        raise ParseError(str(exc), "junctions") from None
+        raise ParseError(str(exc), exc.field or "junctions") from None

@@ -11,7 +11,9 @@ at the end is the straightforward one (``csv.reader``, then one ``float``
 per stripped cell) that the CLI's reader must match in values and errors.
 The two document serializers at the very end build the documents as dicts
 and lists and hand them to ``json.dumps``; ``model.serialize`` and
-``merger.serialize_graph`` must match their bytes.
+``merger.serialize_graph`` must match their bytes.  The merge check's
+per-pair loop, two tree queries per pair and tree, is the reference for
+``merger.shared_consistency``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from isolect.errors import DomainError, InputError, ParseError
 from isolect.model import (
+    FLAG_CROSS_CHECKED,
     FORMAT_NAME,
     FORMAT_VERSION,
     RESOLVED,
@@ -35,6 +38,7 @@ from isolect.model import (
     CoincidenceMatrix,
     DistanceMatrix,
     LanguageSet,
+    leaf_distance,
 )
 
 
@@ -281,6 +285,44 @@ def restore_by_anchor_tables(tree) -> np.ndarray:
             for b, db in far.items():
                 out[a, b] = out[b, a] = da + db
     return out
+
+
+def shared_consistency(a, b):
+    """The merge check's rows and notes by the per-pair loop: for each
+    shared pair, ``leaf_distance`` and ``meeting_junction`` in each tree.
+    Returns ``(shared, rows, notes)``; ``merger.shared_consistency`` must
+    give the same tuples in the same order."""
+    shared = tuple(sorted(set(a.languages.labels) & set(b.languages.labels)))
+    rows = []
+    notes = []
+    for i in range(len(shared)):
+        for j in range(i + 1, len(shared)):
+            pair = (shared[i], shared[j])
+            da = leaf_distance(a, *pair)
+            db = leaf_distance(b, *pair)
+            rows.append(("distance", pair, da, db, abs(da - db)))
+            ja = a.meeting_junction(*pair)
+            jb = b.meeting_junction(*pair)
+            if ja.status == RESOLVED and jb.status == RESOLVED:
+                if (FLAG_CROSS_CHECKED in ja.flags) != (FLAG_CROSS_CHECKED in jb.flags):
+                    notes.append(
+                        f"pair {pair[0]}-{pair[1]}: junction resolved by cross-check "
+                        f"in one dendrogram only; compared by distance only"
+                    )
+                else:
+                    rows.append(("depth", pair, ja.depth, jb.depth,
+                                 abs(ja.depth - jb.depth)))
+                    rows.append(("lateral", pair, ja.lateral, jb.lateral,
+                                 abs(ja.lateral - jb.lateral)))
+            elif ja.status == UNRESOLVED and jb.status == UNRESOLVED:
+                rows.append(("total", pair, ja.total_length, jb.total_length,
+                             abs(ja.total_length - jb.total_length)))
+            else:
+                notes.append(
+                    f"pair {pair[0]}-{pair[1]}: junction resolved in one "
+                    f"dendrogram but not the other; compared by distance only"
+                )
+    return shared, tuple(rows), tuple(notes)
 
 
 # -- the matrix CSV reader, one cell at a time through csv.reader -----------

@@ -687,6 +687,28 @@ class TestRender:
             "error: unresolved junction requires a depth range min <= max (at junctions[2])"
         ]
 
+    @pytest.mark.parametrize("index, field, value, error", [
+        (0, "lateral", -4, "lateral width must be >= 0 (at junctions[0].lateral)"),
+        (0, "depth", -1, "junction depth must be >= 0 (at junctions[0].depth)"),
+        (1, "status", {"state": "pending"},
+         "unknown junction status 'pending' (at junctions[1].status)"),
+        # The root is unresolved already; the model refuses any other.
+        (1, "status", {"state": "unresolved", "total_length": 54,
+                       "depth_min": 0, "depth_max": 19},
+         "only the root junction may be unresolved (at junctions[1].status)"),
+    ], ids=["negative-lateral", "negative-depth", "unknown-state", "second-unresolved"])
+    def test_junction_faults_located_by_the_model(self, capsys, tmp_path, index, field,
+                                                  value, error):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_b.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path))
+        path = tmp_path / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        doc["junctions"][index][field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {error}"]
+
     def test_single_leaf_document(self, capsys, tmp_path):
         doc = {
             "format": "isolect-dendrogram", "version": 1, "kind": "dendrogram",

@@ -17,14 +17,14 @@ def test_layers_writes_a_bench_file_at_k16(tmp_path):
     doc = json.loads(written[0].read_text())
     assert written[0].name == f"BENCH_{doc['commit']}.json"
     assert set(doc) == {"commit", "dirty", "python", "numpy", "seed", "repeat", "sizes",
-                        "seconds", "slope"}
-    assert doc["sizes"] == [16] and doc["repeat"] == 1
+                        "ref_s", "seconds", "scaled", "slope"}
+    assert doc["sizes"] == [16] and doc["repeat"] == 1 and doc["ref_s"] > 0
     layers = {"matrix_to_distances.whole", "matrix_to_distances.distinct",
-              "restore_distance_matrix", "meeting_junction.first", "chain_widths",
-              "format_column", "render_newick_lossy", "lca_junction.table",
+              "restore_distance_matrix", "meeting_junction.first", "shared_consistency",
+              "chain_widths", "format_column", "render_newick_lossy", "lca_junction.table",
               "deserialize", "deserialize_graph"}
-    assert set(doc["seconds"]) == set(doc["slope"]) == layers
+    assert set(doc["seconds"]) == set(doc["scaled"]) == set(doc["slope"]) == layers
     for name in layers:
-        assert set(doc["seconds"][name]) == {"16"}
-        assert doc["seconds"][name]["16"] > 0
+        assert set(doc["seconds"][name]) == set(doc["scaled"][name]) == {"16"}
+        assert doc["seconds"][name]["16"] > 0 and doc["scaled"][name]["16"] > 0
         assert doc["slope"][name] is None  # one size: no slope

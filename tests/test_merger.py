@@ -14,6 +14,7 @@ from isolect.model import (
     Dendrogram,
     DistanceMatrix,
     Junction,
+    UNRESOLVED,
     LanguageSet,
     deserialize,
     leaf_distance,
@@ -249,6 +250,66 @@ class TestWindowMerges:
         for p in predictions:
             i, j = (int(label[1:]) for label in p.pair)
             assert p.distance == pytest.approx(m[i, j], abs=1e-6)
+
+
+def three_leaf_tree(labels, root):
+    """Leaves ``labels`` in that language order: the first two meet at depth
+    10 (lateral 6), and ``root`` joins them to the third."""
+    return Dendrogram(LanguageSet(labels), (Junction(near=0, far=1, depth=10, lateral=6), root))
+
+
+def unresolved_root(total):
+    return Junction(near=3, far=2, depth=25, lateral=0, status=UNRESOLVED,
+                    total_length=total, depth_range=(10.0, 30.0))
+
+
+class TestSharedConsistencyReference:
+    """``shared_consistency`` gives the per-pair loop's rows and notes
+    (``oracles.shared_consistency``): the same tuples in the same order."""
+
+    @staticmethod
+    def _check(a, b):
+        report = mg.shared_consistency(a, b)
+        assert (report.shared, report.rows, report.notes) == oracles.shared_consistency(a, b)
+        return report
+
+    def test_salish_pair(self, tree_a, tree_b):
+        for a, b in ((tree_a, tree_b), (tree_b, tree_a), (tree_b, tree_b)):
+            self._check(a, b)
+
+    @pytest.mark.parametrize("shared", [2, 3, 4])
+    def test_windows_cross_checked_in_one_tree_only(self, shared):
+        k = TestWindowMerges.K
+        for seed in range(10):
+            m = sample_caterpillar(np.random.default_rng(seed), k).distance_matrix()
+            end_a = (k + shared + 1) // 2
+            tree_a = TestWindowMerges.window(m, list(range(end_a)))
+            tree_b = TestWindowMerges.window(m, list(range(end_a - shared, k)))
+            report = self._check(tree_a, tree_b)
+            assert any("cross-check in one dendrogram only" in n for n in report.notes)
+
+    def test_root_unresolved_in_one_tree(self):
+        # Shared leaves in different language orders, and a leaf in one tree only.
+        a = three_leaf_tree(("c", "a", "b"), unresolved_root(40.0))
+        b = Dendrogram(LanguageSet(("b", "x", "c", "a")), (
+            Junction(near=2, far=3, depth=10, lateral=6),
+            Junction(near=4, far=0, depth=25, lateral=5),
+            Junction(near=5, far=1, depth=60, lateral=0),
+        ))
+        report = self._check(a, b)
+        assert [row[0] for row in report.rows] == [  # pairs a-b, a-c, b-c
+            "distance", "distance", "depth", "lateral", "distance"]
+        assert len(report.notes) == 2
+        assert all("resolved in one dendrogram but not the other" in n for n in report.notes)
+        self._check(b, a)
+
+    def test_root_unresolved_in_both_trees(self):
+        a = three_leaf_tree(("a", "b", "c"), unresolved_root(40.0))
+        b = three_leaf_tree(("b", "a", "c"), unresolved_root(43.5))
+        report = self._check(a, b)
+        totals = [row for row in report.rows if row[0] == "total"]
+        assert [(row[1], row[4]) for row in totals] == [(("a", "c"), 3.5), (("b", "c"), 3.5)]
+        assert report.notes == ()
 
 
 class TestMerge:

@@ -6,7 +6,12 @@ Usage, from the root of a source checkout::
 
 ``isolect`` is imported from the checkout's ``src/``.  Each layer is timed
 in this process, and the minimum of ``--repeat`` runs is kept: the host's
-noise only ever adds time.  Inputs are seeded chain trees from
+noise only ever adds time.  Other tenants of a shared host can still slow
+a whole layer's runs for minutes, so ``perfbench/kernel.py``'s
+``reference_kernel`` is timed just before and just after each layer's
+runs, and the minimum is also written scaled by ``REF_S`` over the mean of
+those two kernel times: seconds at reference speed, which two files taken
+minutes apart can compare.  Inputs are seeded chain trees from
 ``perfbench/planted.py``, the generator of the benchmark's iterate-paper
 workload:
 
@@ -21,22 +26,26 @@ workload:
   ``meeting_junction.first``, the one query ``perturb`` asks of each
   rebuild, each on a fresh ``Dendrogram`` over that build's junctions, so
   what a tree caches is built inside the timing;
+- ``shared_consistency``, the merge check, on two fresh ``Dendrogram`` objects
+  over that build, every leaf shared, so both trees' meeting and anchor
+  tables are built inside the timing;
 - ``lca_junction.table``, one leaf-pair query on a tree that already holds
-  its k x k meeting table, as ``leaf_distance`` and ``shared_consistency``
-  ask it;
+  its k x k meeting table, as ``leaf_distance`` asks it;
 - ``deserialize`` and ``deserialize_graph``, reading the text of that
   build's ``dendrogram.json`` and of its segment graph, as ``evaluate``,
   ``merge`` and ``render`` read their inputs.
 
 The file records the commit (``git rev-parse --short HEAD``, with
 ``dirty`` set when ``src/`` differs from it), the Python and numpy
-versions, the seconds per layer and size, and each layer's log-log slope
-over the sizes measured.
+versions, ``REF_S``, the seconds per layer and size, raw (``seconds``) and
+at reference speed (``scaled``), and each layer's log-log slope of the raw
+seconds over the sizes measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import subprocess
@@ -51,22 +60,28 @@ import numpy as np  # noqa: E402
 
 import planted  # noqa: E402
 from isolect import builder, chronometry, cli, merger, model  # noqa: E402
+from kernel import REF_S, reference_kernel  # noqa: E402
 
 SEED = 0
 
 
-def best_of(repeat: int, fn) -> float:
-    """The shortest of ``repeat`` wall times of ``fn()``."""
+def best_of(repeat: int, fn, make=tuple) -> tuple[float, float]:
+    """The shortest of ``repeat`` wall times of ``fn(*make())``, ``make`` and
+    a garbage collection untimed before each run, raw and scaled to the
+    reference kernel's speed around the runs."""
+    before = reference_kernel()
     best = float("inf")
     for _ in range(repeat):
+        args = make()
+        gc.collect()  # the set-up's garbage is not the layer's to collect
         start = time.perf_counter()
-        fn()
+        fn(*args)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, best * REF_S / ((before + reference_kernel()) / 2)
 
 
-def layer_times(k: int, repeat: int) -> dict[str, float]:
-    """Seconds per call of each layer at size ``k``."""
+def layer_times(k: int, repeat: int) -> dict[str, tuple[float, float]]:
+    """Seconds per call of each layer at size ``k``, raw and scaled."""
     rng = np.random.default_rng(SEED)
     tree = planted.chain_tree(rng, k)
     languages = model.LanguageSet(tree.labels)
@@ -78,12 +93,11 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
     a, b = tree.labels[0], tree.labels[-1]
     tree_text, graph_text = model.serialize(built), merger.serialize_graph(graph)
 
-    def fresh():
-        """Fresh copies of the build, one per run: a tree caches what it derives."""
-        return iter([model.Dendrogram(languages, built.junctions, mode="paper")
-                     for _ in range(repeat)])
+    def fresh(n=1):
+        """``n`` fresh copies of the build: a tree caches what it derives."""
+        return tuple(model.Dendrogram(languages, built.junctions, mode="paper")
+                     for _ in range(n))
 
-    to_query, to_restore = fresh(), fresh()
     tabled = model.Dendrogram(languages, built.junctions, mode="paper")
     for _ in range(2):  # the second query fills the k x k table
         tabled.lca_junction(0, 1)
@@ -92,10 +106,10 @@ def layer_times(k: int, repeat: int) -> dict[str, float]:
             best_of(repeat, lambda: chronometry.matrix_to_distances(whole, "paper")),
         "matrix_to_distances.distinct":
             best_of(repeat, lambda: chronometry.matrix_to_distances(distinct, "precise")),
-        "restore_distance_matrix":
-            best_of(repeat, lambda: model.restore_distance_matrix(next(to_restore))),
+        "restore_distance_matrix": best_of(repeat, model.restore_distance_matrix, fresh),
         "meeting_junction.first":
-            best_of(repeat, lambda: next(to_query).meeting_junction(a, b)),
+            best_of(repeat, lambda tree: tree.meeting_junction(a, b), fresh),
+        "shared_consistency": best_of(repeat, merger.shared_consistency, lambda: fresh(2)),
         "chain_widths": best_of(repeat, lambda: merger.chain_widths(graph)),
         "format_column": best_of(repeat, lambda: list(cli.format_column(upper, "paper"))),
         "render_newick_lossy": best_of(repeat, lambda: cli.render_newick_lossy(built, "paper")),
@@ -132,9 +146,11 @@ def main(argv=None) -> int:
     while sizes[-1] * 2 <= args.max_k:
         sizes.append(sizes[-1] * 2)
     seconds: dict[str, list[float]] = {}
+    scaled: dict[str, list[float]] = {}
     for k in sizes:
-        for name, value in layer_times(k, args.repeat).items():
-            seconds.setdefault(name, []).append(value)
+        for name, (raw, at_ref) in layer_times(k, args.repeat).items():
+            seconds.setdefault(name, []).append(raw)
+            scaled.setdefault(name, []).append(at_ref)
         print(f"k = {k}: done", file=sys.stderr)
     commit = git("rev-parse", "--short", "HEAD") or "unknown"
     doc = {
@@ -145,8 +161,11 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeat": args.repeat,
         "sizes": sizes,
+        "ref_s": REF_S,
         "seconds": {name: dict(zip(map(str, sizes), values))
                     for name, values in seconds.items()},
+        "scaled": {name: dict(zip(map(str, sizes), values))
+                   for name, values in scaled.items()},
         "slope": {name: slope(sizes, values) for name, values in seconds.items()},
     }
     args.outdir.mkdir(parents=True, exist_ok=True)
