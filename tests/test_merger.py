@@ -11,10 +11,10 @@ from isolect import cli
 from isolect import merger as mg
 from isolect.errors import ConsistencyError, DomainError, ParseError
 from isolect.model import (
+    UNRESOLVED,
     Dendrogram,
     DistanceMatrix,
     Junction,
-    UNRESOLVED,
     LanguageSet,
     deserialize,
     leaf_distance,
