@@ -17,7 +17,10 @@ from; it is stored by total length and cross-checked by joining that link
 first: ``resolve_last_link(start, root, total, external_means, tolerance)``
 takes the build's first state, the last state's two clusters and the link
 between them, and joins the two clusters' carrier leaves on that first
-state through the same ``_join`` as every other join.
+state through the same ``_join`` as every other join.  Its result holds
+the root's whole geometry (depth, lateral width, status and depth range),
+which ``build`` stores as it is; only a zero-length root link never reaches
+the cross-check.
 
 The reduced distances live in one float table indexed by node id, sized
 (2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
@@ -182,7 +185,13 @@ class JoinGeometry:
 
 @dataclass(frozen=True)
 class ResolutionResult:
-    """Outcome of the final-link cross-check."""
+    """Outcome of the final-link cross-check.
+
+    ``depth``, ``lateral`` and ``depth_range`` are what the root junction
+    stores: the simplest form when ``resolved``; otherwise the deepest form,
+    never above the deeper child's anchor, with lateral width 0 and the
+    range from that anchor down to it.
+    """
 
     resolved: bool
     depth: float
@@ -470,33 +479,25 @@ def resolve_last_link(
     a, b = (c.anchor_depth for c in root)
     depth_simple = max(a, b)
     lateral_simple = total - 2 * depth_simple + a + b
-    depth_max = quantize((total + a + b) / 2.0, start.mode)
-    depth_range = (depth_simple, depth_max)
+    # The deepest form, never above the deeper child's anchor.
+    depth_max = max(quantize((total + a + b) / 2.0, start.mode), depth_simple)
+    resolved, alternate, deviation = False, None, None
     if lateral_simple < 0:
-        return ResolutionResult(
-            False, depth_max, 0.0, total, (depth_max, depth_max),
-            (depth_simple, lateral_simple), None, None,
-            "total length shorter than the child anchor gap",
-        )
-    if len(leaves) <= 2:
-        return ResolutionResult(
-            False, depth_max, 0.0, total, depth_range,
-            (depth_simple, lateral_simple), None, None,
-            "no external points exist for a cross-check",
-        )
-    alt = _join(start, tuple(pair), external_means)
-    near_rep, far_rep = (c.first_label for c in pair)
-    deviation = (abs(alt.depth - depth_simple), abs(alt.lateral - lateral_simple))
-    if deviation[0] <= tolerance and deviation[1] <= tolerance:
-        return ResolutionResult(
-            True, depth_simple, lateral_simple, total, depth_range,
-            (depth_simple, lateral_simple), (alt.depth, alt.lateral), deviation,
-            f"alternate-order rebuild from link {near_rep}-{far_rep} agrees",
-        )
+        reason = "total length shorter than the child anchor gap"
+    elif len(leaves) <= 2:
+        reason = "no external points exist for a cross-check"
+    else:
+        alt = _join(start, tuple(pair), external_means)
+        alternate = (alt.depth, alt.lateral)
+        deviation = (abs(alt.depth - depth_simple), abs(alt.lateral - lateral_simple))
+        resolved = deviation[0] <= tolerance and deviation[1] <= tolerance
+        near_rep, far_rep = (c.first_label for c in pair)
+        reason = (f"alternate-order rebuild from link {near_rep}-{far_rep} "
+                  f"{'agrees' if resolved else 'disagrees'}")
     return ResolutionResult(
-        False, depth_max, 0.0, total, depth_range,
-        (depth_simple, lateral_simple), (alt.depth, alt.lateral), deviation,
-        f"alternate-order rebuild from link {near_rep}-{far_rep} disagrees",
+        resolved, depth_simple if resolved else depth_max,
+        lateral_simple if resolved else 0.0, total, (depth_simple, depth_max),
+        (depth_simple, lateral_simple), alternate, deviation, reason,
     )
 
 
@@ -556,13 +557,12 @@ def build(
     else:
         res = resolve_last_link(start, (near, far), total, external_means,
                                 resolve_tolerance)
-        if res.resolved:
-            root = Junction(near.node, far.node, res.depth, res.lateral, RESOLVED,
-                            flags=(FLAG_CROSS_CHECKED,))
-        else:
-            # The deepest form, never above the near anchor.
-            depth = max(res.depth, a)
-            root = Junction(near.node, far.node, depth, 0.0, UNRESOLVED,
-                            total_length=total, depth_range=(a, depth),
-                            flags=(FLAG_UNRESOLVED_DECOMPOSITION,))
+        resolved = res.resolved
+        root = Junction(
+            near.node, far.node, res.depth, res.lateral,
+            RESOLVED if resolved else UNRESOLVED,
+            total_length=None if resolved else total,
+            depth_range=None if resolved else res.depth_range,
+            flags=(FLAG_CROSS_CHECKED if resolved else FLAG_UNRESOLVED_DECOMPOSITION,),
+        )
     return Dendrogram(langs, tuple(junctions) + (root,), mode=mode, weights=weights)

@@ -756,9 +756,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
     except (IsolectError, OSError) as exc:  # one line, even for a quoted multi-line label
         print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return EXIT_INPUT

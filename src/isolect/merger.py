@@ -453,13 +453,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     components = sorted(({x for e in comp for x in (e.a, e.b)}
                          for comp in _components(only_b)), key=min)
     for counter, comp in enumerate(components):
-        attach = sorted(comp & leg_of.keys())
-        if len(attach) != 1:
-            raise GraftError(
-                "an exclusive branch touches the shared structure at "
-                f"{len(attach)} points; expected exactly one"
-            )
-        p = attach[0]
+        # B is a tree, so the branch meets the shared span at exactly one node.
+        p = min(comp & leg_of.keys())
         end = legs_a[leg_of[p]][-1]
         rename[p] = _place(nodes, edges, parent, dist, end,
                            min(lengths_b[p], dist[end]), f"graft{counter}")

@@ -269,14 +269,9 @@ class Dendrogram:
                 if child in seen_child:
                     raise DomainError(f"node {child} used as a child twice")
                 seen_child.add(child)
-            if jn.near == jn.far:
-                raise DomainError(f"junction {idx} joins a node with itself")
             if jn.status == UNRESOLVED and idx != len(self.junctions) - 1:
                 raise DomainError("only the root junction may be unresolved",
                                   f"junctions[{idx}].status")
-        # Exactly one root: every node except the last junction is a child.
-        if k > 1 and len(seen_child) != k + len(self.junctions) - 1:
-            raise DomainError("dendrogram must have exactly one root")
         for idx, jn in enumerate(self.junctions):
             lo = max(self.anchor_depth(jn.near), self.anchor_depth(jn.far))
             if jn.resolved and jn.depth < lo - 1e-9:
@@ -368,7 +363,7 @@ class Dendrogram:
     @cached_property
     def _meeting(self) -> np.ndarray:
         """Leaf pair -> node id where the pair first meets; a leaf's parent if
-        equal.  Filled from the layout's blocks on a tree's second query."""
+        equal.  Filled from the layout's blocks by ``meeting_junctions``."""
         k = len(self.languages)
         layout = self._layout
         table = np.empty((k, k), dtype=np.intp)
@@ -381,40 +376,29 @@ class Dendrogram:
     def lca_junction(self, a: int, b: int) -> int:
         """Node id of the lowest junction containing both leaves (a == b: the parent).
 
-        A tree's first query walks parent links up from both leaves.  The
-        second fills the k x k meeting table, which answers it and every
-        later query by lookup, so a tree asked once never builds the table.
+        Read from the k x k meeting table when the tree holds one (only
+        ``meeting_junctions``, the batch query, builds it); otherwise found by
+        walking parent links up from both leaves.
         """
-        try:
-            if a < 0 or b < 0:  # numpy would wrap a negative id
-                raise IndexError
-            node = self.__dict__["_meeting"].item(a, b)
-        except IndexError:  # an id out of range, which the walk rejects
-            node = self._walk_to_meeting(a, b)
-        except KeyError:  # no table yet
-            if "_queried" in self.__dict__:
-                _ = self._meeting  # the second query fills the table
-                return self.lca_junction(a, b)
-            self.__dict__["_queried"] = True  # frozen: write past __setattr__
-            node = self._walk_to_meeting(a, b)
+        k = len(self.languages.labels)
+        if not (0 <= a < k and 0 <= b < k):  # numpy would wrap a negative id
+            raise DomainError(f"leaf ids must lie in 0..{k - 1} (got {a}, {b})")
+        table = self.__dict__.get("_meeting")
+        if table is not None:
+            node = table.item(a, b)
+        else:
+            # A parent's id exceeds its children's, so the lower of two ids
+            # cannot be an ancestor of the other and is the one to step up.
+            parent = self._parent
+            node, y = parent[a], parent[b]
+            while node != y:
+                if node < y:
+                    node = parent[node]
+                else:
+                    y = parent[y]
         if node < 0:
             raise DomainError("leaves do not share a junction")
         return node
-
-    def _walk_to_meeting(self, a: int, b: int) -> int:
-        # A parent's id exceeds its children's, so the lower of two ids
-        # cannot be an ancestor of the other and is the one to step up.
-        k = len(self.languages)
-        if not (0 <= a < k and 0 <= b < k):  # a negative id would never reach the root
-            raise DomainError(f"leaf ids must lie in 0..{k - 1} (got {a}, {b})")
-        parent = self._parent
-        x, y = parent[a], parent[b]
-        while x != y:
-            if x < y:
-                x = parent[x]
-            else:
-                y = parent[y]
-        return x
 
     def meeting_junctions(self, labels: Sequence[str]) -> list[list[Junction]]:
         """The junction where each pair of the given leaves first meets, read

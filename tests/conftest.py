@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isolect import merger
 from isolect.model import CoincidenceMatrix, LanguageSet
 
 DATA = Path(__file__).parent / "data"
@@ -112,3 +114,16 @@ def salish_b() -> CoincidenceMatrix:
 @pytest.fixture
 def baltoslavic() -> CoincidenceMatrix:
     return coincidence(BALTOSLAVIC_LABELS, BALTOSLAVIC)
+
+
+def cyclic_graph_text() -> str:
+    """A segment-graph document whose three edges over four nodes form the
+    cycle 1-j0-j1 and leave leaf 2 isolated."""
+    nodes = (merger.SegmentNode("1", 0.0, "1"), merger.SegmentNode("j0", 5.0),
+             merger.SegmentNode("j1", 9.0), merger.SegmentNode("2", 0.0, "2"))
+    edges = (merger.SegmentEdge("1", "j0", 5.0, merger.VERTICAL),
+             merger.SegmentEdge("j0", "j1", 4.0, merger.VERTICAL),
+             merger.SegmentEdge("j1", "2", 9.0, merger.VERTICAL))
+    doc = json.loads(merger.serialize_graph(merger.SegmentGraph(nodes, edges, ("1", "2"), ())))
+    doc["edges"][2]["b"] = "1"
+    return json.dumps(doc)

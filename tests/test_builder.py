@@ -65,9 +65,9 @@ class TestMinLink:
         assert (a.key[0], b.key[0]) == ("a", "b")
 
 
-def _join(state, pair, node, mode):
+def _join(state, pair, node, mode, external_means="weighted"):
     """Join ``pair`` through the step API; returns the next state."""
-    offset, near, far = bl.lateral_offset(state, pair)
+    offset, near, far = bl.lateral_offset(state, pair, external_means)
     link = state.distance(near, far)
     d, h, flags, offset = bl.join_geometry(
         link, offset, near.anchor_depth, far.anchor_depth, mode
@@ -78,10 +78,10 @@ def _join(state, pair, node, mode):
     return state
 
 
-def _step(state, node, mode):
+def _step(state, node, mode, external_means="weighted"):
     """One join through the step API; returns the pair and the next state."""
     pair = bl.min_link(state)
-    return pair, _join(state, pair, node, mode)
+    return pair, _join(state, pair, node, mode, external_means)
 
 
 def _tied_matrix(seed, k=30):
@@ -506,13 +506,13 @@ class TestBuild:
                 assert base_restored.value(x, y) == moved_restored.value(x, y)
 
 
-def _last_link(dm, mode="paper"):
+def _last_link(dm, mode="paper", external_means="weighted"):
     """The initial state, the last state's pair ordered as ``build`` orders
     it (deeper anchor near) and the link between them, through ``_step``."""
     start = state = bl.initial_state(dm, None, mode)
     node = len(dm.languages)
     while len(state.clusters) > 2:
-        _, state = _step(state, node, mode)
+        _, state = _step(state, node, mode, external_means)
         node += 1
     near, far = sorted(state.clusters, key=lambda c: (-c.anchor_depth, c.first_label))
     return start, (near, far), state.distance(near, far)
@@ -571,7 +571,8 @@ class TestResolveLastLink:
         res = bl.resolve_last_link(*_last_link(dm))
         assert not res.resolved
         assert res.reason == "total length shorter than the child anchor gap"
-        assert (res.depth, res.depth_range) == (85, (85, 85))
+        # The cross-check reports what the root stores: never above the anchor.
+        assert (res.depth, res.depth_range) == (86, (86, 86))
 
     def test_rejects_a_state_other_than_the_tree_initial_one(self, salish_a_dist):
         start, root, total = _last_link(salish_a_dist)
@@ -584,6 +585,63 @@ class TestResolveLastLink:
             bl.resolve_last_link(joined, root, total)
         with pytest.raises(DomainError, match="carrier leaf '2' of the root is not cluster 1"):
             bl.resolve_last_link(other, root, total)
+
+
+def _random_table(seed, mode):
+    """A table of whole-percent coincidences, k = 3...12, as distances."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 13))
+    upper = np.triu(rng.integers(1, 101, (k, k)), 1)
+    return distances(coincidence(
+        tuple(f"L{i}" for i in range(k)), upper + upper.T + 100 * np.eye(k)), mode)
+
+
+@pytest.mark.parametrize("tolerance", [0.5, 2.0, 50.0])
+@pytest.mark.parametrize("external_means", bl.EXTERNAL_MEANS)
+@pytest.mark.parametrize("mode", ["paper", "precise"])
+def test_cross_check_reports_the_stored_root(mode, external_means, tolerance):
+    # ``resolve_last_link`` alone decides the root of a positive root link:
+    # the build stores its depth, lateral width, status and depth range.
+    tables = [_anchor_gap_table()] + [_random_table(seed, mode) for seed in range(40)]
+    reasons = set()
+    for dm in tables:
+        start, root, total = _last_link(dm, mode, external_means)
+        if total <= 0:
+            continue
+        res = bl.resolve_last_link(start, root, total, external_means, tolerance)
+        stored = bl.build(dm, mode=mode, external_means=external_means,
+                          resolve_tolerance=tolerance).junctions[-1]
+        status = model.RESOLVED if res.resolved else model.UNRESOLVED
+        assert (res.depth, res.lateral, status) == (stored.depth, stored.lateral,
+                                                    stored.status)
+        if not res.resolved:
+            assert res.depth_range == stored.depth_range
+            assert res.total_length == stored.total_length
+        reasons.add(res.reason.split()[-1])
+    assert {"agrees", "disagrees"} <= reasons
+
+
+class TestZeroLengthRoot:
+    """A root link of length 0 is stored resolved without a cross-check."""
+
+    def test_two_languages_at_distance_zero(self):
+        dm = DistanceMatrix(LanguageSet(("a", "b")), np.zeros((2, 2)))
+        root = bl.build(dm, mode="precise").junctions[-1]
+        assert (root.depth, root.lateral, root.status) == (0, 0, model.RESOLVED)
+        assert root.flags == ()
+
+    def test_reduced_to_zero_between_unequal_anchors(self):
+        # Found by a seeded search over k = 3 tables of whole distances 1..4:
+        # the tied first join rounds its depth 0.5 up to 1, so the reduced
+        # link to the third leaf, (1 - 1 + 1 - 1) / 2, is 0 while the anchors
+        # sit at 1 and 0.
+        dm = DistanceMatrix(LanguageSet(("a", "b", "c")), np.ones((3, 3)) - np.eye(3))
+        tree = bl.build(dm, mode="paper")
+        assert _last_link(dm)[2] == 0
+        root = tree.junctions[-1]
+        assert (root.near, root.far) == (3, 2)
+        assert (root.depth, root.lateral, root.status) == (1, 0, model.RESOLVED)
+        assert root.flags == (model.FLAG_INFEASIBLE,)
 
 
 def test_one_dendrogram_per_build(monkeypatch, salish_a_dist, salish_b_dist):

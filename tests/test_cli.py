@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import cyclic_graph_text
 from isolect import cli, model
 from isolect.cli import main
 
@@ -792,6 +793,15 @@ class TestRender:
         code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_cyclic_graph_refused(self, capsys, tmp_path):
+        path = tmp_path / "merged.json"
+        path.write_text(cyclic_graph_text())
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: bad segment-graph payload: segment graph must be a tree"
+        ]
 
     @pytest.mark.parametrize("document", ["tree", "merged"])
     def test_unknown_kind_refused(self, capsys, tmp_path, document):

@@ -22,6 +22,7 @@ from isolect.model import (
 )
 
 import oracles
+from conftest import cyclic_graph_text
 from oracles import sample_caterpillar
 
 
@@ -44,6 +45,18 @@ class TestSegmentGraph:
         for node in graph.nodes:
             if node.leaf is not None:
                 assert node.depth == 0.0
+
+    def test_cycle_beside_an_isolated_node_is_refused(self):
+        # Four nodes and three edges pass the edge count, but the edges close
+        # the cycle 1-j0-j1 and leave leaf 2 unconnected.
+        doc = json.loads(cyclic_graph_text())
+        with pytest.raises(ParseError, match=r"^bad segment-graph payload: "
+                                             r"segment graph must be a tree$"):
+            mg.read_graph(doc)
+        nodes = tuple(mg.SegmentNode(**n) for n in doc["nodes"])
+        edges = tuple(mg.SegmentEdge(**e) for e in doc["edges"])
+        with pytest.raises(DomainError, match=r"^segment graph must be a tree$"):
+            mg.SegmentGraph(nodes, edges, ("1", "2"), ())
 
     def test_edge_multiset(self, tree_a):
         graph = mg.segment_graph(tree_a)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from functools import cached_property
 
 import networkx as nx
@@ -392,6 +393,30 @@ class TestDendrogramValidation:
         Junction(near=0, far=1, depth=31, lateral=0, status=model.UNRESOLVED,
                  total_length=30, depth_range=(10.0, 10.0))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_accepted_junction_list_has_one_root(self, k):
+        # Each junction's (near, far) ranges over every node id 0..2k-2.  Every
+        # list the tree accepts leaves exactly one node, the last junction,
+        # out of the children; every other list is refused as out of order or
+        # as a child used twice (which covers a node joined with itself).
+        langs = LanguageSet(tuple("abcd"[:k]))
+        junctions = {pair: Junction(*pair, depth=0, lateral=0)
+                     for pair in itertools.product(range(2 * k - 1), repeat=2)}
+        refused = re.compile(r"junction \d references node \d out of order"
+                             r"|node \d used as a child twice")
+        accepted = 0
+        for pairs in itertools.product(junctions, repeat=k - 1):
+            try:
+                Dendrogram(langs, tuple(junctions[pair] for pair in pairs))
+            except DomainError as exc:
+                assert refused.fullmatch(str(exc)), str(exc)
+                continue
+            accepted += 1
+            children = {child for pair in pairs for child in pair}
+            assert set(range(2 * k - 1)) - children == {2 * k - 2}
+        # Ordered pairs from the n open nodes, n = k..2: 1, 2, 2*6 and 2*6*12.
+        assert accepted == [1, 2, 12, 144][k - 1]
+
     def test_carrier_follows_near_lineage(self):
         tree = salish_tree()
         assert tree.languages.labels[tree.carrier(6)] == "2"
@@ -494,9 +519,12 @@ class TestTreeIndexOracle:
         nodes = range(k + len(tree.junctions))
         for node in nodes:
             assert tree.members(node) == naive_members(tree, node)
-        for a, b in itertools.product(range(k), repeat=2):
-            lowest = next(n for n in nodes[k:] if {a, b} <= set(naive_members(tree, n)))
-            assert tree.lca_junction(a, b) == lowest
+        pairs = list(itertools.product(range(k), repeat=2))
+        lowest = [next(n for n in nodes[k:] if {a, b} <= set(naive_members(tree, n)))
+                  for a, b in pairs]
+        assert [tree.lca_junction(a, b) for a, b in pairs] == lowest  # walked
+        tree.meeting_junctions(tree.languages.labels)
+        assert [tree.lca_junction(a, b) for a, b in pairs] == lowest  # from the table
 
     @settings(max_examples=60, deadline=None)
     @given(dendrograms())
@@ -531,10 +559,9 @@ class TestTreeIndexOracle:
     @pytest.mark.parametrize("a, b", [(-1, 0), (0, 4), (4, 4), (0, -1)])
     def test_first_query_rejects_leaf_ids_out_of_range(self, a, b):
         # The walk from a negative id would never reach the root, and the
-        # k x k table of a tree asked twice would wrap it to the last leaf.
+        # k x k table the batch query builds would wrap it to the last leaf.
         fresh, tabled = salish_tree(), salish_tree()
-        for _ in range(2):  # the second query fills the table
-            tabled.lca_junction(0, 1)
+        tabled.meeting_junctions(["1", "2"])
         assert "_meeting" not in fresh.__dict__ and "_meeting" in tabled.__dict__
         for tree in (fresh, tabled):
             with pytest.raises(DomainError, match="leaf ids must lie in 0..3"):
@@ -543,7 +570,8 @@ class TestTreeIndexOracle:
 
 
 class TestMeetingTableBuilds:
-    """The k x k meeting table is filled only for a tree asked more than once."""
+    """The k x k meeting table is filled only by the batch query
+    ``meeting_junctions``, once per tree."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -572,9 +600,17 @@ class TestMeetingTableBuilds:
         assert len(builds) == 2
         assert {id(t) for t in builds} == {id(tree_a), id(tree_b)}
 
-    def test_second_query_fills_the_table_once(self, builds):
+    def test_only_the_batch_query_fills_the_table(self, builds):
         tree = salish_tree()
-        assert tree.lca_junction(0, 1) == 6
+        queries = ((0, 1), (2, 3), (1, 3), (1, 1))
+        for _ in range(3):
+            assert [tree.lca_junction(a, b) for a, b in queries] == [6, 4, 5, 5]
         assert builds == []
-        assert [tree.lca_junction(a, b) for a, b in ((2, 3), (1, 3), (1, 1))] == [4, 5, 5]
+        labels = tree.languages.labels
+        block = tree.meeting_junctions(labels)
         assert builds == [tree]
+        assert [tree.lca_junction(a, b) for a, b in queries] == [6, 4, 5, 5]
+        tree.meeting_junctions(labels[::-1])
+        assert builds == [tree]
+        for i, j in itertools.product(range(4), repeat=2):
+            assert block[i][j] == tree.junction_at(tree.lca_junction(i, j))

@@ -29,8 +29,9 @@ workload:
 - ``shared_consistency``, the merge check, on two fresh ``Dendrogram`` objects
   over that build, every leaf shared, so both trees' meeting and anchor
   tables are built inside the timing;
-- ``lca_junction.table``, one leaf-pair query on a tree that already holds
-  its k x k meeting table, as ``leaf_distance`` asks it;
+- ``lca_junction.table``, one leaf-pair query, as ``leaf_distance`` asks
+  it, on a tree whose k x k meeting table ``meeting_junctions`` has built,
+  as ``shared_consistency`` does before its per-pair distances;
 - ``deserialize`` and ``deserialize_graph``, reading the text of that
   build's ``dendrogram.json`` and of its segment graph, as ``evaluate``,
   ``merge`` and ``render`` read their inputs.
@@ -99,8 +100,7 @@ def layer_times(k: int, repeat: int) -> dict[str, tuple[float, float]]:
                      for _ in range(n))
 
     tabled = model.Dendrogram(languages, built.junctions, mode="paper")
-    for _ in range(2):  # the second query fills the k x k table
-        tabled.lca_junction(0, 1)
+    tabled.meeting_junctions(tree.labels)  # the batch query fills the k x k table
     return {
         "matrix_to_distances.whole":
             best_of(repeat, lambda: chronometry.matrix_to_distances(whole, "paper")),
