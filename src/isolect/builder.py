@@ -44,15 +44,17 @@ to a per-external Python loop's: sums run left to right through
 ``np.add.accumulate`` (never the pairwise ``np.sum``), and ``reduce``
 rounds its whole row at once with the scalar rounding's IEEE operations
 (``quantize_array``).
+
+The rest of a join is per-call overhead, so a join gathers its two rows
+once (a state keeps its last gather, keyed by the pair) and builds its
+records at tuple cost: ``Cluster`` and ``JoinGeometry`` are named tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress
-from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,40 +83,40 @@ class FinalLinkError(IsolectError):
     """No external cluster exists: the pair under consideration is the root link."""
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """An active cluster during agglomeration.
 
     ``first_label`` is the smallest member label (a leaf's own label).
     Active clusters are disjoint, so it orders them, and pairs of them, as
-    their sorted label tuples ``key`` do: it breaks every tie.  ``children``
-    holds the joined near and far clusters (empty for a leaf, whose node id
-    is its language index).  The tree's members and anchor distances belong
-    to the finished ``Dendrogram``.
+    their sorted member labels do: it breaks every tie.  ``children`` holds
+    the joined near and far clusters (empty for a leaf, whose node id is its
+    language index).  Equality, hash and repr cover the other four fields
+    only, so none of them walks the subtree.  The tree's members and anchor
+    distances belong to the finished ``Dendrogram``.
     """
 
     node: int
     anchor_depth: float
     weight: float
     first_label: str
-    children: tuple["Cluster", ...] = field(default=(), compare=False, repr=False)
+    children: tuple["Cluster", ...] = ()
 
-    @cached_property
-    def key(self) -> tuple[str, ...]:
-        """Sorted member labels, walked on access."""
-        labels, pending = [], [self]
-        while pending:  # no recursion: a caterpillar is k levels deep
-            cluster = pending.pop()
-            if cluster.children:
-                pending.extend(cluster.children)
-            else:
-                labels.append(cluster.first_label)
-        return tuple(sorted(labels))
+    def __eq__(self, other):
+        return other.__class__ is Cluster and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return other.__class__ is not Cluster or self[:4] != other[:4]
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return "Cluster(node={!r}, anchor_depth={!r}, weight={!r}, first_label={!r})".format(
+            *self[:4])
 
 
-@dataclass(frozen=True, eq=False)
 class ClusterState:
-    """Active clusters plus the reduced distances between them.
+    """Active clusters plus the reduced distances between them; read-only.
 
     ``table[x, y]`` is the reduced distance between nodes ``x`` and ``y``.
     States of one build share the table: a reduce fills the new node's row
@@ -128,50 +130,47 @@ class ClusterState:
     -1 for a lone cluster).
     """
 
-    clusters: tuple[Cluster, ...]
-    table: np.ndarray
-    mode: str
-    nodes: np.ndarray
-    weights: np.ndarray
-    row_min: np.ndarray
-    row_arg: np.ndarray
+    __slots__ = ("clusters", "table", "mode", "nodes", "weights", "row_min", "row_arg", "_rows")
 
-    def __post_init__(self):
-        for array in (self.nodes, self.weights, self.row_min, self.row_arg):
+    def __init__(self, clusters, table, mode, nodes, weights, row_min, row_arg):
+        for array in (nodes, weights, row_min, row_arg):
             array.setflags(write=False)
+        init = object.__setattr__  # past the refusing __setattr__
+        init(self, "clusters", clusters)
+        init(self, "table", table)
+        init(self, "mode", mode)
+        init(self, "nodes", nodes)
+        init(self, "weights", weights)
+        init(self, "row_min", row_min)
+        init(self, "row_arg", row_arg)
+        init(self, "_rows", None)
 
-    @cached_property
-    def _active(self) -> frozenset[int]:
-        return frozenset(self.nodes.tolist())
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ClusterState is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mask of the externals of nodes ``x`` and ``y`` over the active
-        clusters, the externals' node ids, and the two nodes' rows over them
-        (``x`` first)."""
+        clusters, the externals' node ids, and the two nodes' read-only rows
+        over them (``x`` first).  The last pair's arrays are kept, so the
+        join's ``lateral_offset`` and ``reduce`` gather them once; the
+        swapped pair gets the rows reversed."""
+        if self._rows is not None:
+            pair, found = self._rows
+            if pair == (x, y):
+                return found
+            if pair == (y, x):
+                return found[0], found[1], found[2][::-1]
         external = (self.nodes != x) & (self.nodes != y)
         ext_nodes = self.nodes[external]
-        return external, ext_nodes, self.table.take((x, y), 0).take(ext_nodes, 1)
-
-    @property
-    def dist(self) -> Mapping[frozenset, float]:
-        """Read-only view of the active pairs' distances, built on access."""
-        nodes = self.nodes.tolist()
-        block = self.table[np.ix_(nodes, nodes)].tolist()
-        return MappingProxyType({
-            frozenset((x, y)): block[i][j]
-            for i, x in enumerate(nodes)
-            for j, y in enumerate(nodes[i + 1 :], i + 1)
-        })
-
-    def distance(self, a: Cluster, b: Cluster) -> float:
-        pair = frozenset((a.node, b.node))
-        if len(pair) != 2 or not pair <= self._active:
-            raise KeyError(pair)
-        return float(self.table[a.node, b.node])
+        rows = self.table.take((x, y), 0).take(ext_nodes, 1)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", ((x, y), (external, ext_nodes, rows)))
+        return external, ext_nodes, rows
 
 
-@dataclass(frozen=True)
-class JoinGeometry:
+class JoinGeometry(NamedTuple):
     """Resolved geometry of one join."""
 
     near: Cluster
@@ -362,13 +361,8 @@ def reduce(
     near, far = geometry.near, geometry.far
     delta_near = geometry.depth - near.anchor_depth
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
-    merged = Cluster(
-        node=new_node,
-        anchor_depth=geometry.depth,
-        weight=near.weight + far.weight,
-        first_label=min(near.first_label, far.first_label),
-        children=(near, far),
-    )
+    merged = Cluster(new_node, geometry.depth, near.weight + far.weight,
+                     min(near.first_label, far.first_label), (near, far))
     external, ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
     clusters = list(compress(state.clusters, external.tolist()))
     clusters.append(merged)
@@ -534,16 +528,8 @@ def build(
     while len(state.clusters) > 2:
         geometry = _join(state, min_link(state), external_means)
         state, reduce_flags = reduce(state, geometry, k + len(junctions))
-        junctions.append(
-            Junction(
-                near=geometry.near.node,
-                far=geometry.far.node,
-                depth=geometry.depth,
-                lateral=geometry.lateral,
-                status=RESOLVED,
-                flags=geometry.flags + reduce_flags,
-            )
-        )
+        junctions.append(Junction(geometry.near.node, geometry.far.node, geometry.depth,
+                                  geometry.lateral, flags=geometry.flags + reduce_flags))
 
     # The anchor of a resolved root sits at the deeper child's anchor, so
     # the deeper cluster goes near; ties break lexicographically.

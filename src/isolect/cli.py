@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,13 +75,22 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _csv_quote(fields) -> dict[str, str]:
+    """Each distinct text field as ``csv.writer`` writes it in a row of
+    several fields (a row's only field is quoted when empty)."""
+    fields, lines = list(dict.fromkeys(fields)), []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (field, "") for field in fields)  # one write per row
+    return {field: line[:-2] for field, line in zip(fields, lines)}
+
+
 def _csv_text(header: list[str], rows) -> str:
-    """A CSV document: the header row, then ``rows``, each line ending in LF."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    """A CSV document, each line ending in LF, as ``csv.writer`` writes it:
+    the header, then ``rows``, whose fields are joined as they are.  Callers
+    quote text fields through ``_csv_quote``; formatted numbers, "-", ""
+    and yes/no never need quoting."""
+    quoted = _csv_quote(header)
+    return "\n".join([",".join(map(quoted.__getitem__, header)), *map(",".join, rows), ""])
 
 
 # -- input files and matrix CSV ----------------------------------------------
@@ -201,9 +211,10 @@ def read_matrix_csv(path, kind: str):
 
 def matrix_to_csv(matrix, mode: str) -> str:
     labels = matrix.languages.labels
+    quoted = _csv_quote(labels)
     rows = (
-        [label] + ["-" if i == j else "" if np.isnan(v) else format_number(v, mode)
-                   for j, v in enumerate(matrix.values[i])]
+        [quoted[label]] + ["-" if i == j else "" if np.isnan(v) else format_number(v, mode)
+                           for j, v in enumerate(matrix.values[i])]
         for i, label in enumerate(labels)
     )
     return _csv_text([""] + list(labels), rows)
@@ -517,9 +528,10 @@ def cmd_evaluate(args) -> int:
     aligned = measured.values[np.ix_(order, order)][rows, cols]
     observed = ~np.isnan(aligned)
     rows, cols = rows[observed], cols[observed]
+    quoted = list(map(_csv_quote(labels).__getitem__, labels))
     text = _csv_text(["language_a", "language_b", "measured", "restored", "residual"], zip(
-        map(labels.__getitem__, rows.tolist()),
-        map(labels.__getitem__, cols.tolist()),
+        map(quoted.__getitem__, rows.tolist()),
+        map(quoted.__getitem__, cols.tolist()),
         format_column(aligned[observed], mode),
         format_column(report.restored.values[rows, cols], mode),
         format_column(report.residuals[rows, cols], mode),
@@ -562,8 +574,10 @@ def cmd_merge(args) -> int:
     rows = [(*pred.pair, format_number(pred.distance, mode),
              format_number(pred.coincidence, mode), "yes" if pred.below_threshold else "no")
             for pred in predictions]
+    quoted = _csv_quote(label for pred in predictions for label in pred.pair)
     atomic_write(outdir / "predictions.csv", _csv_text(
-        ["language_a", "language_b", "svodesh", "coincidence", "below_threshold"], rows))
+        ["language_a", "language_b", "svodesh", "coincidence", "below_threshold"],
+        ((quoted[a], quoted[b], d, c, below) for a, b, d, c, below in rows)))
     print(f"merged graph written to {outdir / 'merged.json'}")
     print(f"{len(predictions)} predictions written to {outdir / 'predictions.csv'}")
     for a, b, distance, coincidence, below in rows:

@@ -6,9 +6,13 @@ deliberately without touching the package's tree/path code, so these
 values can serve as ground truth for reconstruction tests.
 
 The scalar references are per-cell Python loops, one call per cell, that
-the package's array kernels must match bit for bit.  The matrix CSV reader
-at the end is the straightforward one (``csv.reader``, then one ``float``
-per stripped cell) that the CLI's reader must match in values and errors.
+the package's array kernels must match bit for bit.  The builder's step
+readers (a cluster's sorted member labels, a state's active-pair distances)
+are test-only, so they live here.  ``csv_text`` writes every row through
+``csv.writer``, the reference for the CLI's CSV outputs.  The matrix CSV
+reader at the end is the straightforward one (``csv.reader``, then one
+``float`` per stripped cell) that the CLI's reader must match in values and
+errors.
 The two document serializers at the very end build the documents as dicts
 and lists and hand them to ``json.dumps``; ``model.serialize`` and
 ``merger.serialize_graph`` must match their bytes.  The merge check's
@@ -24,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import networkx as nx
 import numpy as np
@@ -187,6 +192,40 @@ def quantize(x: float, mode: str) -> float:
     return round_half_away(x) if mode == "paper" else float(x)
 
 
+def cluster_key(cluster) -> tuple[str, ...]:
+    """Sorted member labels of a builder cluster, walked without recursion
+    (a caterpillar is k levels deep)."""
+    labels, pending = [], [cluster]
+    while pending:
+        cluster = pending.pop()
+        if cluster.children:
+            pending.extend(cluster.children)
+        else:
+            labels.append(cluster.first_label)
+    return tuple(sorted(labels))
+
+
+def state_dist(state) -> MappingProxyType:
+    """Read-only view of a builder state's active pairs' distances, keyed
+    by the frozenset of the two node ids."""
+    nodes = state.nodes.tolist()
+    block = state.table[np.ix_(nodes, nodes)].tolist()
+    return MappingProxyType({
+        frozenset((x, y)): block[i][j]
+        for i, x in enumerate(nodes)
+        for j, y in enumerate(nodes[i + 1 :], i + 1)
+    })
+
+
+def state_distance(state, a, b) -> float:
+    """Reduced distance between two distinct active clusters of ``state``;
+    ``KeyError`` for any other pair."""
+    pair = frozenset((a.node, b.node))
+    if len(pair) != 2 or not pair <= set(state.nodes.tolist()):
+        raise KeyError(pair)
+    return float(state.table[a.node, b.node])
+
+
 def lateral_offset_means(state, pair, external_means="weighted") -> list[float]:
     """Both members' external means, summed one external at a time."""
     a, b = pair
@@ -323,6 +362,18 @@ def shared_consistency(a, b):
                     f"dendrogram but not the other; compared by distance only"
                 )
     return shared, tuple(rows), tuple(notes)
+
+
+# -- the CSV writer: every row through csv.writer ---------------------------
+
+
+def csv_text(header, rows) -> str:
+    """A CSV document as ``csv.writer`` writes it, each line ending in LF."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # -- the matrix CSV reader, one cell at a time through csv.reader -----------

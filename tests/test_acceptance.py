@@ -34,7 +34,13 @@ from conftest import (
     SALISH_B_DISTANCES,
     coincidence,
 )
-from oracles import sample_balanced_ambiguous, sample_caterpillar
+from oracles import (
+    cluster_key,
+    sample_balanced_ambiguous,
+    sample_caterpillar,
+    state_dist,
+    state_distance,
+)
 
 
 def verdict(number: int, text: str) -> None:
@@ -68,17 +74,17 @@ def test_criterion_02_reduction_steps(salish_a, salish_b):
     state = bl.initial_state(dist_a, None, "paper")
     pair = bl.min_link(state)
     offset, near, far = bl.lateral_offset(state, pair)
-    link = state.distance(near, far)
+    link = state_distance(state, near, far)
     d, h, flags, offset = bl.join_geometry(link, offset, 0, 0, "paper")
     state, _ = bl.reduce(
         state, bl.JoinGeometry(near, far, link, offset, d, h, flags), 4
     )
     merged = state.clusters[-1]
-    assert state.dist[frozenset((merged.node, 0))] == 94
-    assert state.dist[frozenset((merged.node, 1))] == 58
+    assert state_dist(state)[frozenset((merged.node, 0))] == 94
+    assert state_dist(state)[frozenset((merged.node, 1))] == 58
     pair = bl.min_link(state)
     offset, near, far = bl.lateral_offset(state, pair)
-    link = state.distance(near, far)
+    link = state_distance(state, near, far)
     d, h, flags, offset = bl.join_geometry(
         link, offset, near.anchor_depth, far.anchor_depth, "paper"
     )
@@ -86,24 +92,24 @@ def test_criterion_02_reduction_steps(salish_a, salish_b):
         state, bl.JoinGeometry(near, far, link, offset, d, h, flags), 5
     )
     merged = state.clusters[-1]
-    assert state.dist[frozenset((merged.node, 0))] == 55
+    assert state_dist(state)[frozenset((merged.node, 0))] == 55
 
     dist_b = ch.matrix_to_distances(salish_b, "paper")
     state = bl.initial_state(dist_b, None, "paper")
     for node in (4, 5):
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
-        link = state.distance(near, far)
+        link = state_distance(state, near, far)
         d, h, flags, offset = bl.join_geometry(
             link, offset, near.anchor_depth, far.anchor_depth, "paper"
         )
         state, _ = bl.reduce(
             state, bl.JoinGeometry(near, far, link, offset, d, h, flags), node
         )
-    values = sorted(state.dist.values())
+    values = sorted(state_dist(state).values())
     assert 85 in values
     cluster_entries = {
-        frozenset(k): v for k, v in state.dist.items()
+        frozenset(k): v for k, v in state_dist(state).items()
     }
     assert set(values) >= {85.0}
     verdict(2, "reduced entries 94, 58, 55 and 139, 104, 85 reproduced exactly")
@@ -116,15 +122,15 @@ def test_criterion_02b_second_group_cluster_rows(salish_b):
     state = bl.initial_state(dist_b, None, "paper")
     pair = bl.min_link(state)
     offset, near, far = bl.lateral_offset(state, pair)
-    link = state.distance(near, far)
+    link = state_distance(state, near, far)
     d, h, flags, offset = bl.join_geometry(link, offset, 0, 0, "paper")
     state, _ = bl.reduce(
         state, bl.JoinGeometry(near, far, link, offset, d, h, flags), 4
     )
     merged = state.clusters[-1]
-    assert merged.key == ("5", "6")
-    assert state.dist[frozenset((merged.node, 1))] == 139
-    assert state.dist[frozenset((merged.node, 0))] == 104
+    assert cluster_key(merged) == ("5", "6")
+    assert state_dist(state)[frozenset((merged.node, 1))] == 139
+    assert state_dist(state)[frozenset((merged.node, 0))] == 104
 
 
 def test_criterion_03_four_language_geometry(salish_a):

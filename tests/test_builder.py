@@ -8,7 +8,14 @@ from isolect.errors import DomainError
 from isolect.model import DistanceMatrix, LanguageSet, WeightVector, serialize
 
 from conftest import coincidence
-from oracles import sample_balanced_ambiguous, sample_caterpillar
+import oracles
+from oracles import (
+    cluster_key,
+    sample_balanced_ambiguous,
+    sample_caterpillar,
+    state_dist,
+    state_distance,
+)
 
 
 def distances(matrix, mode="paper"):
@@ -29,8 +36,8 @@ class TestMinLink:
     def test_four_language_start(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
         a, b = bl.min_link(state)
-        assert {a.key[0], b.key[0]} == {"3", "4"}
-        assert state.distance(a, b) == 62
+        assert {cluster_key(a)[0], cluster_key(b)[0]} == {"3", "4"}
+        assert state_distance(state, a, b) == 62
 
     def test_join_order_second_group(self, salish_b_dist):
         order = []
@@ -38,9 +45,9 @@ class TestMinLink:
         node = 4
         while len(state.clusters) > 2:
             pair = bl.min_link(state)
-            order.append(tuple(sorted(c.key for c in pair)))
+            order.append(tuple(sorted(cluster_key(c) for c in pair)))
             offset, near, far = bl.lateral_offset(state, pair)
-            link = state.distance(near, far)
+            link = state_distance(state, near, far)
             d, h, flags, offset = bl.join_geometry(
                 link, offset, near.anchor_depth, far.anchor_depth, "paper"
             )
@@ -62,13 +69,13 @@ class TestMinLink:
         )
         state = bl.initial_state(dm, None, "paper")
         a, b = bl.min_link(state)
-        assert (a.key[0], b.key[0]) == ("a", "b")
+        assert (cluster_key(a)[0], cluster_key(b)[0]) == ("a", "b")
 
 
 def _join(state, pair, node, mode, external_means="weighted"):
     """Join ``pair`` through the step API; returns the next state."""
     offset, near, far = bl.lateral_offset(state, pair, external_means)
-    link = state.distance(near, far)
+    link = state_distance(state, near, far)
     d, h, flags, offset = bl.join_geometry(
         link, offset, near.anchor_depth, far.anchor_depth, mode
     )
@@ -96,7 +103,7 @@ def _tied_matrix(seed, k=30):
 def _ranks(state):
     """(distance, sorted key pair, pair) of every active pair."""
     return [
-        (state.distance(a, b), tuple(sorted((a.key, b.key))), (a, b))
+        (state_distance(state, a, b), tuple(sorted((cluster_key(a), cluster_key(b)))), (a, b))
         for i, a in enumerate(state.clusters)
         for b in state.clusters[i + 1 :]
     ]
@@ -127,7 +134,7 @@ class TestStepApiOracle:
         node = k
         while len(state.clusters) > 2:
             n = len(state.clusters)
-            view = state.dist
+            view = state_dist(state)
             assert len(view) == n * (n - 1) // 2
             with pytest.raises(TypeError):
                 view[next(iter(view))] = 0.0
@@ -136,16 +143,16 @@ class TestStepApiOracle:
             ext = state.clusters[0]
             for retired in (a, b):
                 with pytest.raises(KeyError):
-                    state.dist[frozenset((retired.node, ext.node))]
+                    state_dist(state)[frozenset((retired.node, ext.node))]
                 with pytest.raises(KeyError):
-                    state.distance(retired, ext)
+                    state_distance(state, retired, ext)
             node += 1
         for earlier, snapshot in seen:
-            assert dict(earlier.dist) == snapshot
+            assert dict(state_dist(earlier)) == snapshot
             by_node = {c.node: c for c in earlier.clusters}
             for pair, d in snapshot.items():
                 x, y = (by_node[n] for n in pair)
-                assert earlier.distance(x, y) == d
+                assert state_distance(earlier, x, y) == d
 
     def test_branching_reduces_keep_both_branches(self):
         # Two reduces of one state that reuse a node id must not see each
@@ -154,11 +161,11 @@ class TestStepApiOracle:
         state = bl.initial_state(dm, None, "precise")
         a, b, c = state.clusters[:3]
         first, _ = bl.reduce(state, bl.JoinGeometry(a, b, 0, 0, 1.0, 0.0), 8)
-        before = dict(first.dist)
+        before = dict(state_dist(first))
         second, _ = bl.reduce(state, bl.JoinGeometry(a, c, 0, 0, 5.0, 2.0), 8)
-        assert dict(first.dist) == before
-        assert dict(second.dist) != before
-        assert len(second.dist) == len(before)
+        assert dict(state_dist(first)) == before
+        assert dict(state_dist(second)) != before
+        assert len(state_dist(second)) == len(before)
 
     def test_incomplete_matrix_rejected(self):
         dm = DistanceMatrix(
@@ -273,7 +280,7 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 34
-        assert near.key == ("3",) and far.key == ("4",)
+        assert cluster_key(near) == ("3",) and cluster_key(far) == ("4",)
 
     def test_single_external_offset(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
@@ -286,8 +293,8 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 21  # becomes 20 after the integer-parity adjustment
-        assert near.key == ("2",)
-        assert far.key == ("3", "4")
+        assert cluster_key(near) == ("2",)
+        assert cluster_key(far) == ("3", "4")
 
     def test_equidistant_pair(self):
         dm = DistanceMatrix(
@@ -298,7 +305,7 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 0.0
-        assert near.key == ("a",) and far.key == ("b",)
+        assert cluster_key(near) == ("a",) and cluster_key(far) == ("b",)
 
     def test_no_externals_signals_final_link(self):
         dm = DistanceMatrix(
@@ -376,9 +383,9 @@ class TestReduce:
         geom = bl.JoinGeometry(near, far, 62, 34, 14, 34)
         state, flags = bl.reduce(state, geom, 4)
         merged = state.clusters[-1]
-        by = {c.key: c for c in state.clusters}
-        assert state.dist[frozenset((merged.node, 0))] == 94
-        assert state.dist[frozenset((merged.node, 1))] == 58
+        by = {cluster_key(c): c for c in state.clusters}
+        assert state_dist(state)[frozenset((merged.node, 0))] == 94
+        assert state_dist(state)[frozenset((merged.node, 1))] == 58
         assert flags == ()
 
     def test_weighted_reduction(self, salish_a_dist):
@@ -388,31 +395,31 @@ class TestReduce:
         state, _ = bl.reduce(
             state, bl.JoinGeometry(near, far, 62, 34, 14, 34), 4
         )
-        near = next(c for c in state.clusters if c.key == ("2",))
-        far = next(c for c in state.clusters if c.key == ("3", "4"))
+        near = next(c for c in state.clusters if cluster_key(c) == ("2",))
+        far = next(c for c in state.clusters if cluster_key(c) == ("3", "4"))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(near, far, 58, 20, 19, 34), 5
         )
         merged = state.clusters[-1]
-        assert state.dist[frozenset((merged.node, 0))] == 55
+        assert state_dist(state)[frozenset((merged.node, 0))] == 55
 
     def test_second_group_reductions(self, salish_b_dist):
         state = bl.initial_state(salish_b_dist, None, "paper")
-        five = next(c for c in state.clusters if c.key == ("5",))
-        six = next(c for c in state.clusters if c.key == ("6",))
+        five = next(c for c in state.clusters if cluster_key(c) == ("5",))
+        six = next(c for c in state.clusters if cluster_key(c) == ("6",))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(five, six, 54, 4, 25, 4), 4
         )
-        merged = next(c for c in state.clusters if c.key == ("5", "6"))
-        assert state.dist[frozenset((merged.node, 1))] == 139
-        assert state.dist[frozenset((merged.node, 0))] == 104
-        one = next(c for c in state.clusters if c.key == ("1",))
-        two = next(c for c in state.clusters if c.key == ("2",))
+        merged = next(c for c in state.clusters if cluster_key(c) == ("5", "6"))
+        assert state_dist(state)[frozenset((merged.node, 1))] == 139
+        assert state_dist(state)[frozenset((merged.node, 0))] == 104
+        one = next(c for c in state.clusters if cluster_key(c) == ("1",))
+        two = next(c for c in state.clusters if cluster_key(c) == ("2",))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(one, two, 73, 35, 19, 35), 5
         )
-        pair = next(c for c in state.clusters if c.key == ("1", "2"))
-        assert state.dist[frozenset((pair.node, merged.node))] == 85
+        pair = next(c for c in state.clusters if cluster_key(c) == ("1", "2"))
+        assert state_dist(state)[frozenset((pair.node, merged.node))] == 85
 
     def test_negative_entry_clamped(self):
         dm = DistanceMatrix(
@@ -425,7 +432,92 @@ class TestReduce:
         geom = bl.JoinGeometry(a, b, 100, 0, 50, 0)
         state, flags = bl.reduce(state, geom, 3)
         assert model.FLAG_NEGATIVE_REDUCED in flags
-        assert state.dist[frozenset((3, 2))] == 0.0
+        assert state_dist(state)[frozenset((3, 2))] == 0.0
+
+
+class TestRecords:
+    """Clusters and join geometries are named tuples whose equality, hash
+    and repr skip a cluster's children; states refuse assignment; a state
+    keeps its last row gather, keyed by the pair."""
+
+    def test_cluster_equality_and_hash_ignore_children(self):
+        a, b = bl.Cluster(0, 0.0, 1.0, "a"), bl.Cluster(1, 0.0, 1.0, "b")
+        joined, bare = bl.Cluster(2, 5.0, 2.0, "a", (a, b)), bl.Cluster(2, 5.0, 2.0, "a")
+        assert joined == bare and not joined != bare
+        assert hash(joined) == hash(bare) and len({joined, bare}) == 1
+        for other in (bl.Cluster(3, 5.0, 2.0, "a", (a, b)), bl.Cluster(2, 5.5, 2.0, "a"),
+                      bl.Cluster(2, 5.0, 3.0, "a"), bl.Cluster(2, 5.0, 2.0, "b", (a, b)),
+                      tuple(joined)):
+            assert joined != other and not joined == other
+        assert repr(joined) == "Cluster(node=2, anchor_depth=5.0, weight=2.0, first_label='a')"
+        assert joined.children == (a, b) and bare.children == ()
+        geometry = bl.JoinGeometry(joined, b, 9.0, 1.0, 6.0, 2.0)
+        assert geometry == bl.JoinGeometry(bare, b, 9.0, 1.0, 6.0, 2.0, ())
+        assert repr(geometry).startswith(f"JoinGeometry(near={joined!r}, far={b!r}, ")
+
+    def test_root_clusters_of_a_deep_caterpillar(self):
+        # d(i, j) = max(i, j) joins leaf after leaf onto one cluster, nested
+        # k - 1 levels deep: past the recursion limit for a recursive repr.
+        k = 2000
+        i = np.arange(k)
+        values = np.maximum.outer(i, i).astype(float)
+        np.fill_diagonal(values, 0.0)
+        dm = DistanceMatrix(LanguageSet(tuple(f"x{j}" for j in range(k))), values)
+        state = bl.initial_state(dm, None, "precise")
+        for node in range(k, 2 * k - 2):
+            state, _ = bl.reduce(state, bl._join(state, bl.min_link(state), "weighted"), node)
+        leaf, root = state.clusters
+        assert len(cluster_key(leaf)) == 1 and len(cluster_key(root)) == k - 1
+        assert repr(state.clusters) == (
+            "(Cluster(node=1999, anchor_depth=0.0, weight=1.0, first_label='x1999'), "
+            "Cluster(node=3997, anchor_depth=999.0, weight=1999.0, first_label='x0'))")
+        copy = bl.Cluster(*root[:4], root.children)
+        assert copy == root and hash(copy) == hash(root) and not copy != root
+
+    def test_state_refuses_assignment(self, salish_a_dist):
+        state = bl.initial_state(salish_a_dist, None, "paper")
+        for name in ("clusters", "table", "mode", "nodes", "row_min", "_rows", "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(state, name, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(state, name)
+        for array in (state.nodes, state.weights, state.row_min, state.row_arg):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert not hasattr(state, "__dict__")
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_swapped_pair_reads_its_own_rows(self, mode):
+        dm = _precise_random(3, k=9)
+        state = bl.initial_state(dm, None, mode)
+        a, b = state.clusters[2], state.clusters[6]
+        for pair in ((a, b), (b, a), (b, a), (a, b)):
+            fresh = bl.initial_state(dm, None, mode)
+            assert bl.lateral_offset(state, pair) == bl.lateral_offset(fresh, pair)
+            offset, near, far = bl.lateral_offset(state, pair)
+            m0, m1 = oracles.lateral_offset_means(state, pair)
+            assert offset == abs(m1 - m0) and m0 != m1
+            assert (near, far) == (pair if m0 < m1 else pair[::-1])
+            external, ext_nodes, rows = state._pair_rows(pair[0].node, pair[1].node)
+            assert rows.tolist() == state.table[np.ix_([c.node for c in pair], ext_nodes)].tolist()
+            assert not rows.flags.writeable  # lateral_offset and reduce share them
+            assert ext_nodes.tolist() == [c.node for c in state.clusters if c not in pair]
+
+    def test_reduces_of_one_state_with_different_pairs(self):
+        dm = _precise_random(5, k=9)
+        state = bl.initial_state(dm, None, "precise")
+        c = state.clusters
+        joins = [(bl.JoinGeometry(c[0], c[1], 0.0, 0.0, 40.0, 3.0), 9),
+                 (bl.JoinGeometry(c[4], c[2], 0.0, 0.0, 35.0, 1.0), 10),
+                 (bl.JoinGeometry(c[1], c[0], 0.0, 0.0, 40.0, 3.0), 11)]
+        bl.lateral_offset(state, (c[0], c[1]))  # the gather reduce may reuse
+        for geometry, node in joins:
+            want, clamped = oracles.reduced_row(state, geometry)
+            got, flags = bl.reduce(state, geometry, node)
+            externals = [x.node for x in got.clusters[:-1]]
+            assert got.table[node, externals].tolist() == want
+            assert flags == (model.FLAG_NEGATIVE_REDUCED,) * clamped
+            _assert_carried_arrays(got)
 
 
 class TestBuild:
@@ -515,7 +607,7 @@ def _last_link(dm, mode="paper", external_means="weighted"):
         _, state = _step(state, node, mode, external_means)
         node += 1
     near, far = sorted(state.clusters, key=lambda c: (-c.anchor_depth, c.first_label))
-    return start, (near, far), state.distance(near, far)
+    return start, (near, far), state_distance(state, near, far)
 
 
 def _anchor_gap_table():
@@ -760,7 +852,7 @@ class TestPlantedRecovery:
         while len(state.clusters) > 2:
             pair = bl.min_link(state)
             offset, near, far = bl.lateral_offset(state, pair)
-            link = state.distance(near, far)
+            link = state_distance(state, near, far)
             d, h, flags, offset = bl.join_geometry(
                 link, offset, near.anchor_depth, far.anchor_depth, "precise"
             )
@@ -769,7 +861,7 @@ class TestPlantedRecovery:
             )
             merged = state.clusters[-1]
             for ext in state.clusters[:-1]:
-                got = state.distance(merged, ext)
+                got = state_distance(state, merged, ext)
                 leaf = ext.node
                 expected = pend[leaf] + abs(pos[anchor_of[leaf]] - pos[step])
                 assert got == pytest.approx(expected, abs=1e-9)
@@ -846,7 +938,7 @@ class TestLazyAnchorTables:
         state, node = bl.initial_state(dm, None, "precise"), k
         while len(state.clusters) > 2:
             offset, near, far = bl.lateral_offset(state, bl.min_link(state))
-            link = state.distance(near, far)
+            link = state_distance(state, near, far)
             d, h, flags, offset = bl.join_geometry(
                 link, offset, near.anchor_depth, far.anchor_depth, "precise"
             )
@@ -856,4 +948,4 @@ class TestLazyAnchorTables:
             node += 1
         labels = dm.languages.labels
         for cluster in state.clusters:
-            assert cluster.key == tuple(sorted(labels[i] for i in tree.members(cluster.node)))
+            assert cluster_key(cluster) == tuple(sorted(labels[i] for i in tree.members(cluster.node)))

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -1111,3 +1112,91 @@ class TestBackToBackCalls:
         assert run(capsys, *argv)[1] == "25\n"
         monkeypatch.setenv("SVODESH_MODE", "precise")
         assert run(capsys, *argv)[1] == "25.06\n"
+
+
+# Salish leaves renamed so that every CSV output carries labels csv.writer
+# quotes (comma, double quote, CR, LF) or leaves bare (tab, non-ASCII).
+ODD_LABELS = {"1": "a,b", "2": 'say "hi"', "3": "cr\rx", "4": "lf\nx", "5": "tab\tx",
+              "6": "Łódź"}
+
+
+class TestCsvOutputsMatchCsvWriter:
+    """evaluation.csv, predictions.csv and convert's matrix are byte for byte
+    what ``csv.writer`` writes for the same fields (``oracles.csv_text``)."""
+
+    @staticmethod
+    def _table(path, numbers, values, absent=()):
+        """A coincidence CSV over the renamed labels, every field quoted (a
+        bare CR would end the row); ``absent`` pairs left empty."""
+        labels = [ODD_LABELS[n] for n in numbers]
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow([""] + labels)
+            writer.writerows(
+                [lab] + ["" if (i, j) in absent or (j, i) in absent else str(v)
+                         for j, v in enumerate(row)]
+                for i, (lab, row) in enumerate(zip(labels, values)))
+        return path
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_convert(self, capsys, tmp_path, mode):
+        from conftest import SALISH_A
+        src = self._table(tmp_path / "a.csv", "1234", SALISH_A, absent={(0, 2)})
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "convert", "--input", str(src), "--direction", "to-svodesh",
+                         "--mode", mode, "--output", str(out))
+        assert code == 0
+        converted = cli.chronometry.matrix_to_distances(
+            oracles.read_matrix_csv(src, "coincidence"), mode)
+        labels = converted.languages.labels
+        want = oracles.csv_text([""] + list(labels), [
+            [lab] + ["-" if i == j else "" if math.isnan(v) else cli.format_number(v, mode)
+                     for j, v in enumerate(converted.values[i].tolist())]
+            for i, lab in enumerate(labels)])
+        assert math.isnan(converted.values[0, 2])
+        assert out.read_bytes().decode("utf-8") == want
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_evaluation_and_predictions(self, capsys, tmp_path, mode):
+        from conftest import SALISH_A, SALISH_B
+        tables = {"a": self._table(tmp_path / "a.csv", "1234", SALISH_A),
+                  "b": self._table(tmp_path / "b.csv", "1256", SALISH_B)}
+        for name, src in tables.items():
+            code, _, _ = run(capsys, "build", "--input", str(src), "--mode", mode,
+                             "--outdir", str(tmp_path / name))
+            assert code == 0
+        trees = {name: model.deserialize((tmp_path / name / "dendrogram.json").read_text())
+                 for name in tables}
+
+        code, _, _ = run(capsys, "evaluate", "--tree", str(tmp_path / "a" / "dendrogram.json"),
+                         "--input", str(tables["a"]), "--output", str(tmp_path / "eval.csv"))
+        assert code == 0
+        measured = cli.chronometry.matrix_to_distances(
+            oracles.read_matrix_csv(tables["a"], "coincidence"), mode)
+        report = cli.refinement.evaluate(trees["a"], measured)
+        labels = report.languages.labels
+        want = oracles.csv_text(
+            ["language_a", "language_b", "measured", "restored", "residual"],
+            [[labels[i], labels[j]] + [cli.format_number(v, mode) for v in (
+                measured.values[measured.languages.index(labels[i]),
+                                measured.languages.index(labels[j])],
+                report.restored.values[i, j], report.residuals[i, j])]
+             for i, j in itertools.combinations(range(len(labels)), 2)])
+        text = (tmp_path / "eval.csv").read_bytes().decode("utf-8")
+        assert text == want
+        assert all(quoted in text for quoted in ('"a,b"', '"say ""hi"""', '"lf\nx"'))
+
+        code, _, _ = run(capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+                         "--b", str(tmp_path / "b" / "dendrogram.json"),
+                         "--outdir", str(tmp_path / "merged"))
+        assert code == 0
+        graph = cli.merger.merge(trees["a"], trees["b"], tolerance=3.0)
+        predictions = cli.merger.predict_missing(graph, cli.merger.cross_pairs(graph))
+        want = oracles.csv_text(
+            ["language_a", "language_b", "svodesh", "coincidence", "below_threshold"],
+            [[*p.pair, cli.format_number(p.distance, mode), cli.format_number(p.coincidence, mode),
+              "yes" if p.below_threshold else "no"] for p in predictions])
+        assert len(predictions) == 4
+        text = (tmp_path / "merged" / "predictions.csv").read_bytes().decode("utf-8")
+        assert text == want
+        assert '"lf\nx"' in text

@@ -30,6 +30,7 @@ from isolect.modes import quantize_array, round_half_away
 
 from conftest import BALTOSLAVIC, BALTOSLAVIC_LABELS, SALISH_A, SALISH_A_LABELS, coincidence
 import oracles
+from oracles import state_distance
 
 
 def same_bits(got, want) -> bool:
@@ -109,7 +110,7 @@ def test_builder_steps_match_scalar_loops(case):
         assert same_bits(offset, abs(m1 - m0) if m0 != m1 else 0.0)
         if m0 != m1:
             assert (near, far) == ((pair[0], pair[1]) if m0 < m1 else (pair[1], pair[0]))
-        link = state.distance(near, far)
+        link = state_distance(state, near, far)
         depth, lateral, flags, offset = bl.join_geometry(
             link, offset, near.anchor_depth, far.anchor_depth, mode
         )
@@ -132,7 +133,7 @@ def test_negative_reduced_values_clamp_like_the_scalar_loop(mode):
     clamped_total = 0
     for node, depth in zip(range(20, 38), np.linspace(40.3, 160.5, 18).tolist()):
         near, far = bl.min_link(state)
-        link = state.distance(near, far)
+        link = state_distance(state, near, far)
         geometry = bl.JoinGeometry(near, far, link, 0.0, depth, 7.5)
         want, clamped = oracles.reduced_row(state, geometry)
         state, flags = bl.reduce(state, geometry, node)

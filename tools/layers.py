@@ -3,6 +3,7 @@
 Usage, from the root of a source checkout::
 
     python3 tools/layers.py [--max-k 512] [--repeat 7] [--outdir bench]
+    python3 tools/layers.py --against REV [--max-k 512] [--repeat 7] [--outdir bench]
 
 ``isolect`` is imported from the checkout's ``src/``.  Each layer is timed
 in this process, and the minimum of ``--repeat`` runs is kept: the host's
@@ -19,9 +20,16 @@ workload:
   log-normal noise, the workload's table kind;
 - ``matrix_to_distances.distinct``: precise mode on the tree's exact
   coincidences, all distinct floats;
+- ``build.paper``: the paper-mode build of the whole table's distances, as
+  each pass of ``build --weights iterate`` runs it;
+- ``build.precise_caterpillar``: the precise build of a planted caterpillar's
+  distances, build-planted's input kind;
 - ``chain_widths`` (on the tree's segment graph), ``format_column``
   (paper mode, the restored upper triangle) and ``render_newick_lossy`` on
   the paper-mode build of the whole table;
+- ``evaluation_csv``: the text of ``evaluation.csv`` for that build against
+  the whole table, as ``evaluate`` writes it: ``format_column`` of the three
+  number columns and the CSV writer (planted labels need no quoting);
 - ``restore_distance_matrix``, as ``evaluate`` calls it, and
   ``meeting_junction.first``, the one query ``perturb`` asks of each
   rebuild, each on a fresh ``Dendrogram`` over that build's junctions, so
@@ -41,56 +49,72 @@ The file records the commit (``git rev-parse --short HEAD``, with
 versions, ``REF_S``, the seconds per layer and size, raw (``seconds``) and
 at reference speed (``scaled``), and each layer's log-log slope of the raw
 seconds over the sizes measured.
+
+``--against REV`` compares the checkout with another commit in one
+process, where runs a minute apart on a shared host would not compare.
+``git archive REV src/isolect`` is unpacked into a temporary directory and
+imported as a second package, ``isolect_base`` (``isolect`` imports only
+relatively); both trees are byte-compiled first, so neither side pays for
+compiling at import.  Each layer's runs alternate between the two sides,
+and which side goes first alternates from run to run.  Besides one file per
+side (the checkout's, named with ``-dirty`` when its ``src/`` differs
+from HEAD, and ``BENCH_<REV>.json``, or ``BENCH_<REV>-base.json`` when the
+two names would be one), ``AB_<REV>_<commit>.json`` holds each
+layer's per-run ratios, checkout over ``REV``, as their median and
+quartiles per size: below 1 means the checkout is faster.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import gc
+import importlib
+import importlib.util
+import io
 import json
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
 import planted  # noqa: E402
-from isolect import builder, chronometry, cli, merger, model  # noqa: E402
 from kernel import REF_S, reference_kernel  # noqa: E402
 
 SEED = 0
+BASE = "isolect_base"  # the package name of the tree ``--against`` unpacks
+HEADER = ["language_a", "language_b", "measured", "restored", "residual"]
 
 
-def best_of(repeat: int, fn, make=tuple) -> tuple[float, float]:
-    """The shortest of ``repeat`` wall times of ``fn(*make())``, ``make`` and
-    a garbage collection untimed before each run, raw and scaled to the
-    reference kernel's speed around the runs."""
-    before = reference_kernel()
-    best = float("inf")
-    for _ in range(repeat):
-        args = make()
-        gc.collect()  # the set-up's garbage is not the layer's to collect
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, best * REF_S / ((before + reference_kernel()) / 2)
-
-
-def layer_times(k: int, repeat: int) -> dict[str, tuple[float, float]]:
-    """Seconds per call of each layer at size ``k``, raw and scaled."""
+def layers(pkg, k: int) -> dict:
+    """Each layer at size ``k`` on the package ``pkg``: its call, and the
+    maker of the fresh arguments each run passes to it."""
+    builder, chronometry, cli, merger, model, refinement = (
+        importlib.import_module(f"{pkg.__name__}.{name}")
+        for name in ("builder", "chronometry", "cli", "merger", "model", "refinement"))
     rng = np.random.default_rng(SEED)
     tree = planted.chain_tree(rng, k)
     languages = model.LanguageSet(tree.labels)
     whole = model.CoincidenceMatrix(languages, planted.noisy_percent(rng, tree.distances))
     distinct = model.CoincidenceMatrix(languages, 100.0 * np.exp(-tree.distances / 100.0))
-    built = builder.build(chronometry.matrix_to_distances(whole, "paper"), mode="paper")
+    measured = chronometry.matrix_to_distances(whole, "paper")
+    caterpillar = planted.caterpillar(np.random.default_rng(SEED), k)
+    cat_dist = model.DistanceMatrix(model.LanguageSet(caterpillar.labels), caterpillar.distances)
+    built = builder.build(measured, mode="paper")
     graph = merger.segment_graph(built)
-    upper = model.restore_distance_matrix(built).values[np.triu_indices(k, 1)]
+    report = refinement.evaluate(built, measured)
+    rows, cols = np.triu_indices(k, 1)
+    upper = report.restored.values[rows, cols]
     a, b = tree.labels[0], tree.labels[-1]
     tree_text, graph_text = model.serialize(built), merger.serialize_graph(graph)
 
@@ -99,24 +123,63 @@ def layer_times(k: int, repeat: int) -> dict[str, tuple[float, float]]:
         return tuple(model.Dendrogram(languages, built.junctions, mode="paper")
                      for _ in range(n))
 
+    def evaluation_csv():
+        return cli._csv_text(HEADER, zip(
+            map(tree.labels.__getitem__, rows.tolist()),
+            map(tree.labels.__getitem__, cols.tolist()),
+            cli.format_column(measured.values[rows, cols], "paper"),
+            cli.format_column(upper, "paper"),
+            cli.format_column(report.residuals[rows, cols], "paper"),
+        ))
+
     tabled = model.Dendrogram(languages, built.junctions, mode="paper")
     tabled.meeting_junctions(tree.labels)  # the batch query fills the k x k table
+    once = tuple
     return {
         "matrix_to_distances.whole":
-            best_of(repeat, lambda: chronometry.matrix_to_distances(whole, "paper")),
+            (lambda: chronometry.matrix_to_distances(whole, "paper"), once),
         "matrix_to_distances.distinct":
-            best_of(repeat, lambda: chronometry.matrix_to_distances(distinct, "precise")),
-        "restore_distance_matrix": best_of(repeat, model.restore_distance_matrix, fresh),
-        "meeting_junction.first":
-            best_of(repeat, lambda tree: tree.meeting_junction(a, b), fresh),
-        "shared_consistency": best_of(repeat, merger.shared_consistency, lambda: fresh(2)),
-        "chain_widths": best_of(repeat, lambda: merger.chain_widths(graph)),
-        "format_column": best_of(repeat, lambda: list(cli.format_column(upper, "paper"))),
-        "render_newick_lossy": best_of(repeat, lambda: cli.render_newick_lossy(built, "paper")),
-        "lca_junction.table": best_of(repeat, lambda: tabled.lca_junction(0, k - 1)),
-        "deserialize": best_of(repeat, lambda: model.deserialize(tree_text)),
-        "deserialize_graph": best_of(repeat, lambda: merger.deserialize_graph(graph_text)),
+            (lambda: chronometry.matrix_to_distances(distinct, "precise"), once),
+        "build.paper": (lambda: builder.build(measured, mode="paper"), once),
+        "build.precise_caterpillar": (lambda: builder.build(cat_dist, mode="precise"), once),
+        "restore_distance_matrix": (model.restore_distance_matrix, fresh),
+        "meeting_junction.first": (lambda tree: tree.meeting_junction(a, b), fresh),
+        "shared_consistency": (merger.shared_consistency, lambda: fresh(2)),
+        "chain_widths": (lambda: merger.chain_widths(graph), once),
+        "format_column": (lambda: list(cli.format_column(upper, "paper")), once),
+        "evaluation_csv": (evaluation_csv, once),
+        "render_newick_lossy": (lambda: cli.render_newick_lossy(built, "paper"), once),
+        "lca_junction.table": (lambda: tabled.lca_junction(0, k - 1), once),
+        "deserialize": (lambda: model.deserialize(tree_text), once),
+        "deserialize_graph": (lambda: merger.deserialize_graph(graph_text), once),
     }
+
+
+def timed(fn, make) -> float:
+    """Wall time of ``fn(*make())``, ``make`` and a garbage collection untimed."""
+    args = make()
+    gc.collect()  # the set-up's garbage is not the layer's to collect
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def run_layers(sides: list[dict], repeat: int) -> list[dict[str, tuple[float, list[float]]]]:
+    """Each layer's ``repeat`` run times on every side, with the reference
+    kernel's mean time around the layer's runs.  The sides' runs of one layer
+    alternate, and the side that goes first rotates from run to run."""
+    times: list[dict] = [{} for _ in sides]
+    for name in sides[0]:
+        before = reference_kernel()
+        runs: list[list[float]] = [[] for _ in sides]
+        for r in range(repeat):
+            for s in range(len(sides)):
+                side = (r + s) % len(sides)
+                runs[side].append(timed(*sides[side][name]))
+        kernel = (before + reference_kernel()) / 2
+        for out, found in zip(times, runs):
+            out[name] = (kernel, found)
+    return times
 
 
 def git(*args: str) -> str:
@@ -134,32 +197,39 @@ def slope(sizes: list[int], seconds: list[float]) -> float | None:
     return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-k", type=int, default=512)
-    parser.add_argument("--repeat", type=int, default=7)
-    parser.add_argument("--outdir", type=Path, default=ROOT / "bench")
-    args = parser.parse_args(argv)
-    if args.max_k < 16 or args.repeat < 1:
-        parser.error("--max-k must be >= 16 and --repeat >= 1")
-    sizes = [16]
-    while sizes[-1] * 2 <= args.max_k:
-        sizes.append(sizes[-1] * 2)
-    seconds: dict[str, list[float]] = {}
-    scaled: dict[str, list[float]] = {}
-    for k in sizes:
-        for name, (raw, at_ref) in layer_times(k, args.repeat).items():
-            seconds.setdefault(name, []).append(raw)
-            scaled.setdefault(name, []).append(at_ref)
-        print(f"k = {k}: done", file=sys.stderr)
-    commit = git("rev-parse", "--short", "HEAD") or "unknown"
-    doc = {
+def import_tree(path: Path, name: str):
+    """The ``isolect`` source tree at ``path``, byte-compiled, imported as ``name``."""
+    compileall.compile_dir(str(path), quiet=1)
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py", submodule_search_locations=[str(path)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def unpack(rev: str, into: Path) -> tuple[str, Path]:
+    """``src/isolect`` at commit ``rev`` unpacked under ``into``, and the
+    commit's short hash."""
+    commit = git("rev-parse", "--short", f"{rev}^{{commit}}")
+    if not commit:
+        raise SystemExit(f"layers.py: --against {rev}: not a commit of {ROOT}")
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=zip", commit, "src/isolect"],
+        capture_output=True, check=True).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as files:
+        files.extractall(into)
+    return commit, into / "src" / "isolect"
+
+
+def document(commit: str, dirty: bool, sizes, repeat: int, seconds, scaled) -> dict:
+    return {
         "commit": commit,
-        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "dirty": dirty,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "seed": SEED,
-        "repeat": args.repeat,
+        "repeat": repeat,
         "sizes": sizes,
         "ref_s": REF_S,
         "seconds": {name: dict(zip(map(str, sizes), values))
@@ -168,10 +238,71 @@ def main(argv=None) -> int:
                    for name, values in scaled.items()},
         "slope": {name: slope(sizes, values) for name, values in seconds.items()},
     }
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    path = args.outdir / f"BENCH_{commit}.json"
+
+
+def write(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(path)
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and quartiles; one value is all three."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-k", type=int, default=512)
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--outdir", type=Path, default=ROOT / "bench")
+    parser.add_argument("--against", metavar="REV",
+                        help="also time src/isolect at commit REV, interleaved")
+    args = parser.parse_args(argv)
+    if args.max_k < 16 or args.repeat < 1:
+        parser.error("--max-k must be >= 16 and --repeat >= 1")
+    sizes = [16]
+    while sizes[-1] * 2 <= args.max_k:
+        sizes.append(sizes[-1] * 2)
+    commit = git("rev-parse", "--short", "HEAD") or "unknown"
+    dirty = bool(git("status", "--porcelain", "--", "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        packages = [import_tree(SRC / "isolect", "isolect")]
+        if args.against:
+            base, path = unpack(args.against, Path(tmp))
+            packages.append(import_tree(path, BASE))
+        runs: list[dict[str, dict[int, tuple[float, list[float]]]]] = [{} for _ in packages]
+        for k in sizes:
+            for side, found in zip(runs, run_layers([layers(p, k) for p in packages],
+                                                    args.repeat)):
+                for name, value in found.items():
+                    side.setdefault(name, {})[k] = value
+            print(f"k = {k}: done", file=sys.stderr)
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    docs = []
+    for side in runs:
+        seconds = {name: [min(by_k[k][1]) for k in sizes] for name, by_k in side.items()}
+        scaled = {name: [min(by_k[k][1]) * REF_S / by_k[k][0] for k in sizes]
+                  for name, by_k in side.items()}
+        docs.append((seconds, scaled))
+    if not args.against:
+        write(args.outdir / f"BENCH_{commit}.json",
+              document(commit, dirty, sizes, args.repeat, *docs[0]))
+        return 0
+    head = f"{commit}-dirty" if dirty else commit
+    write(args.outdir / f"BENCH_{head}.json", document(commit, dirty, sizes, args.repeat, *docs[0]))
+    write(args.outdir / f"BENCH_{base}{'-base' * (base == head)}.json",
+          document(base, False, sizes, args.repeat, *docs[1]))
+    ratios = {
+        name: {str(k): quartiles([h / b for h, b in zip(by_k[k][1], runs[1][name][k][1])])
+               for k in sizes}
+        for name, by_k in runs[0].items()
+    }
+    write(args.outdir / f"AB_{base}_{head}.json", {
+        "base": base, "head": commit, "dirty": dirty, "python": platform.python_version(),
+        "numpy": np.__version__, "seed": SEED, "repeat": args.repeat, "sizes": sizes,
+        "ratio": ratios,
+    })
     return 0
 
 
