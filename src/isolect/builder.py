@@ -46,8 +46,8 @@ rounds its whole row at once with the scalar rounding's IEEE operations
 (``quantize_array``).
 
 The rest of a join is per-call overhead, so a join gathers its two rows
-once (a state keeps its last gather, keyed by the pair) and builds its
-records at tuple cost: ``Cluster`` and ``JoinGeometry`` are named tuples.
+once (a state keeps its last gather, keyed by the pair) and builds cheap
+records: named tuples ``Cluster`` and ``JoinGeometry``, a slotted ``ClusterState``.
 """
 
 from __future__ import annotations

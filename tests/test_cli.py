@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cyclic_graph_text
+from conftest import SALISH_A, SALISH_B, cyclic_graph_text
 from isolect import cli, model
 from isolect.cli import main
 
@@ -1140,7 +1140,6 @@ class TestCsvOutputsMatchCsvWriter:
 
     @pytest.mark.parametrize("mode", ["paper", "precise"])
     def test_convert(self, capsys, tmp_path, mode):
-        from conftest import SALISH_A
         src = self._table(tmp_path / "a.csv", "1234", SALISH_A, absent={(0, 2)})
         out = tmp_path / "out.csv"
         code, _, _ = run(capsys, "convert", "--input", str(src), "--direction", "to-svodesh",
@@ -1158,7 +1157,6 @@ class TestCsvOutputsMatchCsvWriter:
 
     @pytest.mark.parametrize("mode", ["paper", "precise"])
     def test_evaluation_and_predictions(self, capsys, tmp_path, mode):
-        from conftest import SALISH_A, SALISH_B
         tables = {"a": self._table(tmp_path / "a.csv", "1234", SALISH_A),
                   "b": self._table(tmp_path / "b.csv", "1256", SALISH_B)}
         for name, src in tables.items():

@@ -222,7 +222,12 @@ def unpack(rev: str, into: Path) -> tuple[str, Path]:
     return commit, into / "src" / "isolect"
 
 
-def document(commit: str, dirty: bool, sizes, repeat: int, seconds, scaled) -> dict:
+def document(commit: str, dirty: bool, sizes, repeat: int, runs: dict) -> dict:
+    """The BENCH file of one side's ``runs``: per layer and size, the
+    reference kernel's time and the run times."""
+    seconds = {name: [min(by_k[k][1]) for k in sizes] for name, by_k in runs.items()}
+    scaled = {name: [min(by_k[k][1]) * REF_S / by_k[k][0] for k in sizes]
+              for name, by_k in runs.items()}
     return {
         "commit": commit,
         "dirty": dirty,
@@ -279,20 +284,12 @@ def main(argv=None) -> int:
                     side.setdefault(name, {})[k] = value
             print(f"k = {k}: done", file=sys.stderr)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    docs = []
-    for side in runs:
-        seconds = {name: [min(by_k[k][1]) for k in sizes] for name, by_k in side.items()}
-        scaled = {name: [min(by_k[k][1]) * REF_S / by_k[k][0] for k in sizes]
-                  for name, by_k in side.items()}
-        docs.append((seconds, scaled))
+    head = f"{commit}-dirty" if dirty and args.against else commit
+    write(args.outdir / f"BENCH_{head}.json", document(commit, dirty, sizes, args.repeat, runs[0]))
     if not args.against:
-        write(args.outdir / f"BENCH_{commit}.json",
-              document(commit, dirty, sizes, args.repeat, *docs[0]))
         return 0
-    head = f"{commit}-dirty" if dirty else commit
-    write(args.outdir / f"BENCH_{head}.json", document(commit, dirty, sizes, args.repeat, *docs[0]))
     write(args.outdir / f"BENCH_{base}{'-base' * (base == head)}.json",
-          document(base, False, sizes, args.repeat, *docs[1]))
+          document(base, False, sizes, args.repeat, runs[1]))
     ratios = {
         name: {str(k): quartiles([h / b for h, b in zip(by_k[k][1], runs[1][name][k][1])])
                for k in sizes}
