@@ -47,12 +47,12 @@ rounds its whole row at once with the scalar rounding's IEEE operations
 
 The rest of a join is per-call overhead, so a join gathers its two rows
 once (a state keeps its last gather, keyed by the pair) and builds cheap
-records: named tuples ``Cluster`` and ``JoinGeometry``, a slotted ``ClusterState``.
+records: named tuples ``Cluster``, ``JoinGeometry`` and ``ResolutionResult``,
+and a slotted ``ClusterState``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -182,9 +182,8 @@ class JoinGeometry(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
-    """Outcome of the final-link cross-check.
+class ResolutionResult(NamedTuple):
+    """Outcome of the final-link cross-check, a named tuple.
 
     ``depth``, ``lateral`` and ``depth_range`` are what the root junction
     stores: the simplest form when ``resolved``; otherwise the deepest form,

@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,9 +64,12 @@ def atomic_write(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    umask = os.umask(0)  # os.umask is the only reader of the mask: put it back
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,19 +78,16 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def _csv_quote(fields) -> dict[str, str]:
-    """Each distinct text field as ``csv.writer`` writes it in a row of
-    several fields (a row's only field is quoted when empty)."""
-    fields, lines = list(dict.fromkeys(fields)), []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-        (field, "") for field in fields)  # one write per row
-    return {field: line[:-2] for field, line in zip(fields, lines)}
+    """Each distinct text field as a CSV line holds it: in double quotes,
+    its quotes doubled, when it holds a comma, a double quote, LF or CR."""
+    return {field: '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\n\r')
+            else field for field in dict.fromkeys(fields)}
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """A CSV document, each line ending in LF, as ``csv.writer`` writes it:
-    the header, then ``rows``, whose fields are joined as they are.  Callers
-    quote text fields through ``_csv_quote``; formatted numbers, "-", ""
-    and yes/no never need quoting."""
+    """A CSV document, each line ending in LF: the header, then ``rows``,
+    whose fields are joined as they are.  Callers quote text fields through
+    ``_csv_quote``; formatted numbers, "-", "" and yes/no never need quoting."""
     quoted = _csv_quote(header)
     return "\n".join([",".join(map(quoted.__getitem__, header)), *map(",".join, rows), ""])
 

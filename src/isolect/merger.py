@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -82,22 +83,20 @@ class SegmentEdge:
             raise DomainError("segment lengths must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     pair: tuple[str, str]
     distance: float
     coincidence: float
     below_threshold: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     shared: tuple[str, ...]
     rows: tuple[tuple[str, tuple[str, str], float, float, float], ...]
     tolerance: float
     notes: tuple[str, ...] = ()
 
-    @cached_property
+    @property
     def max_deviation(self) -> float:
         return max((r[4] for r in self.rows), default=0.0)
 

@@ -8,7 +8,7 @@ pass as weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ WEIGHT_CHANGE_TOL = 0.05  # relative; iterate_build stops below it
 MAX_PASSES = 3  # iterate_build stops after at most this many builds
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Restored distances, per-pair residuals, per-language dispersions."""
 
     languages: LanguageSet
@@ -48,8 +47,7 @@ class EvaluationReport:
         return float(np.max(np.abs(finite))) if finite.size else 0.0
 
 
-@dataclass(frozen=True)
-class BuildPass:
+class BuildPass(NamedTuple):
     """One pass of the iterated build."""
 
     dendrogram: Dendrogram
@@ -58,8 +56,7 @@ class BuildPass:
     weight_change: float | None  # max relative change vs the previous pass
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     passes: tuple[BuildPass, ...]
 
     @property
@@ -67,8 +64,7 @@ class IterationTrace:
         return self.passes[-1].dendrogram
 
 
-@dataclass(frozen=True)
-class PerturbationRow:
+class PerturbationRow(NamedTuple):
     delta: float
     coincidence: float
     depth: float
@@ -77,8 +73,7 @@ class PerturbationRow:
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     perturbed_pair: tuple[str, str]
     tracked_pair: tuple[str, str]
     rows: tuple[PerturbationRow, ...]  # first row is the unperturbed baseline

@@ -9,10 +9,10 @@ The scalar references are per-cell Python loops, one call per cell, that
 the package's array kernels must match bit for bit.  The builder's step
 readers (a cluster's sorted member labels, a state's active-pair distances)
 are test-only, so they live here.  ``csv_text`` writes every row through
-``csv.writer``, the reference for the CLI's CSV outputs.  The matrix CSV
-reader at the end is the straightforward one (``csv.reader``, then one
-``float`` per stripped cell) that the CLI's reader must match in values and
-errors.
+``csv.writer``, the reference for the CLI's CSV outputs (a field holding
+CR is quoted, as one holding LF is).  The matrix CSV reader at the end is
+the straightforward one (``csv.reader``, then one ``float`` per stripped
+cell) that the CLI's reader must match in values and errors.
 The two document serializers at the very end build the documents as dicts
 and lists and hand them to ``json.dumps``; ``model.serialize`` and
 ``merger.serialize_graph`` must match their bytes.  The merge check's
@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -368,12 +368,16 @@ def shared_consistency(a, b):
 
 
 def csv_text(header, rows) -> str:
-    """A CSV document as ``csv.writer`` writes it, each line ending in LF."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """A CSV document as ``csv.writer`` writes it, each line ending in LF.
+
+    The writer ends its rows in CRLF, so that it quotes a field holding CR
+    as it quotes one holding LF; each row's CRLF is then written as LF.
+    """
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    writer.writerows(rows)  # one write per row
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 # -- the matrix CSV reader, one cell at a time through csv.reader -----------

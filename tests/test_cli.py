@@ -98,6 +98,20 @@ class TestConvert:
         assert code == 0 and out == ""
         assert out_path.read_text() == (DATA / "salish_a_distances.csv").read_text()
 
+    def test_label_with_cr_round_trips_through_build(self, capsys, tmp_path):
+        src = tmp_path / "cr.csv"
+        src.write_bytes(b',a,"b\rc",c\na,-,50,40\n"b\rc",50,-,40\nc,40,40,-\n')
+        out_path = tmp_path / "d.csv"
+        code, _, _ = run(capsys, "convert", "--input", str(src), "--direction", "to-svodesh",
+                         "--mode", "paper", "--output", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == b',a,"b\rc",c\na,-,69,92\n"b\rc",69,-,92\nc,92,92,-\n'
+        code, _, err = run(capsys, "build", "--input", str(out_path), "--kind", "distance",
+                           "--mode", "paper", "--outdir", str(tmp_path / "tree"))
+        assert (code, err) == (0, "")
+        tree = model.deserialize((tmp_path / "tree" / "dendrogram.json").read_text())
+        assert tree.languages.labels == ("a", "b\rc", "c")
+
 
 class TestBuild:
     def test_artifacts_and_report(self, capsys, tmp_path):
@@ -1182,7 +1196,7 @@ class TestCsvOutputsMatchCsvWriter:
              for i, j in itertools.combinations(range(len(labels)), 2)])
         text = (tmp_path / "eval.csv").read_bytes().decode("utf-8")
         assert text == want
-        assert all(quoted in text for quoted in ('"a,b"', '"say ""hi"""', '"lf\nx"'))
+        assert all(quoted in text for quoted in ('"a,b"', '"say ""hi"""', '"cr\rx"', '"lf\nx"'))
 
         code, _, _ = run(capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
                          "--b", str(tmp_path / "b" / "dendrogram.json"),
@@ -1198,3 +1212,32 @@ class TestCsvOutputsMatchCsvWriter:
         text = (tmp_path / "merged" / "predictions.csv").read_bytes().decode("utf-8")
         assert text == want
         assert '"lf\nx"' in text
+
+
+class TestOutputModes:
+    """Every file the CLI writes gets the mode a plain ``open()`` gives it,
+    0666 less the umask, not the 0600 of a temporary file."""
+
+    @pytest.mark.parametrize("argv, written", [
+        (["convert", "--input", "{a}", "--direction", "to-svodesh", "--output", "{tmp}/d.csv"],
+         ["d.csv"]),
+        (["build", "--input", "{a}", "--outdir", "{tmp}/out"],
+         ["out/dendrogram.json", "out/report.txt", "out/tree.dot"]),
+        (["evaluate", "--tree", "{tmp}/a/dendrogram.json", "--input", "{a}",
+          "--output", "{tmp}/e.csv"], ["e.csv"]),
+        (["merge", "--a", "{tmp}/a/dendrogram.json", "--b", "{tmp}/b/dendrogram.json",
+          "--outdir", "{tmp}/m"], ["m/merged.json", "m/predictions.csv"]),
+    ], ids=["convert", "build", "evaluate", "merge"])
+    def test_written_files_follow_the_umask(self, capsys, tmp_path, argv, written):
+        for name in ("a", "b"):
+            assert run(capsys, "build", "--input", str(BUNDLED / f"salish_{name}.csv"),
+                       "--outdir", str(tmp_path / name))[0] == 0
+        argv = [arg.format(a=BUNDLED / "salish_a.csv", tmp=tmp_path) for arg in argv]
+        umask = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, *argv)
+        finally:
+            os.umask(umask)
+        assert code == 0
+        for name in written:
+            assert oct((tmp_path / name).stat().st_mode & 0o777) == oct(0o640), name

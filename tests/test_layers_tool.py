@@ -13,7 +13,7 @@ LAYERS = {"matrix_to_distances.whole", "matrix_to_distances.distinct", "build.pa
           "shared_consistency", "chain_widths", "format_column", "evaluation_csv",
           "render_newick_lossy", "lca_junction.table", "deserialize", "deserialize_graph"}
 KEYS = {"commit", "dirty", "python", "numpy", "seed", "repeat", "sizes", "ref_s", "seconds",
-        "scaled", "slope"}
+        "scaled", "slope", "import"}
 
 
 def run_tool(*args):
@@ -31,6 +31,8 @@ def check_bench_file(doc, repeat):
         assert set(doc["seconds"][name]) == set(doc["scaled"][name]) == {"16"}
         assert doc["seconds"][name]["16"] > 0 and doc["scaled"][name]["16"] > 0
         assert doc["slope"][name] is None  # one size: no slope
+    assert set(doc["import"]) == {"seconds", "scaled"}
+    assert doc["import"]["seconds"] > 0 and doc["import"]["scaled"] > 0
 
 
 def test_layers_writes_a_bench_file_at_k16(tmp_path):
@@ -60,8 +62,21 @@ def test_against_head_writes_both_sides_and_finite_ratios(tmp_path):
     assert ab_name == f"AB_{base}_{head}.json"
     assert ab["base"] == base and ab["sizes"] == [16] and ab["repeat"] == 3
     assert set(ab["ratio"]) == LAYERS
-    for name in LAYERS:
-        cell = ab["ratio"][name]["16"]
+    for cell in [ab["ratio"][name]["16"] for name in LAYERS] + [ab["import"]]:
         assert set(cell) == {"median", "q1", "q3"}
         assert all(math.isfinite(v) and v > 0 for v in cell.values())
         assert cell["q1"] <= cell["median"] <= cell["q3"]
+
+
+def test_import_layer_times_the_given_tree(tmp_path):
+    """The child imports ``isolect`` from the tree it is given and times that
+    import alone: a tree whose import sleeps 0.3 s reads at least that."""
+    package = tmp_path / "src" / "isolect"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("import time\ntime.sleep(0.3)\n")
+    code = (f"import sys; from pathlib import Path; sys.path.insert(0, {str(TOOL.parent)!r}); "
+            "import layers; print(layers.import_seconds(Path(sys.argv[1])))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0.3 <= float(done.stdout) < 3

@@ -44,11 +44,17 @@ workload:
   build's ``dendrogram.json`` and of its segment graph, as ``evaluate``,
   ``merge`` and ``render`` read their inputs.
 
+One layer has no size: ``import``, a fresh interpreter's ``import isolect``
+after ``import numpy, networkx``, as every CLI process pays it.  The child
+(``python -I``, with the tree under test first on its path) times the
+import itself, so interpreter start-up is left out.
+
 The file records the commit (``git rev-parse --short HEAD``, with
 ``dirty`` set when ``src/`` differs from it), the Python and numpy
 versions, ``REF_S``, the seconds per layer and size, raw (``seconds``) and
-at reference speed (``scaled``), and each layer's log-log slope of the raw
-seconds over the sizes measured.
+at reference speed (``scaled``), each layer's log-log slope of the raw
+seconds over the sizes measured, and the ``import`` layer's raw and scaled
+seconds.
 
 ``--against REV`` compares the checkout with another commit in one
 process, where runs a minute apart on a shared host would not compare.
@@ -61,13 +67,15 @@ side (the checkout's, named with ``-dirty`` when its ``src/`` differs
 from HEAD, and ``BENCH_<REV>.json``, or ``BENCH_<REV>-base.json`` when the
 two names would be one), ``AB_<REV>_<commit>.json`` holds each
 layer's per-run ratios, checkout over ``REV``, as their median and
-quartiles per size: below 1 means the checkout is faster.
+quartiles per size (for ``import``, one set): below 1 means the checkout
+is faster.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import functools
 import gc
 import importlib
 import importlib.util
@@ -94,6 +102,8 @@ from kernel import REF_S, reference_kernel  # noqa: E402
 SEED = 0
 BASE = "isolect_base"  # the package name of the tree ``--against`` unpacks
 HEADER = ["language_a", "language_b", "measured", "restored", "residual"]
+IMPORT = ("import sys, time; import numpy, networkx; sys.path.insert(0, sys.argv[1]); "
+          "start = time.perf_counter(); import isolect; print(time.perf_counter() - start)")
 
 
 def layers(pkg, k: int) -> dict:
@@ -164,9 +174,17 @@ def timed(fn, make) -> float:
     return time.perf_counter() - start
 
 
+def import_seconds(src: Path) -> float:
+    """A fresh interpreter's ``import isolect`` from ``src``, numpy and
+    networkx imported first, as the child times it."""
+    return float(subprocess.run([sys.executable, "-I", "-c", IMPORT, str(src)],
+                                capture_output=True, text=True, check=True).stdout)
+
+
 def run_layers(sides: list[dict], repeat: int) -> list[dict[str, tuple[float, list[float]]]]:
-    """Each layer's ``repeat`` run times on every side, with the reference
-    kernel's mean time around the layer's runs.  The sides' runs of one layer
+    """Each layer's ``repeat`` run times on every side (each side maps a
+    layer's name to a call that times one run), with the reference kernel's
+    mean time around the layer's runs.  The sides' runs of one layer
     alternate, and the side that goes first rotates from run to run."""
     times: list[dict] = [{} for _ in sides]
     for name in sides[0]:
@@ -175,7 +193,7 @@ def run_layers(sides: list[dict], repeat: int) -> list[dict[str, tuple[float, li
         for r in range(repeat):
             for s in range(len(sides)):
                 side = (r + s) % len(sides)
-                runs[side].append(timed(*sides[side][name]))
+                runs[side].append(sides[side][name]())
         kernel = (before + reference_kernel()) / 2
         for out, found in zip(times, runs):
             out[name] = (kernel, found)
@@ -222,9 +240,11 @@ def unpack(rev: str, into: Path) -> tuple[str, Path]:
     return commit, into / "src" / "isolect"
 
 
-def document(commit: str, dirty: bool, sizes, repeat: int, runs: dict) -> dict:
-    """The BENCH file of one side's ``runs``: per layer and size, the
-    reference kernel's time and the run times."""
+def document(commit: str, dirty: bool, sizes, repeat: int, runs: dict,
+             imported: tuple[float, list[float]]) -> dict:
+    """The BENCH file of one side's ``runs`` (per layer and size, the
+    reference kernel's time and the run times) and ``import`` runs."""
+    kernel, found = imported
     seconds = {name: [min(by_k[k][1]) for k in sizes] for name, by_k in runs.items()}
     scaled = {name: [min(by_k[k][1]) * REF_S / by_k[k][0] for k in sizes]
               for name, by_k in runs.items()}
@@ -242,6 +262,7 @@ def document(commit: str, dirty: bool, sizes, repeat: int, runs: dict) -> dict:
         "scaled": {name: dict(zip(map(str, sizes), values))
                    for name, values in scaled.items()},
         "slope": {name: slope(sizes, values) for name, values in seconds.items()},
+        "import": {"seconds": min(found), "scaled": min(found) * REF_S / kernel},
     }
 
 
@@ -272,24 +293,30 @@ def main(argv=None) -> int:
     commit = git("rev-parse", "--short", "HEAD") or "unknown"
     dirty = bool(git("status", "--porcelain", "--", "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        packages = [import_tree(SRC / "isolect", "isolect")]
+        trees = [SRC / "isolect"]
         if args.against:
             base, path = unpack(args.against, Path(tmp))
-            packages.append(import_tree(path, BASE))
+            trees.append(path)
+        packages = [import_tree(tree, name) for tree, name in zip(trees, ("isolect", BASE))]
+        imports = [side["import"] for side in run_layers(
+            [{"import": functools.partial(import_seconds, tree.parent)} for tree in trees],
+            args.repeat)]
         runs: list[dict[str, dict[int, tuple[float, list[float]]]]] = [{} for _ in packages]
         for k in sizes:
-            for side, found in zip(runs, run_layers([layers(p, k) for p in packages],
-                                                    args.repeat)):
+            sides = [{name: functools.partial(timed, *call) for name, call in layers(p, k).items()}
+                     for p in packages]
+            for side, found in zip(runs, run_layers(sides, args.repeat)):
                 for name, value in found.items():
                     side.setdefault(name, {})[k] = value
             print(f"k = {k}: done", file=sys.stderr)
     args.outdir.mkdir(parents=True, exist_ok=True)
     head = f"{commit}-dirty" if dirty and args.against else commit
-    write(args.outdir / f"BENCH_{head}.json", document(commit, dirty, sizes, args.repeat, runs[0]))
+    write(args.outdir / f"BENCH_{head}.json",
+          document(commit, dirty, sizes, args.repeat, runs[0], imports[0]))
     if not args.against:
         return 0
     write(args.outdir / f"BENCH_{base}{'-base' * (base == head)}.json",
-          document(base, False, sizes, args.repeat, runs[1]))
+          document(base, False, sizes, args.repeat, runs[1], imports[1]))
     ratios = {
         name: {str(k): quartiles([h / b for h, b in zip(by_k[k][1], runs[1][name][k][1])])
                for k in sizes}
@@ -299,6 +326,7 @@ def main(argv=None) -> int:
         "base": base, "head": commit, "dirty": dirty, "python": platform.python_version(),
         "numpy": np.__version__, "seed": SEED, "repeat": args.repeat, "sizes": sizes,
         "ratio": ratios,
+        "import": quartiles([h / b for h, b in zip(imports[0][1], imports[1][1])]),
     })
     return 0
 
