@@ -22,28 +22,32 @@ the root's whole geometry (depth, lateral width, status and depth range),
 which ``build`` stores as it is; only a zero-length root link never reaches
 the cross-check.
 
-The reduced distances live in one float table indexed by node id, sized
-(2k-1) x (2k-1) because node ids are never reused.  ``reduce`` writes only
-the new node's row and column, cells no earlier state reads (it only reads
-pairs of its own active nodes, all older than the new node), so every state
-of a build shares the one table and no join copies it.  The leaf block
-(ids below k) stays as ``initial_state`` wrote it, which keeps the first
-state valid for the cross-check after the build.
+A state's data is indexed by node id, as the reduced distances are: one
+float table sized (2k-1) x (2k-1), because node ids are never reused, and
+per node its weight and its ``Cluster`` record.  The three are written once
+per node, when ``reduce`` makes it: the new node's row and column, weight
+and record, which no earlier state reads (a state reads only its own active
+nodes, all older than the new node), so every state of a build shares them
+and no join copies them.  The leaf block (ids below k) stays as
+``initial_state`` wrote it, which keeps the first state valid for the
+cross-check after the build.  What a state owns is a mask of its active
+nodes and each active row's shortest link and its other end, three arrays
+of length 2k-1 that each join copies.  Cluster order is ascending node id,
+so the join loop reads and writes by node id and never lists the clusters.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
-cache (Muellner 2011, arXiv:1109.2378).  Each state carries every row's
-shortest link and its other end: ``min_link`` ranks only the rows whose
-minimum is the shortest link, and ``reduce`` searches a row again only when
-its shortest link led to a joined node and the new link is longer.  Each
-such row costs O(n) more; they are few (none on planted caterpillars), but
-inputs where most rows lose their minimum at every join bring a build back
-to O(k^3).  ``lateral_offset`` and ``reduce`` work on the pair's two rows
-over the externals, in cluster order, and two rules keep every result equal
-to a per-external Python loop's: sums run left to right through
-``np.add.accumulate`` (never the pairwise ``np.sum``), and ``reduce``
-rounds its whole row at once with the scalar rounding's IEEE operations
-(``quantize_array``).
+cache (Muellner 2011, arXiv:1109.2378).  ``min_link`` ranks only the rows
+whose minimum is the shortest link, and ``reduce`` searches a row again
+only when its shortest link led to a joined node and the new link is
+longer.  Each such row costs O(k) more; they are few (none on planted
+caterpillars), but inputs where most rows lose their minimum at every join
+bring a build back to O(k^3).  ``lateral_offset`` and ``reduce`` work on
+the pair's two rows over the externals, gathered in cluster order, and two
+rules keep every result equal to a per-external Python loop's: sums run
+left to right over exactly the externals through ``np.add.accumulate``
+(never the pairwise ``np.sum``), and ``reduce`` rounds its whole row at
+once with the scalar rounding's IEEE operations (``quantize_array``).
 
 The rest of a join is per-call overhead, so a join gathers its two rows
 once (a state keeps its last gather, keyed by the pair) and builds cheap
@@ -118,56 +122,106 @@ class Cluster(NamedTuple):
 class ClusterState:
     """Active clusters plus the reduced distances between them; read-only.
 
-    ``table[x, y]`` is the reduced distance between nodes ``x`` and ``y``.
-    States of one build share the table: a reduce fills the new node's row
-    and column, which no earlier state reads, and marks the row taken by a
-    zero on the diagonal.  A reduce that would write a taken row (an id
-    reused, or a second branch from one state) writes into a copy instead.
+    Everything is indexed by node id.  ``table[x, y]`` is the reduced
+    distance between nodes ``x`` and ``y``; node ``x``'s weight and
+    ``Cluster`` record sit at index ``x`` of an array and a list beside it.
+    States of one build share the three: a reduce fills the new node's row,
+    column, weight and record, which no earlier state reads, and marks the
+    row taken by a zero on the diagonal.  A reduce onto a taken id (an id
+    reused, or a second branch from one state) writes into copies of all
+    three instead.
 
-    Four read-only arrays run in cluster order: ``nodes`` (the node ids),
-    ``weights``, and each row's shortest link to another active cluster,
-    ``row_min``, with the node at its other end, ``row_arg`` (``inf`` and
-    -1 for a lone cluster).
+    A state owns three arrays as long as the table: ``alive``, the mask of
+    its active nodes, and each active row's shortest link to another active
+    cluster, ``node_min``, with the node at its other end, ``node_arg``
+    (``inf`` and -1 for a lone cluster and for every inactive id).  ``size``
+    counts the active clusters.
+
+    Cluster order is ascending node id.  ``clusters``, ``nodes`` (the node
+    ids), ``weights``, ``row_min`` and ``row_arg`` are read-only views in
+    that order, computed on access (the ``clusters`` tuple once); the join
+    loop reads none of them.
     """
 
-    __slots__ = ("clusters", "table", "mode", "nodes", "weights", "row_min", "row_arg", "_rows")
+    __slots__ = ("table", "mode", "alive", "node_min", "node_arg", "size",
+                 "_weight", "_record", "_rows", "_clusters")
 
-    def __init__(self, clusters, table, mode, nodes, weights, row_min, row_arg):
-        for array in (nodes, weights, row_min, row_arg):
+    def __init__(self, table, mode, alive, node_min, node_arg, size, weight, record):
+        for array in (alive, node_min, node_arg):
             array.setflags(write=False)
         init = object.__setattr__  # past the refusing __setattr__
-        init(self, "clusters", clusters)
         init(self, "table", table)
         init(self, "mode", mode)
-        init(self, "nodes", nodes)
-        init(self, "weights", weights)
-        init(self, "row_min", row_min)
-        init(self, "row_arg", row_arg)
+        init(self, "alive", alive)
+        init(self, "node_min", node_min)
+        init(self, "node_arg", node_arg)
+        init(self, "size", size)
+        init(self, "_weight", weight)
+        init(self, "_record", record)
         init(self, "_rows", None)
+        init(self, "_clusters", None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"ClusterState is read-only: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
-    def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mask of the externals of nodes ``x`` and ``y`` over the active
-        clusters, the externals' node ids, and the two nodes' read-only rows
-        over them (``x`` first).  The last pair's arrays are kept, so the
-        join's ``lateral_offset`` and ``reduce`` gather them once; the
-        swapped pair gets the rows reversed."""
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        if self._clusters is None:  # built once: a state never changes
+            clusters = tuple(compress(self._record, self.alive.tolist()))
+            object.__setattr__(self, "_clusters", clusters)
+        return self._clusters
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._view(np.arange(len(self.alive)))
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._view(self._weight)
+
+    @property
+    def row_min(self) -> np.ndarray:
+        return self._view(self.node_min)
+
+    @property
+    def row_arg(self) -> np.ndarray:
+        return self._view(self.node_arg)
+
+    def _view(self, array: np.ndarray) -> np.ndarray:
+        """A read-only copy of ``array``'s active entries, in cluster order."""
+        view = array[self.alive]
+        view.setflags(write=False)
+        return view
+
+    def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the externals of nodes ``x`` and ``y``, in cluster
+        order, and the two nodes' read-only rows over them (``x`` first).
+        The last pair's arrays are kept, so the join's ``lateral_offset`` and
+        ``reduce`` gather them once; the swapped pair gets the rows reversed."""
         if self._rows is not None:
             pair, found = self._rows
             if pair == (x, y):
                 return found
             if pair == (y, x):
-                return found[0], found[1], found[2][::-1]
-        external = (self.nodes != x) & (self.nodes != y)
-        ext_nodes = self.nodes[external]
+                return found[0], found[1][::-1]
+        external = self.alive.copy()
+        external[x] = external[y] = False
+        ext_nodes = external.nonzero()[0]
         rows = self.table.take((x, y), 0).take(ext_nodes, 1)
         rows.setflags(write=False)
-        object.__setattr__(self, "_rows", ((x, y), (external, ext_nodes, rows)))
-        return external, ext_nodes, rows
+        object.__setattr__(self, "_rows", ((x, y), (ext_nodes, rows)))
+        return ext_nodes, rows
+
+
+def _padded(array: np.ndarray, size: int, fill) -> np.ndarray:
+    """A copy of ``array`` grown to ``size`` along each axis, new cells ``fill``."""
+    if len(array) == size:
+        return array.copy()
+    out = np.full((size,) * array.ndim, fill, array.dtype)
+    out[tuple(map(slice, array.shape))] = array
+    return out
 
 
 class JoinGeometry(NamedTuple):
@@ -217,23 +271,23 @@ def initial_state(
         weights = weights.values
     if not matrix.is_complete():
         raise DomainError("the builder requires a complete distance matrix")
-    table = np.full((2 * k - 1, 2 * k - 1), np.nan)
+    n = 2 * k - 1
+    table = np.full((n, n), np.nan)
     # The upper triangle is authoritative: symmetry is checked only to 1e-9.
     links = np.where(np.tri(k, k, -1, dtype=bool), matrix.values.T, matrix.values)
     table[:k, :k] = links
     np.fill_diagonal(links, np.inf)
-    row_arg = links.argmin(1) if k > 1 else np.full(k, -1)
-    return ClusterState(
-        tuple(
-            Cluster(i, langs.depths[i], weights[i], langs.labels[i]) for i in range(k)
-        ),
-        table,
-        mode,
-        nodes=np.arange(k),
-        weights=np.array(weights),
-        row_min=links.min(1),
-        row_arg=row_arg,
-    )
+    alive = np.zeros(n, bool)
+    alive[:k] = True
+    node_min, node_arg = np.full(n, np.inf), np.full(n, -1, np.intp)
+    node_min[:k] = links.min(1)
+    if k > 1:
+        node_arg[:k] = links.argmin(1)
+    weight = np.full(n, np.nan)
+    weight[:k] = weights
+    record = [Cluster(i, langs.depths[i], weights[i], langs.labels[i]) for i in range(k)]
+    return ClusterState(table, mode, alive, node_min, node_arg, k, weight,
+                        record + [None] * (n - k))
 
 
 def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
@@ -243,18 +297,17 @@ def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
     link, so only those rows are ranked: two rows are the pair itself, and
     more are a tie, settled over the tied rows' block.
     """
-    clusters = state.clusters
-    if len(clusters) < 2:
+    if state.size < 2:
         raise DomainError("need at least two active clusters")
-    shortest = np.minimum.reduce(state.row_min)
-    tied = (state.row_min == shortest).nonzero()[0]
+    clusters = state._record
+    shortest = np.minimum.reduce(state.node_min)
+    tied = (state.node_min == shortest).nonzero()[0]
     if len(tied) == 2:
         i, j = tied.tolist()
         return clusters[i], clusters[j]
     # The block is symmetric: keep each tied pair once, as (r, c) with r < c.
     t = len(tied)
-    tied_nodes = state.nodes[tied]
-    links = state.table.take(tied_nodes, 0).take(tied_nodes, 1)
+    links = state.table.take(tied, 0).take(tied, 1)
     links.flat[:: t + 1] = np.inf
     tied = tied.tolist()
     at = (divmod(x, t) for x in (links.ravel() == shortest).nonzero()[0].tolist())
@@ -281,13 +334,13 @@ def lateral_offset(
     if external_means not in EXTERNAL_MEANS:
         raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}")
     a, b = pair
-    external, _, rows = state._pair_rows(a.node, b.node)
+    ext_nodes, rows = state._pair_rows(a.node, b.node)
     if not rows.shape[1]:
         raise FinalLinkError(
             "no external clusters: the pair forms the final (root) link"
         )
     if external_means == "weighted":
-        weights = state.weights[external]
+        weights = state._weight.take(ext_nodes)
     else:
         weights = np.ones(rows.shape[1])
     # Sequential sums, left to right as ``num += w * d`` would add them.
@@ -355,16 +408,15 @@ def reduce(
     children.  An external row keeps its
     shortest link unless the new one is no longer, and is searched again
     only when its shortest link led to a joined node and the new one is
-    longer.
+    longer.  ``new_node`` may not be an active cluster's id; the merged
+    cluster takes its place in cluster order (last, in ``build``).
     """
     near, far = geometry.near, geometry.far
     delta_near = geometry.depth - near.anchor_depth
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
     merged = Cluster(new_node, geometry.depth, near.weight + far.weight,
                      min(near.first_label, far.first_label), (near, far))
-    external, ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
-    clusters = list(compress(state.clusters, external.tolist()))
-    clusters.append(merged)
+    ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
     values = quantize_array(
         (near.weight * (d_near - delta_near) + far.weight * (d_far - delta_far))
         / merged.weight,
@@ -379,42 +431,47 @@ def reduce(
             values[negative] = 0.0
             nearest = values.argmin()
         shortest, other = values[nearest], ext_nodes[nearest]
-    table = state.table
-    if new_node >= len(table) or table[new_node, new_node] == 0.0:
-        # Another state owns this row: write into a copy of the table.
-        size = max(len(table), new_node + 1)
-        table = np.full((size, size), np.nan)
-        table[: len(state.table), : len(state.table)] = state.table
-    table[new_node, ext_nodes] = values
-    table[ext_nodes, new_node] = values
+    table, weight, record = state.table, state._weight, state._record
+    size = len(table)
+    if new_node >= size or table[new_node, new_node] == 0.0:
+        if new_node < size and state.alive[new_node]:
+            raise DomainError(f"node id {new_node} is an active cluster's")
+        # Another state owns this id: write into copies of the shared data.
+        size = max(size, new_node + 1)
+        table, weight = _padded(table, size, np.nan), _padded(weight, size, np.nan)
+        record = record + [None] * (size - len(record))
+    table[new_node][ext_nodes] = values  # a row view: no mixed indexing
+    table[:, new_node][ext_nodes] = values
     table[new_node, new_node] = 0.0
+    weight[new_node] = merged.weight
+    record[new_node] = merged
 
-    n = len(clusters)
-    nodes, weights = np.empty(n, np.intp), np.empty(n)
-    row_min, row_arg = np.empty(n), np.empty(n, np.intp)
-    nodes[:-1], nodes[-1] = ext_nodes, new_node
-    weights[:-1], weights[-1] = state.weights[external], merged.weight
-    row_min[-1], row_arg[-1] = shortest, other
-    kept_min, kept_arg = row_min[:-1], row_arg[:-1]
-    kept_min[:] = state.row_min[external]
-    kept_arg[:] = state.row_arg[external]
-    # A row whose shortest link led to a joined node has no shorter link to
-    # the others, so a new link no longer than it is the row's new minimum;
-    # only a longer one leaves the row to be searched again.
-    lost = (kept_arg == near.node) | (kept_arg == far.node)
+    alive = _padded(state.alive, size, False)
+    node_min = _padded(state.node_min, size, np.inf)
+    node_arg = _padded(state.node_arg, size, -1)
+    alive[near.node] = alive[far.node] = False
+    node_min[near.node] = node_min[far.node] = np.inf
+    node_arg[near.node] = node_arg[far.node] = -1
+    alive[new_node] = True
+    node_min[new_node], node_arg[new_node] = shortest, other
+    kept_min = node_min[ext_nodes]
     closer = values <= kept_min
-    kept_min[closer] = values[closer]
-    kept_arg[closer] = new_node
-    stale = (lost > closer).nonzero()[0]  # lost and not closer
+    np.copyto(kept_min, values, where=closer)
+    node_min[ext_nodes] = kept_min
+    node_arg[ext_nodes[closer]] = new_node
+    # A row whose shortest link led to a joined node, now inactive, has no
+    # shorter link to the others, so a new link no longer than it is the
+    # row's new minimum; only a longer one leaves the row to be searched again.
+    kept = alive[node_arg[ext_nodes]]
+    stale = ext_nodes[~(kept | closer)]
     if len(stale):
-        links = table.take(nodes[stale], 0).take(nodes, 1)
+        links = np.where(alive, table.take(stale, 0), np.inf)
         rows = np.arange(len(stale))
         links[rows, stale] = np.inf
         at = links.argmin(1)
-        row_min[stale], row_arg[stale] = links[rows, at], nodes[at]
-    state = ClusterState(
-        tuple(clusters), table, state.mode, nodes, weights, row_min, row_arg
-    )
+        node_min[stale], node_arg[stale] = links[rows, at], at
+    state = ClusterState(table, state.mode, alive, node_min, node_arg, state.size - 1,
+                         weight, record)
     return state, (FLAG_NEGATIVE_REDUCED,) * clamped
 
 
@@ -508,6 +565,10 @@ def build(
     either resolved through ``resolve_last_link`` or reported unresolved.
     """
     check_mode(mode)
+    if external_means not in EXTERNAL_MEANS:
+        raise DomainError(f"external_means must be one of {EXTERNAL_MEANS}", "external_means")
+    if not 0 < resolve_tolerance < np.inf:
+        raise DomainError("resolve_tolerance must be a finite number > 0", "resolve_tolerance")
     langs = matrix.languages
     k = len(langs)
     if k < 2:
@@ -524,7 +585,7 @@ def build(
         )
     start = state = initial_state(matrix, weights, mode)
     junctions: list[Junction] = []
-    while len(state.clusters) > 2:
+    while state.size > 2:
         geometry = _join(state, min_link(state), external_means)
         state, reduce_flags = reduce(state, geometry, k + len(junctions))
         junctions.append(Junction(geometry.near.node, geometry.far.node, geometry.depth,

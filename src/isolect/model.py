@@ -212,21 +212,25 @@ class Junction:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        depth, lateral, total, span = self.depth, self.lateral, self.total_length, self.depth_range
         if self.status not in (RESOLVED, UNRESOLVED):
             raise DomainError(f"unknown junction status {self.status!r}", "status")
-        numbers = (self.depth, self.lateral, self.total_length, *(self.depth_range or ()))
-        if not all(x is None or math.isfinite(x) for x in numbers):
+        isfinite = math.isfinite
+        if not (isfinite(depth) and isfinite(lateral)
+                and (total is None or isfinite(total))
+                and (not span or all(map(isfinite, span)))):
             raise DomainError("junction geometry must be finite")
-        if self.lateral < 0:
+        if lateral < 0:
             raise DomainError("lateral width must be >= 0", "lateral")
-        if self.depth < 0:
+        if depth < 0:
             raise DomainError("junction depth must be >= 0", "depth")
         if self.status == UNRESOLVED:
-            if self.total_length is None or self.total_length <= 0:
+            if total is None or total <= 0:
                 raise DomainError("unresolved junction requires total_length > 0")
-            if self.depth_range is None or self.depth_range[0] > self.depth_range[1]:
+            if span is None or span[0] > span[1]:
                 raise DomainError("unresolved junction requires a depth range min <= max")
-        object.__setattr__(self, "flags", tuple(self.flags))
+        if self.flags.__class__ is not tuple:
+            object.__setattr__(self, "flags", tuple(self.flags))
 
     @property
     def resolved(self) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,87 @@ class TestRowMinima:
                 array[0] = 0
 
 
+def _snapshot(state):
+    """What a state reads: its clusters and their members, its cluster-order
+    views and its block of the table."""
+    nodes = state.nodes.tolist()
+    return (state.clusters, [cluster_key(c) for c in state.clusters], nodes,
+            *(a.tobytes() for a in (state.weights, state.row_min, state.row_arg,
+                                    state.table[np.ix_(nodes, nodes)])))
+
+
+class TestSharedNodeStorage:
+    """Two reduces of one state onto one new node id, each branch then
+    joined down to two clusters: each reads only its own nodes' weights,
+    records and table cells, and every step matches the scalar oracles."""
+
+    @staticmethod
+    def _branch(state, pair, node, mode):
+        """Join ``pair`` on ``state``, then ``min_link``'s pairs down to two
+        clusters, checking each step; yields each new state and its snapshot,
+        taken before the other branch steps."""
+        while True:
+            offset, near, far = bl.lateral_offset(state, pair)
+            m0, m1 = oracles.lateral_offset_means(state, pair)
+            assert offset == abs(m1 - m0)
+            if m0 != m1:
+                assert (near, far) == (pair if m0 < m1 else pair[::-1])
+            geometry = bl._join(state, pair, "weighted")
+            want, clamped = oracles.reduced_row(state, geometry)
+            state, flags = bl.reduce(state, geometry, node)
+            assert state.table[node, state.nodes[:-1]].tolist() == want
+            assert flags == (model.FLAG_NEGATIVE_REDUCED,) * clamped
+            _assert_carried_arrays(state)
+            yield state, _snapshot(state)
+            if len(state.clusters) == 2:
+                return
+            pair, node = bl.min_link(state), node + 1
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    def test_two_branches_onto_one_node_id(self, mode):
+        dm = _precise_random(4, k=12)
+        k = len(dm.languages)
+        weights = WeightVector(dm.languages, tuple(float(w) for w in range(1, k + 1)))
+        root = bl.initial_state(dm, weights, mode)
+        for node in range(k, k + 3):
+            _, root = _step(root, node, mode)
+        before = _snapshot(root)
+        first = bl.min_link(root)
+        second = next(p for p in itertools.combinations(root.clusters, 2)
+                      if p[0].weight + p[1].weight != first[0].weight + first[1].weight)
+        walks = [self._branch(root, pair, k + 3, mode) for pair in (first, second)]
+        seen: list[list] = [[], []]
+        # The branches step in turn, so each one's reduces follow the other's.
+        for steps in zip(*walks):
+            for found, step in zip(seen, steps):
+                found.append(step)
+        assert [len(found) for found in seen] == [k - 5, k - 5]
+        ones, twos = seen[0][0][0], seen[1][0][0]
+        assert ones.clusters[-1].node == twos.clusters[-1].node == k + 3
+        assert ones.weights[-1] != twos.weights[-1]
+        assert ones.table is not twos.table  # the second reduce wrote copies
+        for state, snapshot in seen[0] + seen[1]:
+            assert _snapshot(state) == snapshot
+        assert _snapshot(root) == before
+        assert bl.min_link(root) == first
+
+    def test_node_ids_past_the_table_and_active_ids(self):
+        state = bl.initial_state(_tied_matrix(0, k=6), None, "precise")
+        before = _snapshot(state)
+        a, b, c = state.clusters[:3]
+        geometry = bl.JoinGeometry(a, b, 0.0, 0.0, 30.0, 0.0)
+        for node in (a.node, c.node):
+            with pytest.raises(DomainError, match=f"^node id {node} is an active cluster's$"):
+                bl.reduce(state, geometry, node)
+        # An id past the (2k-1)-row table grows copies of the shared data.
+        grown, _ = bl.reduce(state, geometry, 20)
+        assert grown.table.shape == (21, 21) and state.table.shape == (11, 11)
+        assert grown.nodes.tolist() == [2, 3, 4, 5, 20]
+        assert grown.table[20, [2, 3, 4, 5]].tolist() == oracles.reduced_row(state, geometry)[0]
+        _assert_carried_arrays(grown)
+        assert _snapshot(state) == before
+
+
 class TestLateralOffset:
     def test_cherry_offset(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
@@ -498,7 +581,7 @@ class TestRecords:
             m0, m1 = oracles.lateral_offset_means(state, pair)
             assert offset == abs(m1 - m0) and m0 != m1
             assert (near, far) == (pair if m0 < m1 else pair[::-1])
-            external, ext_nodes, rows = state._pair_rows(pair[0].node, pair[1].node)
+            ext_nodes, rows = state._pair_rows(pair[0].node, pair[1].node)
             assert rows.tolist() == state.table[np.ix_([c.node for c in pair], ext_nodes)].tolist()
             assert not rows.flags.writeable  # lateral_offset and reduce share them
             assert ext_nodes.tolist() == [c.node for c in state.clusters if c not in pair]
@@ -567,6 +650,24 @@ class TestBuild:
         dm = DistanceMatrix(LanguageSet(("a",)), np.zeros((1, 1)))
         with pytest.raises(DomainError):
             bl.build(dm)
+
+    def test_unknown_external_means_rejected_at_two_languages(self):
+        # No offset is computed at k = 2, so only build's own check refuses.
+        dm = DistanceMatrix(LanguageSet(("a", "b")), np.array([[0, 30], [30, 0]], float))
+        with pytest.raises(DomainError, match=r"external_means must be one of "
+                                              r"\('weighted', 'simple'\)") as exc:
+            bl.build(dm, external_means="bogus")
+        assert exc.value.field == "external_means"
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_resolve_tolerance_must_be_finite_and_positive(self, salish_a_dist, tolerance, k):
+        dm = salish_a_dist if k == 4 else DistanceMatrix(
+            LanguageSet(("a", "b")), np.array([[0, 30], [30, 0]], float))
+        with pytest.raises(DomainError,
+                           match=r"^resolve_tolerance must be a finite number > 0$") as exc:
+            bl.build(dm, mode="paper", resolve_tolerance=tolerance)
+        assert exc.value.field == "resolve_tolerance"
 
     def test_determinism(self, salish_a_dist):
         a = serialize(bl.build(salish_a_dist, mode="paper"))

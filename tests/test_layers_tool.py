@@ -11,7 +11,8 @@ TOOL = ROOT / "tools" / "layers.py"
 LAYERS = {"matrix_to_distances.whole", "matrix_to_distances.distinct", "build.paper",
           "build.precise_caterpillar", "restore_distance_matrix", "meeting_junction.first",
           "shared_consistency", "chain_widths", "format_column", "evaluation_csv",
-          "render_newick_lossy", "lca_junction.table", "deserialize", "deserialize_graph"}
+          "render_newick_lossy", "lca_junction.table", "deserialize", "deserialize_graph",
+          "build.min_link", "build.lateral_offset", "build.reduce"}
 KEYS = {"commit", "dirty", "python", "numpy", "seed", "repeat", "sizes", "ref_s", "seconds",
         "scaled", "slope", "import"}
 

@@ -422,6 +422,38 @@ class TestDendrogramValidation:
         assert tree.languages.labels[tree.carrier(6)] == "2"
         assert tree.languages.labels[tree.carrier(4)] == "3"
 
+    @pytest.mark.parametrize("fields, message, field", [
+        ({"status": "pending"}, "unknown junction status 'pending'", "status"),
+        ({"lateral": -1.0}, "lateral width must be >= 0", "lateral"),
+        ({"depth": -1.0}, "junction depth must be >= 0", "depth"),
+        ({"total_length": math.nan}, "junction geometry must be finite", None),
+        ({"status": model.UNRESOLVED, "depth_range": (0.0, 5.0)},
+         "unresolved junction requires total_length > 0", None),
+        ({"status": model.UNRESOLVED, "total_length": 0.0, "depth_range": (0.0, 5.0)},
+         "unresolved junction requires total_length > 0", None),
+        ({"status": model.UNRESOLVED, "total_length": -3.0, "depth_range": (0.0, 5.0)},
+         "unresolved junction requires total_length > 0", None),
+        # Checks run in this order: status, finiteness, lateral, depth, then
+        # what an unresolved junction needs.
+        ({"status": "pending", "depth": math.nan}, "unknown junction status 'pending'", "status"),
+        ({"lateral": -1.0, "depth": math.inf}, "junction geometry must be finite", None),
+        ({"lateral": -1.0, "depth": -1.0}, "lateral width must be >= 0", "lateral"),
+        ({"depth": -1.0, "status": model.UNRESOLVED}, "junction depth must be >= 0", "depth"),
+        ({"status": model.UNRESOLVED, "depth_range": (5.0, 0.0)},
+         "unresolved junction requires total_length > 0", None),
+    ], ids=["status", "lateral", "depth", "total-nan", "total-none", "total-zero",
+            "total-negative", "status-first", "finite-before-lateral",
+            "lateral-before-depth", "depth-before-unresolved", "total-before-range"])
+    def test_refusal_messages_and_fields(self, fields, message, field):
+        with pytest.raises(DomainError) as exc:
+            Junction(**{"near": 0, "far": 1, "depth": 5.0, "lateral": 0.0, **fields})
+        assert str(exc.value) == message and exc.value.field == field
+
+    def test_flags_become_a_tuple(self):
+        assert Junction(0, 1, 5.0, 0.0, flags=["a", "b"]).flags == ("a", "b")
+        flags = ("a",)
+        assert Junction(0, 1, 5.0, 0.0, flags=flags).flags is flags
+
     def test_rejects_non_finite_geometry(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="finite"):

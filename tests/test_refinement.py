@@ -6,7 +6,7 @@ from isolect import builder as bl
 from isolect import chronometry as ch
 from isolect import refinement as rf
 from isolect.errors import DomainError
-from isolect.model import DistanceMatrix, LanguageSet, restore_distance_matrix
+from isolect.model import CoincidenceMatrix, DistanceMatrix, LanguageSet, restore_distance_matrix
 
 from oracles import sample_caterpillar
 
@@ -197,3 +197,12 @@ class TestPerturb:
             rf.perturb(salish_a, ("3", "4"), (50.0,), mode="paper")
         with pytest.raises(DomainError):
             rf.perturb(salish_a, ("1", "4"), (-25.0,), mode="paper")
+
+    def test_unknown_external_means_rejected_at_two_languages(self):
+        # Two languages leave no external cluster, so no offset is ever
+        # computed: the build itself refuses the policy.
+        pair = CoincidenceMatrix(LanguageSet(("a", "b")),
+                                 np.array([[100.0, 40.0], [40.0, 100.0]]))
+        with pytest.raises(DomainError,
+                           match=r"external_means must be one of \('weighted', 'simple'\)"):
+            rf.perturb(pair, ("a", "b"), (1.0,), mode="paper", external_means="bogus")

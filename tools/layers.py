@@ -24,6 +24,11 @@ workload:
   each pass of ``build --weights iterate`` runs it;
 - ``build.precise_caterpillar``: the precise build of a planted caterpillar's
   distances, build-planted's input kind;
+- ``build.min_link``, ``build.lateral_offset`` and ``build.reduce``: the
+  summed time of one builder kernel over one ``build.paper`` build.  A
+  timing wrapper stands in for the kernel in ``builder`` during that build,
+  which calls its kernels by module name, so every call is counted,
+  the final-link cross-check's ``lateral_offset`` included;
 - ``chain_widths`` (on the tree's segment graph), ``format_column``
   (paper mode, the restored upper triangle) and ``render_newick_lossy`` on
   the paper-mode build of the whole table;
@@ -100,6 +105,7 @@ import planted  # noqa: E402
 from kernel import REF_S, reference_kernel  # noqa: E402
 
 SEED = 0
+KERNELS = ("min_link", "lateral_offset", "reduce")  # builder kernels timed in a build
 BASE = "isolect_base"  # the package name of the tree ``--against`` unpacks
 HEADER = ["language_a", "language_b", "measured", "restored", "residual"]
 IMPORT = ("import sys, time; import numpy, networkx; sys.path.insert(0, sys.argv[1]); "
@@ -107,8 +113,8 @@ IMPORT = ("import sys, time; import numpy, networkx; sys.path.insert(0, sys.argv
 
 
 def layers(pkg, k: int) -> dict:
-    """Each layer at size ``k`` on the package ``pkg``: its call, and the
-    maker of the fresh arguments each run passes to it."""
+    """Each layer at size ``k`` on the package ``pkg``, as a call that runs
+    it once and returns its seconds."""
     builder, chronometry, cli, merger, model, refinement = (
         importlib.import_module(f"{pkg.__name__}.{name}")
         for name in ("builder", "chronometry", "cli", "merger", "model", "refinement"))
@@ -145,7 +151,7 @@ def layers(pkg, k: int) -> dict:
     tabled = model.Dendrogram(languages, built.junctions, mode="paper")
     tabled.meeting_junctions(tree.labels)  # the batch query fills the k x k table
     once = tuple
-    return {
+    calls = {
         "matrix_to_distances.whole":
             (lambda: chronometry.matrix_to_distances(whole, "paper"), once),
         "matrix_to_distances.distinct":
@@ -163,6 +169,11 @@ def layers(pkg, k: int) -> dict:
         "deserialize": (lambda: model.deserialize(tree_text), once),
         "deserialize_graph": (lambda: merger.deserialize_graph(graph_text), once),
     }
+    timings = {name: functools.partial(timed, *call) for name, call in calls.items()}
+    for kernel in KERNELS:
+        timings[f"build.{kernel}"] = functools.partial(
+            kernel_seconds, builder, kernel, lambda: builder.build(measured, mode="paper"))
+    return timings
 
 
 def timed(fn, make) -> float:
@@ -172,6 +183,27 @@ def timed(fn, make) -> float:
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
+
+
+def kernel_seconds(builder, kernel: str, run) -> float:
+    """Summed wall time of ``builder.<kernel>``'s calls during ``run()``,
+    a garbage collection untimed."""
+    inner, spent = getattr(builder, kernel), []
+
+    def timed_kernel(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    gc.collect()
+    setattr(builder, kernel, timed_kernel)
+    try:
+        run()
+    finally:
+        setattr(builder, kernel, inner)
+    return sum(spent)
 
 
 def import_seconds(src: Path) -> float:
@@ -303,8 +335,7 @@ def main(argv=None) -> int:
             args.repeat)]
         runs: list[dict[str, dict[int, tuple[float, list[float]]]]] = [{} for _ in packages]
         for k in sizes:
-            sides = [{name: functools.partial(timed, *call) for name, call in layers(p, k).items()}
-                     for p in packages]
+            sides = [layers(p, k) for p in packages]
             for side, found in zip(runs, run_layers(sides, args.repeat)):
                 for name, value in found.items():
                     side.setdefault(name, {})[k] = value
