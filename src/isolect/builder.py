@@ -23,17 +23,18 @@ which ``build`` stores as it is; only a zero-length root link never reaches
 the cross-check.
 
 A state's data is indexed by node id, as the reduced distances are: one
-float table sized (2k-1) x (2k-1), because node ids are never reused, and
-per node its weight and its ``Cluster`` record.  The three are written once
-per node, when ``reduce`` makes it: the new node's row and column, weight
-and record, which no earlier state reads (a state reads only its own active
-nodes, all older than the new node), so every state of a build shares them
-and no join copies them.  The leaf block (ids below k) stays as
-``initial_state`` wrote it, which keeps the first state valid for the
-cross-check after the build.  What a state owns is a mask of its active
-nodes and each active row's shortest link and its other end, three arrays
-of length 2k-1 that each join copies.  Cluster order is ascending node id,
-so the join loop reads and writes by node id and never lists the clusters.
+float table sized (2k-1) x (2k-1) and per node its weight and its
+``Cluster`` record.  Join j makes node k + j (Muellner's stepwise
+numbering, the only one a ``Dendrogram`` accepts), and ``reduce`` takes no
+other id.  The three are written once per node, when ``reduce`` makes it:
+the new node's row and column, weight and record, which no earlier state
+reads (a state reads only its own active nodes, all older than the new
+node), so every state of a build shares them and no join copies them.  The
+leaf block (ids below k) stays as ``initial_state`` wrote it, which keeps
+the first state valid for the cross-check after the build.  What a state
+owns is a mask of its active nodes and each active row's shortest link and
+its other end, three arrays of length 2k-1 that each join copies.  Cluster
+order is ascending node id, so the join loop never lists the clusters.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
@@ -127,9 +128,9 @@ class ClusterState:
     ``Cluster`` record sit at index ``x`` of an array and a list beside it.
     States of one build share the three: a reduce fills the new node's row,
     column, weight and record, which no earlier state reads, and marks the
-    row taken by a zero on the diagonal.  A reduce onto a taken id (an id
-    reused, or a second branch from one state) writes into copies of all
-    three instead.
+    row taken by a zero on the diagonal.  A reduce takes only the state's
+    next id, ``len(table) + 1 - size``; when a second branch from one state
+    finds that id taken, it writes into copies of all three instead.
 
     A state owns three arrays as long as the table: ``alive``, the mask of
     its active nodes, and each active row's shortest link to another active
@@ -206,6 +207,8 @@ class ClusterState:
                 return found
             if pair == (y, x):
                 return found[0], found[1][::-1]
+        if x == y or not (self.alive[x] and self.alive[y]):
+            raise DomainError(f"nodes {x} and {y} are not two distinct active clusters")
         external = self.alive.copy()
         external[x] = external[y] = False
         ext_nodes = external.nonzero()[0]
@@ -213,15 +216,6 @@ class ClusterState:
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", ((x, y), (ext_nodes, rows)))
         return ext_nodes, rows
-
-
-def _padded(array: np.ndarray, size: int, fill) -> np.ndarray:
-    """A copy of ``array`` grown to ``size`` along each axis, new cells ``fill``."""
-    if len(array) == size:
-        return array.copy()
-    out = np.full((size,) * array.ndim, fill, array.dtype)
-    out[tuple(map(slice, array.shape))] = array
-    return out
 
 
 class JoinGeometry(NamedTuple):
@@ -405,12 +399,16 @@ def reduce(
 
     Each external entry becomes the weight-weighted mean of the two
     anchor-corrected child distances; the merged cluster keeps both
-    children.  An external row keeps its
-    shortest link unless the new one is no longer, and is searched again
-    only when its shortest link led to a joined node and the new one is
-    longer.  ``new_node`` may not be an active cluster's id; the merged
-    cluster takes its place in cluster order (last, in ``build``).
+    children.  An external row keeps its shortest link unless the new one
+    is no longer, and is searched again only when its shortest link led to
+    a joined node and the new one is longer.  The pair must be two distinct
+    active clusters and ``new_node`` the state's next id,
+    ``len(state.table) + 1 - state.size``, so the merged cluster comes last
+    in cluster order.
     """
+    next_node = len(state.table) + 1 - state.size
+    if new_node != next_node:
+        raise DomainError(f"node id {new_node} is not the state's next node id {next_node}")
     near, far = geometry.near, geometry.far
     delta_near = geometry.depth - near.anchor_depth
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
@@ -432,23 +430,16 @@ def reduce(
             nearest = values.argmin()
         shortest, other = values[nearest], ext_nodes[nearest]
     table, weight, record = state.table, state._weight, state._record
-    size = len(table)
-    if new_node >= size or table[new_node, new_node] == 0.0:
-        if new_node < size and state.alive[new_node]:
-            raise DomainError(f"node id {new_node} is an active cluster's")
-        # Another state owns this id: write into copies of the shared data.
-        size = max(size, new_node + 1)
-        table, weight = _padded(table, size, np.nan), _padded(weight, size, np.nan)
-        record = record + [None] * (size - len(record))
+    if table.item(new_node, new_node) == 0.0:
+        # A sibling branch wrote this id: write into copies of the shared data.
+        table, weight, record = table.copy(), weight.copy(), list(record)
     table[new_node][ext_nodes] = values  # a row view: no mixed indexing
     table[:, new_node][ext_nodes] = values
     table[new_node, new_node] = 0.0
     weight[new_node] = merged.weight
     record[new_node] = merged
 
-    alive = _padded(state.alive, size, False)
-    node_min = _padded(state.node_min, size, np.inf)
-    node_arg = _padded(state.node_arg, size, -1)
+    alive, node_min, node_arg = state.alive.copy(), state.node_min.copy(), state.node_arg.copy()
     alive[near.node] = alive[far.node] = False
     node_min[near.node] = node_min[far.node] = np.inf
     node_arg[near.node] = node_arg[far.node] = -1

@@ -448,11 +448,11 @@ def _load_weights_arg(value: str, languages: model.LanguageSet):
         )
     table = {}
     for line, row in enumerate(_csv_rows(path), start=1):
-        where = f"{path}:{line}"
-        label = row[0].strip() if row else ""
-        if not label:
+        if not any(c.strip() for c in row):
             continue
-        if len(row) < 2:
+        where = f"{path}:{line}"
+        label = row[0].strip()
+        if not label or len(row) < 2 or any(c.strip() for c in row[2:]):
             raise ParseError("weight rows need 'language,weight'", where)
         if label in table:
             raise ParseError(f"language {label!r} is given twice", where)

@@ -81,6 +81,9 @@ class SegmentEdge:
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length >= 0):
             raise DomainError("segment lengths must be finite and >= 0")
+        for field, allowed in (("kind", EDGE_KINDS), ("provenance", PROVENANCES)):
+            if getattr(self, field) not in allowed:
+                raise DomainError(f"{field} must be one of {', '.join(allowed)}", field)
 
 
 class Prediction(NamedTuple):
@@ -323,6 +326,8 @@ def shared_consistency(
     a note: a subset of the leaves cannot identify that root's
     vertical/lateral split.
     """
+    if not 0 < tolerance < math.inf:
+        raise DomainError("tolerance must be a finite number > 0", "tolerance")
     shared = tuple(sorted(set(a.languages.labels) & set(b.languages.labels)))
     if len(shared) < 2:
         raise DomainError(

@@ -213,6 +213,13 @@ class Junction:
 
     def __post_init__(self):
         depth, lateral, total, span = self.depth, self.lateral, self.total_length, self.depth_range
+        if isinstance(self.flags, str):
+            raise DomainError("flags must be a sequence of strings, not a string", "flags")
+        if self.flags.__class__ is not tuple:
+            object.__setattr__(self, "flags", tuple(self.flags))
+        for i, flag in enumerate(self.flags):
+            if not isinstance(flag, str):
+                raise DomainError("flag must be a string", f"flags[{i}]")
         if self.status not in (RESOLVED, UNRESOLVED):
             raise DomainError(f"unknown junction status {self.status!r}", "status")
         isfinite = math.isfinite
@@ -229,8 +236,6 @@ class Junction:
                 raise DomainError("unresolved junction requires total_length > 0")
             if span is None or span[0] > span[1]:
                 raise DomainError("unresolved junction requires a depth range min <= max")
-        if self.flags.__class__ is not tuple:
-            object.__setattr__(self, "flags", tuple(self.flags))
 
     @property
     def resolved(self) -> bool:
@@ -716,9 +721,6 @@ def read_dendrogram(doc: dict) -> Dendrogram:
         flags = entry.get("flags", [])
         if not isinstance(flags, list):
             raise ParseError("flags must be a list", f"{loc}.flags")
-        for i, flag in enumerate(flags):
-            if not isinstance(flag, str):
-                raise ParseError("flag must be a string", f"{loc}.flags[{i}]")
         try:
             junctions.append(
                 Junction(

@@ -215,6 +215,8 @@ def perturb(
     Reports the geometry of the junction where the ``track`` pair (default:
     the perturbed pair) first shares a cluster, next to the baseline.
     """
+    if pair[0] == pair[1]:
+        raise DomainError(f"pair {tuple(pair)} is a diagonal cell: it names one language twice")
     track = tuple(track) if track is not None else tuple(pair)
     baseline_c = measured.value(*pair)
     baseline = chronometry.matrix_to_distances(measured, mode)

@@ -182,6 +182,7 @@ def _assert_carried_arrays(state):
     """The state's arrays against a pass over its block of the table."""
     nodes = [c.node for c in state.clusters]
     assert state.nodes.tolist() == nodes
+    assert state.size == state.alive.sum() == len(nodes)
     assert state.weights.tolist() == [c.weight for c in state.clusters]
     links = state.table[np.ix_(nodes, nodes)]
     np.fill_diagonal(links, np.inf)
@@ -340,21 +341,41 @@ class TestSharedNodeStorage:
         assert _snapshot(root) == before
         assert bl.min_link(root) == first
 
-    def test_node_ids_past_the_table_and_active_ids(self):
-        state = bl.initial_state(_tied_matrix(0, k=6), None, "precise")
+    @staticmethod
+    def _one_join(k=6):
+        """The joined pair and the state after one join of a k-leaf table."""
+        return _step(bl.initial_state(_tied_matrix(0, k=k), None, "precise"), k, "precise")
+
+    def test_reduce_takes_only_the_next_node_id(self):
+        (a, b), state = self._one_join()
         before = _snapshot(state)
-        a, b, c = state.clusters[:3]
-        geometry = bl.JoinGeometry(a, b, 0.0, 0.0, 30.0, 0.0)
-        for node in (a.node, c.node):
-            with pytest.raises(DomainError, match=f"^node id {node} is an active cluster's$"):
+        c, d = state.clusters[:2]
+        geometry = bl.JoinGeometry(c, d, 0.0, 0.0, 30.0, 0.0)
+        # An active leaf, a joined leaf, -1, the id after the next and 2k - 1.
+        for node in (c.node, a.node, -1, 8, 11):
+            with pytest.raises(DomainError,
+                               match=f"^node id {node} is not the state's next node id 7$"):
                 bl.reduce(state, geometry, node)
-        # An id past the (2k-1)-row table grows copies of the shared data.
-        grown, _ = bl.reduce(state, geometry, 20)
-        assert grown.table.shape == (21, 21) and state.table.shape == (11, 11)
-        assert grown.nodes.tolist() == [2, 3, 4, 5, 20]
-        assert grown.table[20, [2, 3, 4, 5]].tolist() == oracles.reduced_row(state, geometry)[0]
-        _assert_carried_arrays(grown)
         assert _snapshot(state) == before
+        joined, _ = bl.reduce(state, geometry, 7)
+        assert state.table.shape == joined.table.shape == (11, 11)
+        assert joined.nodes.tolist()[-2:] == [6, 7]
+        externals = joined.nodes.tolist()[:-1]
+        assert joined.table[7, externals].tolist() == oracles.reduced_row(state, geometry)[0]
+        _assert_carried_arrays(joined)
+
+    def test_steps_refuse_retired_and_self_pairs(self):
+        (a, b), state = self._one_join()
+        before = _snapshot(state)
+        c = state.clusters[0]
+        for x, y in ((a, c), (c, b), (a, b), (c, c)):
+            refusal = f"^nodes {x.node} and {y.node} are not two distinct active clusters$"
+            with pytest.raises(DomainError, match=refusal):
+                bl.lateral_offset(state, (x, y))
+            with pytest.raises(DomainError, match=refusal):
+                bl.reduce(state, bl.JoinGeometry(x, y, 0.0, 0.0, 30.0, 0.0), 7)
+        assert _snapshot(state) == before
+        assert bl.min_link(state)  # the state still joins
 
 
 class TestLateralOffset:
@@ -590,15 +611,15 @@ class TestRecords:
         dm = _precise_random(5, k=9)
         state = bl.initial_state(dm, None, "precise")
         c = state.clusters
-        joins = [(bl.JoinGeometry(c[0], c[1], 0.0, 0.0, 40.0, 3.0), 9),
-                 (bl.JoinGeometry(c[4], c[2], 0.0, 0.0, 35.0, 1.0), 10),
-                 (bl.JoinGeometry(c[1], c[0], 0.0, 0.0, 40.0, 3.0), 11)]
+        joins = [bl.JoinGeometry(c[0], c[1], 0.0, 0.0, 40.0, 3.0),
+                 bl.JoinGeometry(c[4], c[2], 0.0, 0.0, 35.0, 1.0),
+                 bl.JoinGeometry(c[1], c[0], 0.0, 0.0, 40.0, 3.0)]
         bl.lateral_offset(state, (c[0], c[1]))  # the gather reduce may reuse
-        for geometry, node in joins:
+        for geometry in joins:  # each onto the state's next id, 9
             want, clamped = oracles.reduced_row(state, geometry)
-            got, flags = bl.reduce(state, geometry, node)
+            got, flags = bl.reduce(state, geometry, 9)
             externals = [x.node for x in got.clusters[:-1]]
-            assert got.table[node, externals].tolist() == want
+            assert got.table[9, externals].tolist() == want
             assert flags == (model.FLAG_NEGATIVE_REDUCED,) * clamped
             _assert_carried_arrays(got)
 

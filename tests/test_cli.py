@@ -237,7 +237,9 @@ class TestBuild:
         ("1,2\n2,2\n3,nan\n4,2\n", "weight 'nan' must be finite and > 0 (at {}:3)"),
         ("1,2\n2,-3\n3,2\n4,2\n", "weight '-3' must be finite and > 0 (at {}:2)"),
         ("1,2\n2,2\n3,2\n4,2\n2,5\n", "language '2' is given twice (at {}:5)"),
-    ], ids=["nan", "negative", "twice"])
+        ("1,2\n2,2\n3,2\n4,2\n,7\n", "weight rows need 'language,weight' (at {}:5)"),
+        ("1,2,9\n2,2\n3,2\n4,2\n", "weight rows need 'language,weight' (at {}:1)"),
+    ], ids=["nan", "negative", "twice", "blank-name", "cell-after-weight"])
     def test_bad_weight_row_located(self, capsys, tmp_path, text, message):
         weights = tmp_path / "w.csv"
         weights.write_text(text)
@@ -247,6 +249,15 @@ class TestBuild:
         )
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: " + message.format(weights)]
+
+    def test_weight_rows_of_blank_cells_are_skipped(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,2,\n\n , \n2,2, \n3,2\n4,2\n")
+        code, _, err = run(
+            capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--weights", str(weights), "--outdir", str(tmp_path),
+        )
+        assert code == 0 and err == ""
 
     def test_non_utf8_matrix_located(self, capsys, tmp_path):
         src = tmp_path / "latin1.csv"
@@ -612,6 +623,19 @@ class TestPerturb:
             "--pair", "3:4", "--delta", "60", "--mode", "paper",
         )
         assert code == 1
+
+    def test_pair_naming_one_language_twice_exits_one_before_a_build(self, capsys,
+                                                                      monkeypatch):
+        base = ["perturb", "--input", str(BUNDLED / "salish_a.csv"), "--mode", "paper"]
+        monkeypatch.setattr(cli.refinement.builder, "build", None)  # any build fails
+        for extra in (["--delta", "1"], []):
+            code, out, err = run(capsys, *base, "--pair", "1:1", *extra)
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                "error: pair ('1', '1') is a diagonal cell: it names one language twice"]
+        monkeypatch.undo()
+        # Tracking a leaf's own pair names the leaf's parent junction.
+        assert run(capsys, *base, "--pair", "1:2", "--track", "3:3")[0] == 0
 
 
 class TestTime:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -146,6 +147,31 @@ class TestSegmentGraph:
                 nodes, (),
             )
 
+    @pytest.mark.parametrize("field, value", [("kind", "diagonal"), ("provenance", "X")])
+    def test_edge_refuses_what_the_writer_cannot_write(self, field, value):
+        allowed = {"kind": mg.EDGE_KINDS, "provenance": mg.PROVENANCES}[field]
+        with pytest.raises(DomainError) as exc:
+            mg.SegmentEdge("a", "b", 1.0, **{"kind": mg.VERTICAL, field: value})
+        assert str(exc.value) == f"{field} must be one of {', '.join(allowed)}"
+        assert exc.value.field == field
+
+    def test_segment_graph_refuses_an_unknown_provenance(self, tree_a):
+        with pytest.raises(DomainError, match=r"^provenance must be one of shared, A, B$"):
+            mg.segment_graph(tree_a, "X")
+
+    def test_every_kind_and_provenance_round_trips(self, tree_a, tree_b):
+        graphs = [mg.merge(tree_a, tree_b)]
+        graphs += [mg.segment_graph(tree_b, p) for p in mg.PROVENANCES]
+        seen = set()
+        for graph in graphs:
+            text = mg.serialize_graph(graph)
+            back = mg.deserialize_graph(text)
+            assert back.edges == graph.edges and back.nodes == graph.nodes
+            assert mg.serialize_graph(back) == text
+            seen.update((e.kind, e.provenance) for e in graph.edges)
+        assert {kind for kind, _ in seen} == set(mg.EDGE_KINDS)
+        assert {prov for _, prov in seen} == set(mg.PROVENANCES)
+
     def test_each_reader_refuses_the_other_kind(self, tree_a):
         with pytest.raises(ParseError, match=re.escape(
                 "not a dendrogram document: kind='segment-graph' (at kind)")):
@@ -230,6 +256,15 @@ class TestSharedConsistency:
         )
         with pytest.raises(DomainError, match="fewer than two"):
             mg.shared_consistency(tree_a, other)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0],
+                             ids=["nan", "inf", "negative", "zero"])
+    def test_tolerance_must_be_a_finite_number_above_zero(self, tree_a, tree_b, tolerance):
+        for check in (mg.shared_consistency, mg.merge):
+            with pytest.raises(DomainError) as exc:
+                check(tree_a, tree_b, tolerance)
+            assert str(exc.value) == "tolerance must be a finite number > 0"
+            assert exc.value.field == "tolerance"
 
 
 class TestWindowMerges:

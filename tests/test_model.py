@@ -449,6 +449,16 @@ class TestDendrogramValidation:
             Junction(**{"near": 0, "far": 1, "depth": 5.0, "lateral": 0.0, **fields})
         assert str(exc.value) == message and exc.value.field == field
 
+    @pytest.mark.parametrize("flags, message, field", [
+        ("ab", "flags must be a sequence of strings, not a string", "flags"),
+        ((1,), "flag must be a string", "flags[0]"),
+        (["a", None], "flag must be a string", "flags[1]"),
+    ], ids=["bare-string", "number", "none-in-a-list"])
+    def test_flags_must_be_strings(self, flags, message, field):
+        with pytest.raises(DomainError) as exc:
+            Junction(0, 1, 5.0, 0.0, flags=flags)
+        assert str(exc.value) == message and exc.value.field == field
+
     def test_flags_become_a_tuple(self):
         assert Junction(0, 1, 5.0, 0.0, flags=["a", "b"]).flags == ("a", "b")
         flags = ("a",)
