@@ -33,8 +33,9 @@ node), so every state of a build shares them and no join copies them.  The
 leaf block (ids below k) stays as ``initial_state`` wrote it, which keeps
 the first state valid for the cross-check after the build.  What a state
 owns is a mask of its active nodes and each active row's shortest link and
-its other end, three arrays of length 2k-1 that each join copies.  Cluster
-order is ascending node id, so the join loop never lists the clusters.
+its other end, three arrays of length 2k-1 that each join copies.  These
+node-indexed arrays are the state; its one cluster-order reader,
+``clusters`` (ascending node id), is for callers, never the join loop.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
@@ -136,12 +137,9 @@ class ClusterState:
     its active nodes, and each active row's shortest link to another active
     cluster, ``node_min``, with the node at its other end, ``node_arg``
     (``inf`` and -1 for a lone cluster and for every inactive id).  ``size``
-    counts the active clusters.
-
-    Cluster order is ascending node id.  ``clusters``, ``nodes`` (the node
-    ids), ``weights``, ``row_min`` and ``row_arg`` are read-only views in
-    that order, computed on access (the ``clusters`` tuple once); the join
-    loop reads none of them.
+    counts the active clusters.  These arrays and the shared data are the
+    state; ``clusters``, its active records in ascending node id, is its one
+    cluster-order reader, built on first access and never by the join loop.
     """
 
     __slots__ = ("table", "mode", "alive", "node_min", "node_arg", "size",
@@ -173,28 +171,6 @@ class ClusterState:
             clusters = tuple(compress(self._record, self.alive.tolist()))
             object.__setattr__(self, "_clusters", clusters)
         return self._clusters
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._view(np.arange(len(self.alive)))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._view(self._weight)
-
-    @property
-    def row_min(self) -> np.ndarray:
-        return self._view(self.node_min)
-
-    @property
-    def row_arg(self) -> np.ndarray:
-        return self._view(self.node_arg)
-
-    def _view(self, array: np.ndarray) -> np.ndarray:
-        """A read-only copy of ``array``'s active entries, in cluster order."""
-        view = array[self.alive]
-        view.setflags(write=False)
-        return view
 
     def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the externals of nodes ``x`` and ``y``, in cluster

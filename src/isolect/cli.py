@@ -491,13 +491,15 @@ def cmd_build(args) -> int:
             resolve_tolerance=args.resolve_tolerance,
         )
         weights_source = "unit" if weights_arg == "unit" else f"file {args.weights}"
-    outdir = Path(args.outdir)
-    atomic_write(outdir / "dendrogram.json", model.serialize(dendrogram))
+    # Every output is made before the first is written, so a failure writes none.
     graph = merger.segment_graph(dendrogram)
     report = build_report(dendrogram, graph, trace, weights_source,
                           args.external_means)
+    dot = render_dot(graph, mode)
+    outdir = Path(args.outdir)
+    atomic_write(outdir / "dendrogram.json", model.serialize(dendrogram))
     atomic_write(outdir / "report.txt", report)
-    atomic_write(outdir / "tree.dot", render_dot(graph, mode))
+    atomic_write(outdir / "tree.dot", dot)
     sys.stdout.write(report)
     flagged = sorted(
         {f for jn in dendrogram.junctions for f in jn.flags if f in model.CLAMP_FLAGS}

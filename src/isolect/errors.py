@@ -43,7 +43,3 @@ class ConsistencyError(IsolectError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class GraftError(IsolectError):
-    """A merge cannot re-express an attachment point in the reference frame."""

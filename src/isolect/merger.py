@@ -23,7 +23,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from . import chronometry
-from .errors import ConsistencyError, DomainError, GraftError, ParseError
+from .errors import ConsistencyError, DomainError, ParseError
 from .model import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -197,21 +197,31 @@ class SegmentGraph:
         return float(self._from_leaf(a)[0][self.node_of_leaf(b)])
 
 
+def _fresh(name: str, taken) -> str:
+    """``name`` with ``'`` appended until it is not in ``taken``."""
+    while name in taken:
+        name += "'"
+    return name
+
+
 def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGraph:
     """Flatten a dendrogram into its segment graph.
 
     Junction anchors become nodes; zero-length vertical runs are collapsed
-    so anchors that coincide with a child anchor reuse its node.
+    so anchors that coincide with a child anchor reuse its node.  A leaf's
+    node id is its label; junction ``idx``'s anchor and rise nodes are
+    ``j<idx>`` and ``j<idx>.rise``, primed past any label or earlier id.
     """
-    k = len(dendrogram.languages)
-    nodes: list[SegmentNode] = []
+    langs = dendrogram.languages
+    k = len(langs)
+    nodes = [SegmentNode(label, depth, label) for label, depth in zip(langs.labels, langs.depths)]
     edges: list[SegmentEdge] = []
-    node_for: dict[int, str] = {}
-    for i, label in enumerate(dendrogram.languages.labels):
-        nodes.append(SegmentNode(label, dendrogram.languages.depths[i], leaf=label))
-        node_for[i] = label
+    node_for: dict[int, str] = dict(enumerate(langs.labels))
+    taken = set(langs.labels)
 
     def add_node(name: str, depth: float) -> str:
+        name = _fresh(name, taken)
+        taken.add(name)
         nodes.append(SegmentNode(name, depth))
         return name
 
@@ -461,18 +471,17 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
         p = min(comp & leg_of.keys())
         end = legs_a[leg_of[p]][-1]
         rename[p] = _place(nodes, edges, parent, dist, end,
-                           min(lengths_b[p], dist[end]), f"graft{counter}")
+                           min(lengths_b[p], dist[end]), _fresh(f"graft{counter}", nodes))
 
-    # Carry the exclusive nodes and edges over, renaming internals.
+    # Carry the exclusive nodes and edges over, renaming internals; an id
+    # already in the graph is primed.
     nodes_b = {n.id: n for n in gb.nodes}
     for comp in components:
         for nid in sorted(comp):
             if nid in rename:
                 continue
             node = nodes_b[nid]
-            new_id = node.id if node.leaf is not None else f"b:{node.id}"
-            if new_id in nodes:
-                raise GraftError(f"node id collision while grafting: {new_id}")
+            new_id = _fresh(node.id if node.leaf is not None else f"b:{node.id}", nodes)
             rename[nid] = new_id
             nodes[new_id] = SegmentNode(new_id, node.depth, node.leaf)
     grafted = tuple(SegmentEdge(rename[e.a], rename[e.b], e.length, e.kind, e.provenance)

@@ -216,7 +216,10 @@ class Junction:
         if isinstance(self.flags, str):
             raise DomainError("flags must be a sequence of strings, not a string", "flags")
         if self.flags.__class__ is not tuple:
-            object.__setattr__(self, "flags", tuple(self.flags))
+            try:
+                object.__setattr__(self, "flags", tuple(self.flags))
+            except TypeError:
+                raise DomainError("flags must be a sequence of strings", "flags") from None
         for i, flag in enumerate(self.flags):
             if not isinstance(flag, str):
                 raise DomainError("flag must be a string", f"flags[{i}]")

@@ -208,7 +208,7 @@ def cluster_key(cluster) -> tuple[str, ...]:
 def state_dist(state) -> MappingProxyType:
     """Read-only view of a builder state's active pairs' distances, keyed
     by the frozenset of the two node ids."""
-    nodes = state.nodes.tolist()
+    nodes = np.flatnonzero(state.alive).tolist()
     block = state.table[np.ix_(nodes, nodes)].tolist()
     return MappingProxyType({
         frozenset((x, y)): block[i][j]
@@ -221,7 +221,7 @@ def state_distance(state, a, b) -> float:
     """Reduced distance between two distinct active clusters of ``state``;
     ``KeyError`` for any other pair."""
     pair = frozenset((a.node, b.node))
-    if len(pair) != 2 or not pair <= set(state.nodes.tolist()):
+    if len(pair) != 2 or not pair <= set(np.flatnonzero(state.alive).tolist()):
         raise KeyError(pair)
     return float(state.table[a.node, b.node])
 

@@ -177,17 +177,26 @@ class TestStepApiOracle:
         with pytest.raises(DomainError, match="complete"):
             bl.initial_state(dm, None, "precise")
 
+    def test_weights_over_other_languages_rejected(self):
+        dm = _tied_matrix(0, k=4)
+        for labels in (("a", "b", "c", "d"), dm.languages.labels[::-1]):
+            weights = WeightVector(LanguageSet(labels), (1.0, 2.0, 3.0, 4.0))
+            with pytest.raises(DomainError,
+                               match="^weight vector does not match the matrix languages$"):
+                bl.initial_state(dm, weights, "paper")
+
 
 def _assert_carried_arrays(state):
     """The state's arrays against a pass over its block of the table."""
     nodes = [c.node for c in state.clusters]
-    assert state.nodes.tolist() == nodes
+    assert np.flatnonzero(state.alive).tolist() == nodes
     assert state.size == state.alive.sum() == len(nodes)
-    assert state.weights.tolist() == [c.weight for c in state.clusters]
+    assert state._weight[nodes].tolist() == [c.weight for c in state.clusters]
     links = state.table[np.ix_(nodes, nodes)]
     np.fill_diagonal(links, np.inf)
-    assert state.row_min.tobytes() == links.min(axis=1).tobytes()
-    for x, other, shortest in zip(nodes, state.row_arg.tolist(), state.row_min.tolist()):
+    assert state.node_min[nodes].tobytes() == links.min(axis=1).tobytes()
+    for x, other, shortest in zip(nodes, state.node_arg[nodes].tolist(),
+                                  state.node_min[nodes].tolist()):
         assert other in nodes and other != x
         assert state.table[x, other] == shortest
 
@@ -256,7 +265,8 @@ class TestRowMinima:
         for node in range(k, k + k // 2):
             _, state = _step(state, node, mode)
         node = k + k // 2
-        before = [a.copy() for a in (state.nodes, state.weights, state.row_min, state.row_arg)]
+        before = [a.copy() for a in (state.alive, state.node_min, state.node_arg,
+                                     state._weight[state.alive])]
         picked = bl.min_link(state)
         c = state.clusters
         other = next(p for p in ((c[0], c[-1]), (c[1], c[-1])) if set(p) != set(picked))
@@ -265,24 +275,25 @@ class TestRowMinima:
         assert branches[1].table is not branches[0].table
         for branch in branches:
             self._walk(branch, node + 1, mode, rng)
-        after = (state.nodes, state.weights, state.row_min, state.row_arg)
+        after = (state.alive, state.node_min, state.node_arg, state._weight[state.alive])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
         _assert_carried_arrays(state)
         assert bl.min_link(state) == picked
 
     def test_carried_arrays_are_read_only(self):
         state = bl.initial_state(_tied_matrix(0, k=6), None, "paper")
-        for array in (state.nodes, state.weights, state.row_min, state.row_arg):
+        for array in (state.alive, state.node_min, state.node_arg):
             with pytest.raises(ValueError):
                 array[0] = 0
 
 
 def _snapshot(state):
-    """What a state reads: its clusters and their members, its cluster-order
-    views and its block of the table."""
-    nodes = state.nodes.tolist()
-    return (state.clusters, [cluster_key(c) for c in state.clusters], nodes,
-            *(a.tobytes() for a in (state.weights, state.row_min, state.row_arg,
+    """What a state reads: its clusters and their members, its active nodes'
+    weights, row minima and table block."""
+    nodes = np.flatnonzero(state.alive)
+    return (state.clusters, [cluster_key(c) for c in state.clusters], nodes.tolist(),
+            *(a.tobytes() for a in (state._weight[nodes], state.node_min[nodes],
+                                    state.node_arg[nodes],
                                     state.table[np.ix_(nodes, nodes)])))
 
 
@@ -305,7 +316,7 @@ class TestSharedNodeStorage:
             geometry = bl._join(state, pair, "weighted")
             want, clamped = oracles.reduced_row(state, geometry)
             state, flags = bl.reduce(state, geometry, node)
-            assert state.table[node, state.nodes[:-1]].tolist() == want
+            assert state.table[node, np.flatnonzero(state.alive)[:-1]].tolist() == want
             assert flags == (model.FLAG_NEGATIVE_REDUCED,) * clamped
             _assert_carried_arrays(state)
             yield state, _snapshot(state)
@@ -334,7 +345,7 @@ class TestSharedNodeStorage:
         assert [len(found) for found in seen] == [k - 5, k - 5]
         ones, twos = seen[0][0][0], seen[1][0][0]
         assert ones.clusters[-1].node == twos.clusters[-1].node == k + 3
-        assert ones.weights[-1] != twos.weights[-1]
+        assert ones.clusters[-1].weight != twos.clusters[-1].weight
         assert ones.table is not twos.table  # the second reduce wrote copies
         for state, snapshot in seen[0] + seen[1]:
             assert _snapshot(state) == snapshot
@@ -359,8 +370,8 @@ class TestSharedNodeStorage:
         assert _snapshot(state) == before
         joined, _ = bl.reduce(state, geometry, 7)
         assert state.table.shape == joined.table.shape == (11, 11)
-        assert joined.nodes.tolist()[-2:] == [6, 7]
-        externals = joined.nodes.tolist()[:-1]
+        assert np.flatnonzero(joined.alive).tolist()[-2:] == [6, 7]
+        externals = np.flatnonzero(joined.alive).tolist()[:-1]
         assert joined.table[7, externals].tolist() == oracles.reduced_row(state, geometry)[0]
         _assert_carried_arrays(joined)
 
@@ -580,12 +591,12 @@ class TestRecords:
 
     def test_state_refuses_assignment(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
-        for name in ("clusters", "table", "mode", "nodes", "row_min", "_rows", "other"):
+        for name in ("clusters", "table", "mode", "alive", "node_min", "_rows", "other"):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(state, name, None)
             with pytest.raises(AttributeError, match="read-only"):
                 delattr(state, name)
-        for array in (state.nodes, state.weights, state.row_min, state.row_arg):
+        for array in (state.alive, state.node_min, state.node_arg):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert not hasattr(state, "__dict__")

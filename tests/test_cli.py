@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from conftest import SALISH_A, SALISH_B, cyclic_graph_text
-from isolect import cli, model
+from isolect import cli, merger, model
 from isolect.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -314,6 +314,61 @@ class TestBuild:
         assert code == 0
         tree = model.deserialize((tmp_path / "dendrogram.json").read_text())
         assert tree.mode == "precise"
+
+    def test_labels_like_generated_node_ids(self, capsys, tmp_path):
+        # j0-j3 sort as 1-4 do: the same build, with the anchors primed.
+        src = tmp_path / "j.csv"
+        src.write_text(re.sub(r"\b([1-4])\b(?=[,\n])",
+                              lambda m: f"j{int(m[1]) - 1}",
+                              (BUNDLED / "salish_a.csv").read_text()))
+        assert src.read_text().splitlines()[0] == ",j0,j1,j2,j3"
+        runs = []
+        for name, path in (("base", BUNDLED / "salish_a.csv"), ("j", src)):
+            code, out, err = run(capsys, "build", "--input", str(path), "--mode", "paper",
+                                 "--outdir", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            runs.append((out, model.deserialize(
+                (tmp_path / name / "dendrogram.json").read_text())))
+        (base_out, base), (out, tree) = runs
+        assert re.sub(r"\bj([0-3])\b", lambda m: str(int(m[1]) + 1), out) == base_out
+        assert tree.junctions == base.junctions
+        graph, base_graph = merger.segment_graph(tree), merger.segment_graph(base)
+        assert [n.id for n in graph.nodes if n.leaf] == list(tree.languages.labels)
+        ids = dict(zip((n.id for n in base_graph.nodes), (n.id for n in graph.nodes)))
+        assert [(ids[e.a], ids[e.b], e.length, e.kind) for e in base_graph.edges] == [
+            (e.a, e.b, e.length, e.kind) for e in graph.edges]
+        assert merger.deserialize_graph(merger.serialize_graph(graph)) == graph
+        dot = (tmp_path / "j" / "tree.dot").read_text()
+        assert '"j0" -- "j2.rise"' in dot and '"j2" -- "j0\'"' in dot
+
+    def test_failing_graph_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(dendrogram):
+            raise cli.DomainError("no graph")
+
+        monkeypatch.setattr(cli.merger, "segment_graph", refuse)
+        code, out, err = run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+                             "--mode", "paper", "--outdir", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", "error: no graph\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_purely_vertical_tree_has_no_chain_epochs(self, capsys, tmp_path):
+        src = tmp_path / "abc.csv"
+        src.write_text(",a,b,c\na,-,90,90\nb,90,-,90\nc,90,90,-\n")
+        code, out, _ = run(capsys, "build", "--input", str(src), "--mode", "paper",
+                           "--outdir", str(tmp_path))
+        assert code == 0
+        assert "\nchain epochs:\n  none (purely vertical tree)\n\n" in out
+        assert out == (tmp_path / "report.txt").read_text()
+
+    def test_missing_weights_file(self, capsys, tmp_path):
+        missing = tmp_path / "nosuch.csv"
+        code, out, err = run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+                             "--weights", str(missing), "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: --weights must be 'unit', 'iterate', or a CSV file; {str(missing)!r} "
+            f"is none of these"]
+        assert not (tmp_path / "out").exists()
 
 
 def test_schema_example_is_what_build_writes(capsys, tmp_path):
@@ -637,6 +692,14 @@ class TestPerturb:
         # Tracking a leaf's own pair names the leaf's parent junction.
         assert run(capsys, *base, "--pair", "1:2", "--track", "3:3")[0] == 0
 
+    @pytest.mark.parametrize("value", ["a-b", ":4", "1:", "1:2:3"])
+    def test_malformed_pair_and_track(self, capsys, value):
+        base = ["perturb", "--input", str(BUNDLED / "salish_a.csv"), "--mode", "paper"]
+        for extra in (["--pair", value], ["--pair", "1:2", "--track", value]):
+            code, out, err = run(capsys, *base, *extra, "--delta", "1")
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [f"error: pair must look like NAME:NAME, got {value!r}"]
+
 
 class TestTime:
     def test_identical_lists(self, capsys):
@@ -749,6 +812,31 @@ class TestRender:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {error}"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", [1, 1, 1], "bad weights: one weight per language required"),
+        ("weights", [1, 1, 0, 1], "bad weights: weights must be finite and > 0"),
+        ("weights", [1, 1, -2, 1], "bad weights: weights must be finite and > 0"),
+        ("languages", [], "languages must be a non-empty list"),
+    ], ids=["weight-count", "weight-zero", "weight-negative", "no-languages"])
+    def test_document_weights_and_languages(self, capsys, tmp_path, field, value, message):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path))
+        path = tmp_path / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--tree", str(path), "--format", "text")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message} (at {field})"]
+
+    def test_newick_quotes_labels(self, capsys, tmp_path):
+        src = tmp_path / "q.csv"
+        src.write_text(",a b,c(d)\na b,-,90\nc(d),90,-\n")
+        run(capsys, "build", "--input", str(src), "--mode", "paper", "--outdir", str(tmp_path))
+        code, out, _ = run(capsys, "render", "--tree", str(tmp_path / "dendrogram.json"),
+                           "--format", "newick-lossy")
+        assert (code, out) == (0, "('a b':6,'c(d)':5);\n")
+
     def test_single_leaf_document(self, capsys, tmp_path):
         doc = {
             "format": "isolect-dendrogram", "version": 1, "kind": "dendrogram",
@@ -821,10 +909,16 @@ class TestRender:
         (lambda d: d.pop("nodes"), "missing field 'nodes' (at nodes)"),
         (lambda d: d.update(nodes=5), "nodes must be a list (at nodes)"),
         (lambda d: d.pop("edges"), "missing field 'edges' (at edges)"),
-        (lambda d: d.update(edges={"x": 1}), "edges must be a list (at edges)"),
-    ], ids=["nodes-missing", "nodes-number", "edges-missing", "edges-object"])
-    def test_graph_lists_located(self, capsys, tmp_path, edit, message):
         # An object must not be read as the list of its keys.
+        (lambda d: d.update(edges={"x": 1}), "edges must be a list (at edges)"),
+        # A second copy of an inner node: the edge count alone does not see it.
+        (lambda d: d["nodes"].append(next(n for n in d["nodes"] if n["leaf"] is None)),
+         "bad segment-graph payload: segment graph node ids must be unique"),
+        (lambda d: d["edges"][1].update(length=-3),
+         "bad segment-graph payload: segment lengths must be finite and >= 0 (at edges[1])"),
+    ], ids=["nodes-missing", "nodes-number", "edges-missing", "edges-object", "node-id-twice",
+            "negative-length"])
+    def test_graph_lists_located(self, capsys, tmp_path, edit, message):
         doc = self._merged_doc(capsys, tmp_path)
         edit(doc)
         path = tmp_path / "bad.json"

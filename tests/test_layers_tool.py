@@ -12,7 +12,8 @@ LAYERS = {"matrix_to_distances.whole", "matrix_to_distances.distinct", "build.pa
           "build.precise_caterpillar", "restore_distance_matrix", "meeting_junction.first",
           "shared_consistency", "chain_widths", "format_column", "evaluation_csv",
           "render_newick_lossy", "lca_junction.table", "deserialize", "deserialize_graph",
-          "build.min_link", "build.lateral_offset", "build.reduce"}
+          "build.min_link", "build.lateral_offset", "build.reduce", "segment_graph", "merge",
+          "predict_missing"}
 KEYS = {"commit", "dirty", "python", "numpy", "seed", "repeat", "sizes", "ref_s", "seconds",
         "scaled", "slope", "import"}
 

@@ -553,6 +553,65 @@ class TestManySharedLeaves:
                     )
 
 
+def _renamed(graph, ids):
+    """``graph``'s nodes and edges with node ids mapped through ``ids``."""
+    return ({(ids[n.id], n.depth) for n in graph.nodes},
+            {(frozenset((ids[e.a], ids[e.b])), e.length, e.kind, e.provenance)
+             for e in graph.edges})
+
+
+class TestGeneratedIdsNeverCollide:
+    """A label may read like a generated node id (``j<idx>``,
+    ``j<idx>.rise``, ``graft<n>``): the generated id is primed instead, and
+    the graph is the one made under the original label."""
+
+    def test_segment_graph_primes_past_the_labels(self, tree_a):
+        labels = ("j0", "j1", "j0'", "j0.rise")
+        base = mg.segment_graph(tree_a)
+        tree = Dendrogram(LanguageSet(labels), tree_a.junctions, mode=tree_a.mode)
+        graph = mg.segment_graph(tree)
+        assert [n.id for n in graph.nodes if n.leaf] == list(labels) == list(graph.leaves())
+        ids = [n.id for n in graph.nodes]
+        assert [n.id for n in base.nodes][4:] == ["j0", "j0.rise", "j1", "j1.rise", "j2.rise"]
+        assert ids[4:] == ["j0''", "j0.rise'", "j1'", "j1.rise", "j2.rise"]
+        assert _renamed(base, dict(zip((n.id for n in base.nodes), ids))) == _renamed(
+            graph, {i: i for i in ids})
+        assert mg.deserialize_graph(mg.serialize_graph(graph)) == graph
+
+    @staticmethod
+    def _merge(rename):
+        """``two_studies(rng 16)``'s merge, B with noise seed 0, after
+        renaming the labels in ``rename``."""
+        m, labels_a, labels_b, _ = two_studies(np.random.default_rng(16))
+        labels_a, labels_b = ([rename.get(x, x) for x in labels] for labels in
+                              (labels_a, labels_b))
+        noise = np.triu(np.random.default_rng(0).uniform(-1, 1, size=m.shape), 1)
+        tree_a = bl.build(DistanceMatrix(LanguageSet(tuple(labels_a)), m), mode="precise")
+        tree_b = bl.build(DistanceMatrix(LanguageSet(tuple(labels_b)), m + noise + noise.T),
+                          mode="precise")
+        return mg.merge(tree_a, tree_b, tolerance=3)
+
+    @pytest.mark.parametrize("source, label", [(0, "graft0"), (1, "j0"), (1, "graft0")],
+                             ids=["a-graft0", "b-j0", "b-graft0"])
+    def test_exclusive_leaf_named_like_a_generated_id(self, source, label):
+        base = self._merge({})
+        old = mg.cross_pairs(base)[0][source]  # an exclusive leaf of A or of B
+        graph = self._merge({old: label})
+        back = {label: old}
+        leaves = graph.leaves()
+        assert label in leaves and label + "'" in {n.id for n in graph.nodes}
+        assert sorted(back.get(x, x) for x in leaves) == sorted(base.leaves())
+        assert [back.get(x, x) for x in graph.leaves_a + graph.leaves_b] == list(
+            base.leaves_a + base.leaves_b)
+        for i, x in enumerate(leaves):
+            for y in leaves[i + 1:]:
+                assert graph.distance(x, y) == base.distance(back.get(x, x), back.get(y, y))
+        found = mg.predict_missing(graph, mg.cross_pairs(graph))
+        want = mg.predict_missing(base, mg.cross_pairs(base))
+        assert [(tuple(back.get(x, x) for x in p.pair), *p[1:]) for p in found] == list(want)
+        assert mg.deserialize_graph(mg.serialize_graph(graph)) == graph
+
+
 class TestPathSummationCrossCheck:
     def test_fifteen_language_restored_distances(self, baltoslavic):
         # Dual route: the model's anchor-table distances must equal explicit

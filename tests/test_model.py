@@ -453,7 +453,9 @@ class TestDendrogramValidation:
         ("ab", "flags must be a sequence of strings, not a string", "flags"),
         ((1,), "flag must be a string", "flags[0]"),
         (["a", None], "flag must be a string", "flags[1]"),
-    ], ids=["bare-string", "number", "none-in-a-list"])
+        (None, "flags must be a sequence of strings", "flags"),
+        (1, "flags must be a sequence of strings", "flags"),
+    ], ids=["bare-string", "number", "none-in-a-list", "none", "not-iterable"])
     def test_flags_must_be_strings(self, flags, message, field):
         with pytest.raises(DomainError) as exc:
             Junction(0, 1, 5.0, 0.0, flags=flags)

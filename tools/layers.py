@@ -47,7 +47,12 @@ workload:
   as ``shared_consistency`` does before its per-pair distances;
 - ``deserialize`` and ``deserialize_graph``, reading the text of that
   build's ``dendrogram.json`` and of its segment graph, as ``evaluate``,
-  ``merge`` and ``render`` read their inputs.
+  ``merge`` and ``render`` read their inputs;
+- ``segment_graph``, ``merge`` and ``predict_missing`` on the precise
+  builds of ``planted.merge_pair(rng, k, k // 4)``'s two studies, the
+  merge-overlap workload's input kind, each on fresh ``Dendrogram`` objects
+  over those builds: the flattening of study A, the merge of B onto A, and
+  the predictions for the merged graph's cross pairs, the merge untimed.
 
 One layer has no size: ``import``, a fresh interpreter's ``import isolect``
 after ``import numpy, networkx``, as every CLI process pays it.  The child
@@ -133,6 +138,10 @@ def layers(pkg, k: int) -> dict:
     upper = report.restored.values[rows, cols]
     a, b = tree.labels[0], tree.labels[-1]
     tree_text, graph_text = model.serialize(built), merger.serialize_graph(graph)
+    pair = planted.merge_pair(np.random.default_rng(SEED), k, k // 4)
+    studies = [builder.build(model.DistanceMatrix(model.LanguageSet(labels),
+                                                  pair.planted.distances), mode="precise")
+               for labels in (pair.planted.labels, pair.labels_b())]
 
     def fresh(n=1):
         """``n`` fresh copies of the build: a tree caches what it derives."""
@@ -147,6 +156,15 @@ def layers(pkg, k: int) -> dict:
             cli.format_column(upper, "paper"),
             cli.format_column(report.residuals[rows, cols], "paper"),
         ))
+
+    def fresh_studies():
+        """Fresh copies of the merge pair's two builds."""
+        return tuple(model.Dendrogram(t.languages, t.junctions, mode="precise")
+                     for t in studies)
+
+    def merged():
+        graph = merger.merge(*fresh_studies())
+        return graph, merger.cross_pairs(graph)
 
     tabled = model.Dendrogram(languages, built.junctions, mode="paper")
     tabled.meeting_junctions(tree.labels)  # the batch query fills the k x k table
@@ -168,6 +186,9 @@ def layers(pkg, k: int) -> dict:
         "lca_junction.table": (lambda: tabled.lca_junction(0, k - 1), once),
         "deserialize": (lambda: model.deserialize(tree_text), once),
         "deserialize_graph": (lambda: merger.deserialize_graph(graph_text), once),
+        "segment_graph": (merger.segment_graph, lambda: fresh_studies()[:1]),
+        "merge": (merger.merge, fresh_studies),
+        "predict_missing": (merger.predict_missing, merged),
     }
     timings = {name: functools.partial(timed, *call) for name, call in calls.items()}
     for kernel in KERNELS:
