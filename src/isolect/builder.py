@@ -22,20 +22,19 @@ the root's whole geometry (depth, lateral width, status and depth range),
 which ``build`` stores as it is; only a zero-length root link never reaches
 the cross-check.
 
-A state's data is indexed by node id, as the reduced distances are: one
-float table sized (2k-1) x (2k-1) and per node its weight and its
-``Cluster`` record.  Join j makes node k + j (Muellner's stepwise
-numbering, the only one a ``Dendrogram`` accepts), and ``reduce`` takes no
-other id.  The three are written once per node, when ``reduce`` makes it:
-the new node's row and column, weight and record, which no earlier state
-reads (a state reads only its own active nodes, all older than the new
-node), so every state of a build shares them and no join copies them.  The
-leaf block (ids below k) stays as ``initial_state`` wrote it, which keeps
-the first state valid for the cross-check after the build.  What a state
-owns is a mask of its active nodes and each active row's shortest link and
-its other end, three arrays of length 2k-1 that each join copies.  These
-node-indexed arrays are the state; its one cluster-order reader,
-``clusters`` (ascending node id), is for callers, never the join loop.
+A build has one working state, indexed by node id as the reduced
+distances are: one float table sized (2k-1) x (2k-1), per node its weight
+and its ``Cluster`` record, and over all 2k-1 ids a mask of the active nodes
+and each active row's shortest link and its other end.  Join j makes node
+k + j (Muellner's stepwise numbering, the only one a ``Dendrogram``
+accepts), and ``reduce`` takes no other id.  ``reduce`` updates the state in
+place: it writes the new node's row and column, weight and record, and
+retires the joined pair.  It never writes the leaf block (ids below k), so
+``build`` keeps the initial state for the cross-check as a snapshot taken
+before the first join: copies of the three per-node arrays over the shared
+table, weights and records.  These node-indexed arrays are the state; its
+one cluster-order reader, ``clusters`` (ascending node id), is for callers,
+never the join loop.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
@@ -52,9 +51,9 @@ left to right over exactly the externals through ``np.add.accumulate``
 once with the scalar rounding's IEEE operations (``quantize_array``).
 
 The rest of a join is per-call overhead, so a join gathers its two rows
-once (a state keeps its last gather, keyed by the pair) and builds cheap
-records: named tuples ``Cluster``, ``JoinGeometry`` and ``ResolutionResult``,
-and a slotted ``ClusterState``.
+once (the state keeps its last gather, keyed by the pair), reads the
+scalars it branches on through ``item`` and builds cheap records: named
+tuples ``Cluster``, ``JoinGeometry`` and ``ResolutionResult``.
 """
 
 from __future__ import annotations
@@ -122,54 +121,35 @@ class Cluster(NamedTuple):
 
 
 class ClusterState:
-    """Active clusters plus the reduced distances between them; read-only.
+    """The build's working state: active clusters and the reduced distances
+    between them.
 
     Everything is indexed by node id.  ``table[x, y]`` is the reduced
     distance between nodes ``x`` and ``y``; node ``x``'s weight and
     ``Cluster`` record sit at index ``x`` of an array and a list beside it.
-    States of one build share the three: a reduce fills the new node's row,
-    column, weight and record, which no earlier state reads, and marks the
-    row taken by a zero on the diagonal.  A reduce takes only the state's
-    next id, ``len(table) + 1 - size``; when a second branch from one state
-    finds that id taken, it writes into copies of all three instead.
-
-    A state owns three arrays as long as the table: ``alive``, the mask of
-    its active nodes, and each active row's shortest link to another active
-    cluster, ``node_min``, with the node at its other end, ``node_arg``
-    (``inf`` and -1 for a lone cluster and for every inactive id).  ``size``
-    counts the active clusters.  These arrays and the shared data are the
-    state; ``clusters``, its active records in ascending node id, is its one
-    cluster-order reader, built on first access and never by the join loop.
+    ``alive`` masks the active nodes, ``node_min`` holds each active row's
+    shortest link to another active cluster and ``node_arg`` the node at its
+    other end (``inf`` and -1 for a lone cluster and for every inactive id);
+    ``size`` counts the active clusters.  ``reduce`` updates all of them in
+    place and takes only the state's next id, ``len(table) + 1 - size``.
+    ``clusters``, the active records in ascending node id, is the one
+    cluster-order reader, built on first access after each reduce and never
+    by the join loop.
     """
 
     __slots__ = ("table", "mode", "alive", "node_min", "node_arg", "size",
                  "_weight", "_record", "_rows", "_clusters")
 
     def __init__(self, table, mode, alive, node_min, node_arg, size, weight, record):
-        for array in (alive, node_min, node_arg):
-            array.setflags(write=False)
-        init = object.__setattr__  # past the refusing __setattr__
-        init(self, "table", table)
-        init(self, "mode", mode)
-        init(self, "alive", alive)
-        init(self, "node_min", node_min)
-        init(self, "node_arg", node_arg)
-        init(self, "size", size)
-        init(self, "_weight", weight)
-        init(self, "_record", record)
-        init(self, "_rows", None)
-        init(self, "_clusters", None)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ClusterState is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        self.table, self.mode, self.size = table, mode, size
+        self.alive, self.node_min, self.node_arg = alive, node_min, node_arg
+        self._weight, self._record = weight, record
+        self._rows = self._clusters = None
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
-        if self._clusters is None:  # built once: a state never changes
-            clusters = tuple(compress(self._record, self.alive.tolist()))
-            object.__setattr__(self, "_clusters", clusters)
+        if self._clusters is None:  # kept until the next reduce
+            self._clusters = tuple(compress(self._record, self.alive.tolist()))
         return self._clusters
 
     def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +170,7 @@ class ClusterState:
         ext_nodes = external.nonzero()[0]
         rows = self.table.take((x, y), 0).take(ext_nodes, 1)
         rows.setflags(write=False)
-        object.__setattr__(self, "_rows", ((x, y), (ext_nodes, rows)))
+        self._rows = (x, y), (ext_nodes, rows)
         return ext_nodes, rows
 
 
@@ -265,28 +245,24 @@ def min_link(state: ClusterState) -> tuple[Cluster, Cluster]:
 
     Both ends of a pair at the shortest link are rows whose minimum is that
     link, so only those rows are ranked: two rows are the pair itself, and
-    more are a tie, settled over the tied rows' block.
+    more are a tie.  The tied rows are scanned in label order, each against
+    the later ones, and the first pair at the shortest link is the one with
+    the smallest sorted labels; it is returned in node order.
     """
     if state.size < 2:
         raise DomainError("need at least two active clusters")
     clusters = state._record
     shortest = np.minimum.reduce(state.node_min)
-    tied = (state.node_min == shortest).nonzero()[0]
+    tied = (state.node_min == shortest).nonzero()[0].tolist()
     if len(tied) == 2:
-        i, j = tied.tolist()
+        i, j = tied
         return clusters[i], clusters[j]
-    # The block is symmetric: keep each tied pair once, as (r, c) with r < c.
-    t = len(tied)
-    links = state.table.take(tied, 0).take(tied, 1)
-    links.flat[:: t + 1] = np.inf
-    tied = tied.tolist()
-    at = (divmod(x, t) for x in (links.ravel() == shortest).nonzero()[0].tolist())
-    first = [clusters[x].first_label for x in tied]
-    r, c = min(
-        ((r, c) for r, c in at if r < c),
-        key=lambda rc: sorted((first[rc[0]], first[rc[1]])),
-    )
-    return clusters[tied[r]], clusters[tied[c]]
+    tied.sort(key=lambda x: clusters[x].first_label)
+    link = state.table.item
+    for at, x in enumerate(tied, 1):
+        for y in tied[at:]:
+            if link(x, y) == shortest:
+                return (clusters[x], clusters[y]) if x < y else (clusters[y], clusters[x])
 
 
 def lateral_offset(
@@ -314,16 +290,17 @@ def lateral_offset(
     else:
         weights = np.ones(rows.shape[1])
     # Sequential sums, left to right as ``num += w * d`` would add them.
-    num = np.add.accumulate(weights * rows, axis=1)[:, -1]
-    den = np.add.accumulate(weights)[-1]
-    means = [quantize(mean, state.mode) for mean in (num / den).tolist()]
-    if means[0] == means[1]:
+    num = np.add.accumulate(weights * rows, axis=1)
+    den = np.add.accumulate(weights).item(-1)
+    mean_a = quantize(num.item(0, -1) / den, state.mode)
+    mean_b = quantize(num.item(1, -1) / den, state.mode)
+    if mean_a == mean_b:
         # Equidistant pair: the lexicographically larger key goes far.
         near, far = (a, b) if a.first_label < b.first_label else (b, a)
         return 0.0, near, far
-    if means[0] < means[1]:
-        return means[1] - means[0], a, b
-    return means[0] - means[1], b, a
+    if mean_a < mean_b:
+        return mean_b - mean_a, a, b
+    return mean_a - mean_b, b, a
 
 
 def join_geometry(
@@ -371,7 +348,7 @@ def reduce(
     geometry: JoinGeometry,
     new_node: int,
 ) -> tuple[ClusterState, tuple[str, ...]]:
-    """Replace the joined pair by the merged cluster.
+    """Replace the joined pair by the merged cluster, in place on ``state``.
 
     Each external entry becomes the weight-weighted mean of the two
     anchor-corrected child distances; the merged cluster keeps both
@@ -380,7 +357,8 @@ def reduce(
     a joined node and the new one is longer.  The pair must be two distinct
     active clusters and ``new_node`` the state's next id,
     ``len(state.table) + 1 - state.size``, so the merged cluster comes last
-    in cluster order.
+    in cluster order; either refusal comes before any write.  Returns the
+    updated state itself and the clamp flags.
     """
     next_node = len(state.table) + 1 - state.size
     if new_node != next_node:
@@ -399,23 +377,20 @@ def reduce(
     clamped, shortest, other = 0, np.inf, -1
     if len(values):
         nearest = values.argmin()
-        if values[nearest] < 0:
+        if values.item(nearest) < 0:
             negative = values < 0
             clamped = int(np.count_nonzero(negative))
             values[negative] = 0.0
             nearest = values.argmin()
-        shortest, other = values[nearest], ext_nodes[nearest]
-    table, weight, record = state.table, state._weight, state._record
-    if table.item(new_node, new_node) == 0.0:
-        # A sibling branch wrote this id: write into copies of the shared data.
-        table, weight, record = table.copy(), weight.copy(), list(record)
+        shortest, other = values.item(nearest), ext_nodes.item(nearest)
+    table = state.table
     table[new_node][ext_nodes] = values  # a row view: no mixed indexing
     table[:, new_node][ext_nodes] = values
     table[new_node, new_node] = 0.0
-    weight[new_node] = merged.weight
-    record[new_node] = merged
+    state._weight[new_node] = merged.weight
+    state._record[new_node] = merged
 
-    alive, node_min, node_arg = state.alive.copy(), state.node_min.copy(), state.node_arg.copy()
+    alive, node_min, node_arg = state.alive, state.node_min, state.node_arg
     alive[near.node] = alive[far.node] = False
     node_min[near.node] = node_min[far.node] = np.inf
     node_arg[near.node] = node_arg[far.node] = -1
@@ -437,8 +412,8 @@ def reduce(
         links[rows, stale] = np.inf
         at = links.argmin(1)
         node_min[stale], node_arg[stale] = links[rows, at], at
-    state = ClusterState(table, state.mode, alive, node_min, node_arg, state.size - 1,
-                         weight, record)
+    state.size -= 1
+    state._rows = state._clusters = None  # the pair's gather and the old clusters
     return state, (FLAG_NEGATIVE_REDUCED,) * clamped
 
 
@@ -469,9 +444,10 @@ def resolve_last_link(
     build is redone with that link joined first, so that it picks up a
     lateral offset from the then-external points.  That first join is the
     join of the root clusters' carrier leaves (reached through each near
-    child) on ``start``, the build's initial state, which is still valid
-    after the build: a reduce writes only the rows and columns of new nodes,
-    so the leaf block of the shared table stays as ``initial_state`` wrote
+    child) on ``start``, the build's initial state: ``build`` passes the
+    snapshot it took before the first join, which is still valid after the
+    build, because a reduce writes only the rows and columns of new nodes
+    and the leaf block of the shared table stays as ``initial_state`` wrote
     it.  If the placements agree within ``tolerance`` on both depth and
     lateral width, the simplest form is adopted; otherwise the link stays
     unresolved and only its total length and feasible depth range are
@@ -550,11 +526,14 @@ def build(
             "builder requires synchronous leaves (all attestation depths 0); "
             "use divergence_time for attested-language calculations"
         )
-    start = state = initial_state(matrix, weights, mode)
+    state = initial_state(matrix, weights, mode)
+    # The joins update ``state`` in place: the cross-check gets a snapshot.
+    start = ClusterState(state.table, mode, state.alive.copy(), state.node_min.copy(),
+                         state.node_arg.copy(), k, state._weight, state._record)
     junctions: list[Junction] = []
     while state.size > 2:
         geometry = _join(state, min_link(state), external_means)
-        state, reduce_flags = reduce(state, geometry, k + len(junctions))
+        _, reduce_flags = reduce(state, geometry, k + len(junctions))
         junctions.append(Junction(geometry.near.node, geometry.far.node, geometry.depth,
                                   geometry.lateral, flags=geometry.flags + reduce_flags))
 

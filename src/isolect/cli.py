@@ -607,8 +607,9 @@ def _print_consistency(report: merger.ConsistencyReport, mode: str) -> None:
 def cmd_perturb(args) -> int:
     mode = default_mode(args.mode)
     matrix = read_matrix_csv(args.input, "coincidence")
-    pair = _parse_pair(args.pair)
-    track = _parse_pair(args.track) if args.track else None
+    labels = matrix.languages.labels
+    pair = _parse_pair(args.pair, labels)
+    track = _parse_pair(args.track, labels) if args.track else None
     report = refinement.perturb(
         matrix, pair, args.delta, track=track, mode=mode,
         external_means=args.external_means,
@@ -660,11 +661,18 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(text: str) -> tuple[str, str]:
+def _parse_pair(text: str, labels) -> tuple[str, str]:
+    """``NAME:NAME``.  Labels may hold ``:``, so a text with more than one
+    splits at the one ``:`` that leaves two of the matrix ``labels``."""
     parts = text.split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise InputError(f"pair must look like NAME:NAME, got {text!r}")
-    return (parts[0], parts[1])
+    if len(parts) > 2:
+        splits = [(":".join(parts[:i]), ":".join(parts[i:])) for i in range(1, len(parts))]
+        parts = [pair for pair in splits if set(pair) <= set(labels)]
+        if len(parts) == 1:
+            return parts[0]
+    elif len(parts) == 2 and parts[0] and parts[1]:
+        return (parts[0], parts[1])
+    raise InputError(f"pair must look like NAME:NAME, got {text!r}")
 
 
 # -- parser ------------------------------------------------------------------

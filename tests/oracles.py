@@ -8,7 +8,8 @@ values can serve as ground truth for reconstruction tests.
 The scalar references are per-cell Python loops, one call per cell, that
 the package's array kernels must match bit for bit.  The builder's step
 readers (a cluster's sorted member labels, a state's active-pair distances)
-are test-only, so they live here.  ``csv_text`` writes every row through
+and the copy a test steps when it branches from one state are test-only, so
+they live here.  ``csv_text`` writes every row through
 ``csv.writer``, the reference for the CLI's CSV outputs (a field holding
 CR is quoted, as one holding LF is).  The matrix CSV reader at the end is
 the straightforward one (``csv.reader``, then one ``float`` per stripped
@@ -224,6 +225,17 @@ def state_distance(state, a, b) -> float:
     if len(pair) != 2 or not pair <= set(np.flatnonzero(state.alive).tolist()):
         raise KeyError(pair)
     return float(state.table[a.node, b.node])
+
+
+def copy_state(state):
+    """A builder state that steps apart from ``state``: its own copies of
+    the table, weights, records and per-node arrays, because a reduce
+    updates its state in place."""
+    copy = object.__new__(type(state))
+    for name in type(state).__slots__:
+        value = getattr(state, name)
+        setattr(copy, name, value.copy() if isinstance(value, (np.ndarray, list)) else value)
+    return copy
 
 
 def lateral_offset_means(state, pair, external_means="weighted") -> list[float]:

@@ -700,6 +700,26 @@ class TestPerturb:
             assert (code, out) == (1, "")
             assert err.splitlines() == [f"error: pair must look like NAME:NAME, got {value!r}"]
 
+    def test_labels_holding_a_colon(self, capsys, tmp_path):
+        # A text with more than one ':' splits where both sides are labels.
+        path = tmp_path / "colons.csv"
+        path.write_text(",a:b,c,d\na:b,-,48,33\nc,48,-,50\nd,33,50,-\n", encoding="utf-8")
+        base = ["perturb", "--input", str(path), "--mode", "paper", "--delta", "1"]
+        for extra in (["--pair", "a:b:c"], ["--pair", "c:d", "--track", "a:b:c"]):
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 0
+            assert "a:b-c" in out.splitlines()[0]
+        # Two splits that both leave labels, or none: the text is refused.
+        path.write_text(",a,a:b,b:c,c\na,-,48,33,25\na:b,48,-,50,34\n"
+                        "b:c,33,50,-,54\nc,25,34,54,-\n", encoding="utf-8")
+        base[2] = str(path)
+        for value in ("a:b:c", "a:x:c"):
+            for extra in (["--pair", value], ["--pair", "a:c", "--track", value]):
+                code, out, err = run(capsys, *base, *extra)
+                assert (code, out) == (1, "")
+                assert err.splitlines() == [
+                    f"error: pair must look like NAME:NAME, got {value!r}"]
+
 
 class TestTime:
     def test_identical_lists(self, capsys):
