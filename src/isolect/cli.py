@@ -666,10 +666,11 @@ def _parse_pair(text: str, labels) -> tuple[str, str]:
     splits at the one ``:`` that leaves two of the matrix ``labels``."""
     parts = text.split(":")
     if len(parts) > 2:
+        known = set(labels)
         splits = [(":".join(parts[:i]), ":".join(parts[i:])) for i in range(1, len(parts))]
-        parts = [pair for pair in splits if set(pair) <= set(labels)]
-        if len(parts) == 1:
-            return parts[0]
+        splits = [pair for pair in splits if known.issuperset(pair)]
+        if len(splits) == 1:
+            return splits[0]
     elif len(parts) == 2 and parts[0] and parts[1]:
         return (parts[0], parts[1])
     raise InputError(f"pair must look like NAME:NAME, got {text!r}")
