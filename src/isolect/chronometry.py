@@ -25,7 +25,9 @@ from .model import CoincidenceMatrix, DistanceMatrix
 def coincidence_to_svodesh(c: float, mode: str = PRECISE) -> float:
     """Svodesh distance for a coincidence percentage in (0, 100]."""
     check_mode(mode)
-    if not np.isfinite(c) or c <= 0:
+    if not np.isfinite(c):
+        raise DomainError(f"coincidence must be a finite number (got {c})")
+    if c <= 0:
         raise DomainError(f"coincidence must be > 0 (got {c}); distance is infinite at 0")
     if c > 100:
         raise DomainError(f"coincidence must be <= 100 (got {c})")

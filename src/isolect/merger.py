@@ -8,7 +8,7 @@ grafted onto the shared lineages at their original positions.
 
 A segment graph answers its path queries from two indexes built on first
 use, leaf label to node and node to neighbours, with one breadth-first pass
-per source leaf.
+from the source leaf.
 """
 
 from __future__ import annotations
@@ -133,8 +133,6 @@ class SegmentGraph:
         g = self.graph()
         if g.number_of_nodes() > 1 and not nx.is_tree(g):
             raise DomainError("segment graph must be a tree")
-        # The traversals from leaves asked for, by leaf label.
-        object.__setattr__(self, "_traversals", {})
 
     def graph(self) -> nx.Graph:
         g = nx.Graph()
@@ -175,22 +173,19 @@ class SegmentGraph:
         One breadth-first pass: in a tree each node's length is its
         neighbour's plus the edge between them, the sums Dijkstra makes.
         """
-        found = self._traversals.get(label)
-        if found is None:
-            source = self.node_of_leaf(label)
-            adj = self._adjacency
-            dist: dict[str, float] = {source: 0}
-            toward: dict[str, str] = {}
-            queue = [source]
-            for u in queue:
-                du = dist[u]
-                for v, w in adj[u].items():
-                    if v not in dist:
-                        dist[v] = du + w
-                        toward[v] = u
-                        queue.append(v)
-            found = self._traversals[label] = (dist, toward)
-        return found
+        source = self.node_of_leaf(label)
+        adj = self._adjacency
+        dist: dict[str, float] = {source: 0}
+        toward: dict[str, str] = {}
+        queue = [source]
+        for u in queue:
+            du = dist[u]
+            for v, w in adj[u].items():
+                if v not in dist:
+                    dist[v] = du + w
+                    toward[v] = u
+                    queue.append(v)
+        return dist, toward
 
     def distance(self, a: str, b: str) -> float:
         """Unique tree-path distance between two leaves, in svodesh."""
@@ -377,14 +372,20 @@ def shared_consistency(
 def _frame(graph: SegmentGraph, shared: tuple[str, ...]):
     """The span of the shared leaves, seen from the first of them.
 
-    Returns each node's distance from ``shared[0]``, each span node's
-    neighbour towards ``shared[0]``, and the node paths from ``shared[0]`` to
-    the other shared leaves.  In a tree the span is the union of these paths.
+    Returns each node's distance from ``shared[0]`` and its neighbour towards
+    ``shared[0]``, the nodes of ``shared[1:]``, and each span node's leg: the
+    index j of the first ``shared[j + 1]`` whose path from ``shared[0]``
+    passes through it.  Each leaf climbs only until it meets the span walked
+    so far, since the rest of its path lies on an earlier leaf's.
     """
     lengths, toward = graph._from_leaf(shared[0])
-    legs = [_path_to(graph.node_of_leaf(s), toward) for s in shared[1:]]
-    parent = {v: u for leg in legs for u, v in zip(leg, leg[1:])}
-    return lengths, parent, legs
+    ends = [graph.node_of_leaf(s) for s in shared[1:]]
+    leg_of = {graph.node_of_leaf(shared[0]): 0}
+    for j, node in enumerate(ends):
+        while node not in leg_of:
+            leg_of[node] = j
+            node = toward[node]
+    return lengths, toward, ends, leg_of
 
 
 def _path_to(node: str, toward: dict[str, str]) -> list[str]:
@@ -394,10 +395,6 @@ def _path_to(node: str, toward: dict[str, str]) -> list[str]:
         path.append(toward[path[-1]])
     path.reverse()
     return path
-
-
-def _in_span(edge: SegmentEdge, parent: dict[str, str]) -> bool:
-    return parent.get(edge.a) == edge.b or parent.get(edge.b) == edge.a
 
 
 def _place(nodes, edges, parent, dist, end, target, new_id) -> str:
@@ -446,22 +443,18 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     shared = report.shared
     ga = segment_graph(a, PROV_A)
     gb = segment_graph(b, PROV_B)
-    dist, parent, legs_a = _frame(ga, shared)
-    dist = dict(dist)  # splits extend the frame, not the graph's cache
-    lengths_b, parent_b, legs_b = _frame(gb, shared)
-    leg_of: dict[str, int] = {}
-    for j, leg in enumerate(legs_b):
-        for q in leg:
-            leg_of.setdefault(q, j)
+    dist, parent, ends, span = _frame(ga, shared)
+    lengths_b, _, _, leg_of = _frame(gb, shared)
 
+    # A span is a subtree: an edge lies in it if and only if both its ends do.
     nodes = {n.id: n for n in ga.nodes}
     edges = {
         frozenset((e.a, e.b)):
             SegmentEdge(e.a, e.b, e.length, e.kind, PROV_SHARED)
-            if _in_span(e, parent) else e
+            if e.a in span and e.b in span else e
         for e in ga.edges
     }
-    only_b = [e for e in gb.edges if not _in_span(e, parent_b)]
+    only_b = [e for e in gb.edges if not (e.a in leg_of and e.b in leg_of)]
 
     rename: dict[str, str] = {}
     components = sorted(({x for e in comp for x in (e.a, e.b)}
@@ -469,7 +462,7 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     for counter, comp in enumerate(components):
         # B is a tree, so the branch meets the shared span at exactly one node.
         p = min(comp & leg_of.keys())
-        end = legs_a[leg_of[p]][-1]
+        end = ends[leg_of[p]]
         rename[p] = _place(nodes, edges, parent, dist, end,
                            min(lengths_b[p], dist[end]), _fresh(f"graft{counter}", nodes))
 
@@ -502,9 +495,12 @@ def predict_missing(graph: SegmentGraph, pairs) -> tuple[Prediction, ...]:
     """
     mode = graph.mode
     out = []
+    from_leaf: dict[str, dict] = {}
     for pair in pairs:
         x, y = pair
-        dist = graph.distance(x, y)
+        if x not in from_leaf:
+            from_leaf[x] = graph._from_leaf(x)[0]
+        dist = float(from_leaf[x][graph.node_of_leaf(y)])
         if not math.isfinite(dist):
             raise DomainError(f"path {x}-{y} is beyond float range")
         dist = quantize(dist, mode)

@@ -543,22 +543,35 @@ class TestMerge:
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
 
-    def test_merged_graph_independent_of_hash_seed(self, capsys, tmp_path):
-        self._build_both(capsys, tmp_path)
+    def test_merged_graph_independent_of_hash_seed(self, tmp_path):
+        # Builds and merge in one child per string hash seed; 0 and 1 once
+        # ordered merged nodes differently.
+        script = "\n".join((
+            "import sys",
+            "from isolect.cli import main",
+            "out, a, b = sys.argv[1:]",
+            "for name, table in (('a', a), ('b', b)):",
+            "    if main(['build', '--input', table, '--mode', 'paper',"
+            " '--outdir', f'{out}/{name}']):",
+            "        sys.exit(1)",
+            "sys.exit(main(['merge', '--a', f'{out}/a/dendrogram.json',"
+            " '--b', f'{out}/b/dendrogram.json', '--outdir', f'{out}/merged']))",
+        ))
         outputs = []
-        for seed in ("0", "1"):  # two seeds that once ordered nodes differently
+        for seed in ("0", "1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=str(Path(cli.__file__).parents[1]))
             outdir = tmp_path / f"seed{seed}"
             subprocess.run(
-                [sys.executable, "-m", "isolect", "merge",
-                 "--a", str(tmp_path / "a" / "dendrogram.json"),
-                 "--b", str(tmp_path / "b" / "dendrogram.json"),
-                 "--outdir", str(outdir)],
+                [sys.executable, "-c", script, str(outdir),
+                 str(BUNDLED / "salish_a.csv"), str(BUNDLED / "salish_b.csv")],
                 env=env, check=True, capture_output=True,
             )
-            outputs.append((outdir / "merged.json").read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs.append({str(f.relative_to(outdir)): f.read_bytes()
+                            for f in outdir.rglob("*") if f.is_file()})
+        assert {"a/dendrogram.json", "b/report.txt", "merged/merged.json",
+                "merged/predictions.csv"} <= outputs[0].keys()
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_consistency_failure_exit_two(self, capsys, tmp_path):
         self._build_both(capsys, tmp_path)
@@ -751,6 +764,13 @@ class TestTime:
                              "--mode", mode)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coincidence(self, capsys, value):
+        code, out, err = run(capsys, "time", f"--coincidence={value}", "--mode", "precise")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: coincidence must be a finite number (got {value})"]
 
 
 class TestRender:

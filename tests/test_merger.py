@@ -724,14 +724,22 @@ TRAVERSAL_CASES = (
     + [f"noisy-{seed}" for seed in range(3)]
     + ["paper-salish_a", "paper-salish_b", "paper-baltoslavic"]
     + [f"merged-{seed}" for seed in range(3)]
+    + ["chain-0"]
 )
 
 
 def traversal_graph(case: str) -> mg.SegmentGraph:
-    """Segment graphs of precise, noisy precise and paper-mode builds, and
+    """Segment graphs of precise, noisy precise and paper-mode builds,
     merged graphs whose grafts split reference segments (built in the test,
-    so a broken merge fails its cases rather than the module)."""
+    so a broken merge fails its cases rather than the module), and a build
+    whose first junction lies at depth 0, so its anchor is leaf A's node and
+    A lies on the path from B to the others."""
     kind, arg = case.split("-", 1)
+    if kind == "chain":
+        m = np.array([[0, 10, 50, 60], [10, 0, 60, 70], [50, 60, 0, 40],
+                      [60, 70, 40, 0]], float)
+        return mg.segment_graph(
+            bl.build(DistanceMatrix(LanguageSet(tuple("ABCD")), m), mode="precise"))
     if kind == "paper":
         matrix = cli.read_matrix_csv(Path(__file__).parent.parent / "data" / f"{arg}.csv",
                                      "coincidence")
@@ -754,7 +762,8 @@ def traversal_graph(case: str) -> mg.SegmentGraph:
 
 
 class TestTraversalOracle:
-    """The breadth-first traversals against networkx on the same tree."""
+    """The breadth-first traversals and the merge frame against networkx on
+    the same tree."""
 
     @pytest.mark.parametrize("case", TRAVERSAL_CASES)
     def test_distances_and_legs_match_networkx(self, case):
@@ -765,18 +774,27 @@ class TestTraversalOracle:
             assert any(n.id.startswith("graft") for n in graph.nodes)
         g = graph.graph()
         leaves = graph.leaves()
+        stopped = 0  # shared leaves whose node lies on an earlier leaf's path
         for i, label in enumerate(leaves):
             source = graph.node_of_leaf(label)
-            want, _ = nx.single_source_dijkstra(g, source, weight="length")
+            want, paths = nx.single_source_dijkstra(g, source, weight="length")
             dist, _ = graph._from_leaf(label)
             # repr: equal bits and types, the source's integer 0 included
             assert {v: repr(d) for v, d in dist.items()} == {
                 v: repr(d) for v, d in want.items()
             }
             shared = leaves[i:] + leaves[:i]
-            _, _, legs = mg._frame(graph, shared)
-            assert legs == [nx.shortest_path(g, source, graph.node_of_leaf(s))
-                            for s in shared[1:]]
+            lengths, parent, ends, leg_of = mg._frame(graph, shared)
+            assert lengths == dist
+            legs = [paths[graph.node_of_leaf(s)] for s in shared[1:]]
+            assert ends == [leg[-1] for leg in legs]
+            assert leg_of == {v: min(j for j, leg in enumerate(legs) if v in leg)
+                              for leg in legs for v in leg}
+            for v in leg_of.keys() - {source}:
+                assert parent[v] == paths[v][-2]
+            stopped += sum(leg[-1] in earlier for j, leg in enumerate(legs)
+                           for earlier in legs[:j])
+        assert stopped or case != "chain-0"
 
     def test_unknown_leaf_keeps_its_message(self):
         graph = traversal_graph(TRAVERSAL_CASES[0])

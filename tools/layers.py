@@ -284,7 +284,7 @@ def unpack(rev: str, into: Path) -> tuple[str, Path]:
     commit's short hash."""
     commit = git("rev-parse", "--short", f"{rev}^{{commit}}")
     if not commit:
-        raise SystemExit(f"layers.py: --against {rev}: not a commit of {ROOT}")
+        raise SystemExit(f"--against {rev}: not a commit of {ROOT}")
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=zip", commit, "src/isolect"],
         capture_output=True, check=True).stdout
