@@ -12,8 +12,10 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +32,7 @@ EXIT_CONSISTENCY = 2
 EXIT_STRICT = 3
 
 ABSENT_TOKENS = {"", "-", "na", "NA", "n/a"}
+_FILLED = re.compile(r"[^\s,]")  # a CSV line with a non-blank cell (\s is str.isspace)
 
 
 # -- formatting --------------------------------------------------------------
@@ -108,15 +111,21 @@ def _read_text(path) -> str:
         raise ParseError("file is not UTF-8 text", f"{path}:{line}") from None
 
 
-def _csv_rows(path) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file."""
-    text = _read_text(path)
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text``, or None when a quote, CR or NUL (an error before
+    Python 3.11) or a line over the field size limit needs csv.reader."""
     lines = text.split("\n")
     if lines[-1] == "":  # the final newline, or an empty file
         lines.pop()
-    # csv.reader's rows, unless a quote, CR or NUL (an error before Python 3.11) needs it
-    plain = not any(c in text for c in '"\r\0')
-    if plain and max(map(len, lines), default=0) <= csv.field_size_limit():
+    if any(c in text for c in '"\r\0') or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _csv_rows(path, text: str | None = None) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file, whose ``text`` may be given."""
+    text = _read_text(path) if text is None else text
+    if (lines := _plain_lines(text)) is not None:
         return [line.split(",") if line else [] for line in lines]
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -134,6 +143,33 @@ def _matrix_cell(cell: str, absent: float, where: str) -> float:
         raise ParseError(f"cell {cell!r} is not a number", where) from None
 
 
+def _one_pass(rows, labels, diagonal: float) -> np.ndarray | None:
+    """The values of plain ``rows`` (line numbers and lines) in one pass, or
+    None for any table but the common one: complete rows, an absent diagonal,
+    lower cells spelled as their mirrors and finite upper cells."""
+    k = len(labels)
+    # Row i cut from the right only as far as its diagonal and shifted by i,
+    # so that cut[i][i] holds its label and lower cells and cut[i][j + 1] its cell j >= i.
+    cut = [[None] * i + line.rsplit(",", k - i) for i, (_, line) in enumerate(rows)]
+    if any(len(row) != k + 1 for row in cut):
+        return None
+    columns = list(zip(*cut))  # columns[i + 1][:i]: the mirrors of row i's lower cells
+    for i, row in enumerate(cut):
+        head = row[i].partition(",")[0]
+        if (row[i + 1].strip() not in ABSENT_TOKENS or head.strip() != labels[i]
+                or row[i] != ",".join((head, *columns[i + 1][:i]))):
+            return None
+    cells = itertools.chain.from_iterable(row[i + 2:] for i, row in enumerate(cut))
+    try:  # the strict upper triangle, parsed once and written into both triangles
+        parsed = np.fromiter(map(float, cells), float, k * (k - 1) // 2)
+    except ValueError:  # an absent pair or a malformed cell
+        return None
+    values = np.full((k, k), diagonal)
+    upper = ~np.tri(k, dtype=bool)
+    values[upper] = values.T[upper] = parsed  # row by row above, column by column below
+    return values if np.isfinite(parsed).all() else None
+
+
 def read_matrix_csv(path, kind: str):
     """Read the square labeled-matrix CSV format.
 
@@ -143,14 +179,17 @@ def read_matrix_csv(path, kind: str):
     """
     if kind not in ("coincidence", "distance"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    rows = [
-        (line, row) for line, row in enumerate(_csv_rows(path), start=1)
-        if any(c.strip() for c in row)
-    ]
+    text = _read_text(path)
+    # The rows with a non-blank cell; a plain line is cut only to be read cell by cell.
+    if (lines := _plain_lines(text)) is None:
+        rows = [(line, row) for line, row in enumerate(_csv_rows(path, text), start=1)
+                if any(c.strip() for c in row)]
+    else:
+        rows = [(n, line) for n, line in enumerate(lines, start=1) if _FILLED.search(line)]
     if not rows:
         raise ParseError("empty matrix file", str(path))
     header_line, header = rows[0]
-    labels = [c.strip() for c in header[1:]]
+    labels = [c.strip() for c in (header if lines is None else header.split(","))[1:]]
     k = len(labels)
     if k == 0:
         raise ParseError("header row names no languages", f"{path}:{header_line}")
@@ -160,45 +199,38 @@ def read_matrix_csv(path, kind: str):
             str(path),
         )
     diag_default = 100.0 if kind == "coincidence" else 0.0
-    values = np.full((k, k), np.nan)
-    data = [row for _, row in rows[1:]]
-    # columns[j + 1][i]: row i's cell j, the mirror of row j's cell i
-    columns = tuple(zip(*data)) if all(len(row) == k + 1 for row in data) else ()
-    for i, (line, row) in enumerate(rows[1:]):
-        if len(row) != k + 1:
-            raise ParseError(
-                f"row has {len(row) - 1} cells, expected {k}", f"{path}:{line}"
-            )
-        if (label := row[0].strip()) != labels[i]:
-            raise ParseError(
-                f"row label {label!r} does not match header order "
-                f"(expected {labels[i]!r})",
-                f"{path}:{line}",
-            )
-        # Lower cells spelled as their mirrors take the mirrors' values: a
-        # cell's value depends only on its text, and the mirrors' rows came
-        # first.  The first cell alone turns most other rows away.
-        mirror = columns[i + 1] if columns else ()
-        copied = mirror[:1] == (row[1],) and mirror[:i] == tuple(row[1 : i + 1])
-        start = i if copied else 0
-        cells = row[1 + start :]
-        if cells[i - start].strip() in ABSENT_TOKENS:
-            cells[i - start] = diag_default
-        try:  # float() strips the spaces itself
-            values[i, start:] = list(map(float, cells))
-        except ValueError:  # absent pairs or a bad cell: one cell at a time
-            values[i, start:] = [
-                _matrix_cell(c.strip(), diag_default if i == j else np.nan,
-                             f"{path}:{line} column {labels[j]}")
-                for j, c in enumerate(row[1 + start :], start)
-            ]
-        if start:
-            values[i, :start] = values[:start, i]
-    for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
-        line, row = rows[i + 1]
-        if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
-            raise ParseError(f"cell {cell!r} is not a finite number",
-                             f"{path}:{line} column {labels[j]}")
+    values = None if lines is None else _one_pass(rows[1:], labels, diag_default)
+    if values is None:  # one cell at a time, each error located
+        if lines is not None:
+            rows = [(line, row.split(",")) for line, row in rows]
+        values = np.full((k, k), np.nan)
+        for i, (line, row) in enumerate(rows[1:]):
+            if len(row) != k + 1:
+                raise ParseError(
+                    f"row has {len(row) - 1} cells, expected {k}", f"{path}:{line}"
+                )
+            if (label := row[0].strip()) != labels[i]:
+                raise ParseError(
+                    f"row label {label!r} does not match header order "
+                    f"(expected {labels[i]!r})",
+                    f"{path}:{line}",
+                )
+            cells = row[1:]
+            if cells[i].strip() in ABSENT_TOKENS:
+                cells[i] = diag_default
+            try:  # float() strips the spaces itself
+                values[i] = list(map(float, cells))
+            except ValueError:  # absent pairs or a bad cell: one cell at a time
+                values[i] = [
+                    _matrix_cell(c.strip(), diag_default if i == j else np.nan,
+                                 f"{path}:{line} column {labels[j]}")
+                    for j, c in enumerate(row[1:])
+                ]
+        for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
+            line, row = rows[i + 1]
+            if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
+                raise ParseError(f"cell {cell!r} is not a finite number",
+                                 f"{path}:{line} column {labels[j]}")
     try:
         languages = model.LanguageSet(tuple(labels))
         if kind == "coincidence":
@@ -336,31 +368,27 @@ def _quote_dot(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
+_DOT_STYLE = {merger.VERTICAL: "style=solid", merger.LATERAL: "style=solid, constraint=false",
+              merger.UNRESOLVED_EDGE: "style=dashed"}
+
+
 def render_dot(graph: merger.SegmentGraph, mode: str) -> str:
     lines = ["graph dendrogram {", "  rankdir=BT;", "  node [shape=point];"]
-    for node in graph.nodes:
-        if node.leaf is not None:
-            lines.append(
-                f"  {_quote_dot(node.id)} [shape=diamond, label={_quote_dot(node.leaf)}];"
-            )
+    quoted = {n.id: _quote_dot(n.id) for n in graph.nodes}
+    lines += [f"  {quoted[n.id]} [shape=diamond, label={_quote_dot(n.leaf)}];"
+              for n in graph.nodes if n.leaf is not None]
     node_depth = {n.id: n.depth for n in graph.nodes}
     by_depth: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        label = format_number(edge.length, mode)
-        style = "dashed" if edge.kind == merger.UNRESOLVED_EDGE else "solid"
-        attrs = [f"label={_quote_dot(label)}", f"style={style}"]
-        if edge.kind == merger.LATERAL:
-            attrs.append("constraint=false")
-        lines.append(
-            f"  {_quote_dot(edge.a)} -- {_quote_dot(edge.b)} [{', '.join(attrs)}];"
-        )
+    for edge in graph.edges:  # a formatted number needs no escaping
+        lines.append(f'  {quoted[edge.a]} -- {quoted[edge.b]} '
+                     f'[label="{format_number(edge.length, mode)}", {_DOT_STYLE[edge.kind]}];')
         if edge.kind == merger.LATERAL:
             depth_key = format_number(node_depth[edge.a], mode)
             by_depth.setdefault(depth_key, []).extend([edge.a, edge.b])
     for depth_key in sorted(by_depth):
         ids = sorted(set(by_depth[depth_key]))
         lines.append(
-            "  { rank=same; " + " ".join(f"{_quote_dot(i)};" for i in ids) + " }"
+            "  { rank=same; " + " ".join(f"{quoted[i]};" for i in ids) + " }"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -680,6 +708,11 @@ def _parse_pair(text: str, labels) -> tuple[str, str]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Values like -1e3 and -inf are values, as -5 is, not unknown options.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # input errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

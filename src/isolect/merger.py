@@ -81,9 +81,11 @@ class SegmentEdge:
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length >= 0):
             raise DomainError("segment lengths must be finite and >= 0")
-        for field, allowed in (("kind", EDGE_KINDS), ("provenance", PROVENANCES)):
-            if getattr(self, field) not in allowed:
-                raise DomainError(f"{field} must be one of {', '.join(allowed)}", field)
+        if self.kind not in EDGE_KINDS:
+            raise DomainError(f"kind must be one of {', '.join(EDGE_KINDS)}", "kind")
+        if self.provenance not in PROVENANCES:
+            raise DomainError(f"provenance must be one of {', '.join(PROVENANCES)}",
+                              "provenance")
 
 
 class Prediction(NamedTuple):
@@ -289,9 +291,9 @@ def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
         by_depth.setdefault(key, []).append(e)
     runs = []
     for depth, group in by_depth.items():
-        # Each run sums its lengths in edge order.
+        # Each run sums its lengths in edge order; a lone edge is a run.
         runs.extend((float(depth), float(sum(e.length for e in run)), len(run))
-                    for run in _components(group))
+                    for run in (_components(group) if len(group) > 1 else (group,)))
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
 

@@ -34,6 +34,7 @@ from types import MappingProxyType, SimpleNamespace
 import networkx as nx
 import numpy as np
 
+from isolect import merger
 from isolect.errors import DomainError, InputError, ParseError
 from isolect.model import (
     FLAG_CROSS_CHECKED,
@@ -313,6 +314,23 @@ def chain_widths_nx(graph):
             sub = g.subgraph(comp)
             width = sum(d["length"] for _, _, d in sub.edges(data=True))
             runs.append((float(depth), float(width), sub.number_of_edges()))
+    runs.sort(key=lambda r: (-r[0], -r[1]))
+    return tuple(runs)
+
+
+def chain_widths_union_find(graph):
+    """``chain_widths`` as it was before lone edges were taken as their own
+    runs: every epoch's runs, a lone edge's too, from ``merger._components``,
+    each summed in edge order, and each edge in the first-made epoch within
+    1e-6 of its depth, found by a scan."""
+    by_depth: dict[float, list] = {}
+    node_depth = {n.id: n.depth for n in graph.nodes}
+    for e in graph.edges:
+        if e.kind == "lateral":
+            d = node_depth[e.a]
+            by_depth.setdefault(next((x for x in by_depth if abs(x - d) <= 1e-6), d), []).append(e)
+    runs = [(float(depth), float(sum(e.length for e in run)), len(run))
+            for depth, group in by_depth.items() for run in merger._components(group)]
     runs.sort(key=lambda r: (-r[0], -r[1]))
     return tuple(runs)
 

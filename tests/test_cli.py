@@ -1248,6 +1248,45 @@ class TestParser:
         assert err.splitlines() == [f"error: {option} must be a finite number > 0"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["time", "--coincidence", "-inf"], "coincidence must be a finite number (got -inf)"),
+        (["time", "--coincidence", "-nan"], "coincidence must be a finite number (got nan)"),
+        (["time", "--coincidence", "74", "--t1", "-1e3"],
+         "attestation depths must be finite and >= 0"),
+        (["time", "--coincidence", "74", "--t2", "-.5"],
+         "attestation depths must be finite and >= 0"),
+        (["perturb", "--input", str(BUNDLED / "salish_a.csv"), "--pair", "1:4",
+          "--delta", "-1e3"], "perturbed coincidence -975.0 for pair ('1', '4') leaves (0, 100]"),
+        (["build", "--input", str(BUNDLED / "salish_a.csv"), "--resolve-tolerance", "-1e3"],
+         "--resolve-tolerance must be a finite number > 0"),
+        (["merge", "--a", "a.json", "--b", "b.json", "--tolerance", "-inf"],
+         "--tolerance must be a finite number > 0"),
+    ], ids=["coincidence-inf", "coincidence-nan", "t1-exponent", "t2-point", "delta",
+            "resolve-tolerance", "merge-tolerance"])
+    def test_negative_float_values_reach_the_program(self, capsys, tmp_path, argv, message):
+        """A value spelled as a negative float is the option's value, as -5
+        is, so the command's own check refuses it in one line."""
+        code, out, err = run(capsys, *argv, *(["--outdir", str(tmp_path / "out")]
+                                              if argv[0] in ("build", "merge") else []))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_options_still_parse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["time", "-h"])
+        assert exc.value.code == 0 and "--coincidence COINCIDENCE" in capsys.readouterr().out
+        for unknown in ("-x", "-infinite-loop", "--nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["time", "--coincidence", "74", unknown])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+        code, out, _ = run(capsys, "perturb", "--input", str(BUNDLED / "salish_a.csv"),
+                           "--pair", "1:4", "--delta", "-4", "--delta", "-4e0",
+                           "--mode", "paper")
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()[3:]] == [["-4.0", "21"]] * 2
+
 
 class TestBackToBackCalls:
     """``main`` reuses one parser per process; no call may see another's arguments."""

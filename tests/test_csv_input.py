@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,97 @@ def test_row_splitter_matches_csv_reader(scratch, text):
     path = scratch / "plain.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert cli._csv_rows(path) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+# -- the one-pass read of the common table -------------------------------------
+
+FLAWS = ("respelled", "near", "absent", "diagonal", "upper-nonfinite", "lower-nonfinite",
+         "short-row", "wrong-label", "blank-lines", "quoted-label", "crlf")
+
+
+@st.composite
+def common_tables(draw):
+    """A mirrored table as build-planted and iterate-paper write it (plain
+    text, "-" on the diagonal, each lower cell spelled as its mirror), with
+    none, one or several ``FLAWS`` and the flaws it has."""
+    rnd = draw(st.randoms(use_true_random=True))
+    k = draw(st.integers(1, 9))
+    flaws = draw(st.sets(st.sampled_from(FLAWS), max_size=3)) if rnd.random() < 0.7 else set()
+    if k == 1:  # no pair to flaw
+        flaws -= {"respelled", "near", "absent", "upper-nonfinite", "lower-nonfinite"}
+    labels = [f"L{i}" for i in range(k)]
+    upper = {(i, j): repr(rnd.uniform(1, 99)) if rnd.random() < 0.5 else str(rnd.randint(1, 99))
+             for i in range(k) for j in range(i + 1, k)}
+    cells = [[rnd.choice(ABSENT[1:3]) if i == j else upper[min(i, j), max(i, j)]
+              for j in range(k)] for i in range(k)]
+    pairs = sorted(upper)
+
+    def some_pair(lower):
+        i, j = rnd.choice(pairs)
+        return (j, i) if lower else (i, j)
+
+    if "respelled" in flaws:
+        i, j = some_pair(lower=True)
+        text = cells[i][j]
+        cells[i][j] = rnd.choice((f" {text}", f"{text} ", text + ("0" if "." in text else ".0")))
+    if "near" in flaws:
+        i, j = some_pair(lower=True)
+        cells[i][j] = repr(float(cells[i][j]) + rnd.choice((1e-10, -4e-10, 9e-10)))
+    if "absent" in flaws:
+        i, j = some_pair(lower=rnd.random() < 0.5)
+        cells[i][j] = rnd.choice(ABSENT)
+        if rnd.random() < 0.5:
+            cells[j][i] = cells[i][j]
+    if "diagonal" in flaws:
+        i = rnd.randrange(k)
+        cells[i][i] = rnd.choice(("0", "100", "5", " 0 "))
+    for side in ("upper", "lower"):
+        if f"{side}-nonfinite" in flaws:
+            i, j = some_pair(lower=side == "lower")
+            cells[i][j] = rnd.choice(("nan", "inf", "-inf", "1e400"))
+            if side == "upper" and rnd.random() < 0.5:
+                cells[j][i] = cells[i][j]
+    rows = [["", *labels]] + [[labels[i], *cells[i]] for i in range(k)]
+    if "quoted-label" in flaws:
+        rows[0][1] = rows[1][0] = "L,0"
+    if "wrong-label" in flaws:
+        rows[rnd.randint(1, k)][0] = "other"
+    if "short-row" in flaws:
+        row = rows[rnd.randint(1, k)]
+        del row[rnd.randint(1, k)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n" if "crlf" in flaws else "\n")
+    for row in rows:
+        writer.writerow(row)
+        if "blank-lines" in flaws and rnd.random() < 0.3:
+            out.write(rnd.choice(("", "  ", ",,", " , \t")) + "\n")
+    return out.getvalue(), flaws
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=common_tables(), kind=st.sampled_from(("coincidence", "distance")))
+def test_one_pass_agrees_with_the_per_cell_path(scratch, table, kind):
+    """The one pass and the per-cell path give the same values bit for bit
+    and the same first located error, as the reference reader does, and the
+    pass takes exactly the tables that are still the common one."""
+    text, flaws = table
+    path = scratch / "common.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    taken = []
+
+    def one_pass(*args):
+        taken.append(original(*args))
+        return taken[-1]
+
+    original = cli._one_pass
+    with mock.patch.object(cli, "_one_pass", one_pass):
+        fast = _outcome(cli.read_matrix_csv, path, kind)
+    with mock.patch.object(cli, "_one_pass", lambda *args: None):
+        assert _outcome(cli.read_matrix_csv, path, kind) == fast
+    assert fast == _outcome(oracles.read_matrix_csv, path, kind)
+    # Blank lines are the one flaw that leaves a table the common one.
+    assert [v is not None for v in taken] == ([True] if flaws <= {"blank-lines"} else
+                                              [False] * len(taken))
 
 
 # -- over-long fields ---------------------------------------------------------

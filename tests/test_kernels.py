@@ -6,6 +6,8 @@ test asserts equal bits (``tobytes``), so a -0.0 or a last-place difference
 fails as loudly as a wrong value.
 """
 
+import collections
+import json
 import math
 
 import numpy as np
@@ -392,6 +394,45 @@ def test_chain_widths_match_networkx_at_scale(case):
     runs = mg.chain_widths(graph)
     assert len(runs) >= (400 if case.startswith("caterpillar") else 10)
     assert runs == oracles.chain_widths_nx(graph)
+
+
+def _bits(runs):
+    """Runs with each float as its repr, so -0.0 and 0.0 differ."""
+    return [tuple(map(repr, run)) for run in runs]
+
+
+def _negative_zero_lateral() -> mg.SegmentGraph:
+    """A built graph read back from its document with one lone lateral's
+    length written as -0.0, which the reader takes (-0.0 >= 0)."""
+    graph = dict(GRAPHS)["random-precise-0"]
+    doc = json.loads(mg.serialize_graph(graph))
+    node_depth = {n.id: n.depth for n in graph.nodes}
+    laterals = [edge for edge in doc["edges"] if edge["kind"] == mg.LATERAL]
+    epochs = collections.Counter(node_depth[edge["a"]] for edge in laterals)
+    next(edge for edge in laterals if epochs[node_depth[edge["a"]]] == 1)["length"] = -0.0
+    read = mg.deserialize_graph(json.dumps(doc))
+    assert any(math.copysign(1, e.length) < 0 for e in read.edges)
+    return read
+
+
+def test_lone_lateral_runs_equal_union_find_bit_for_bit():
+    """An epoch with one lateral edge is its own run, with no union-find:
+    the width is that edge's length summed from 0, as ``_components``'s run
+    gives it, so a -0.0 length reads 0.0 in both."""
+    cases = [graph for _, graph in GRAPHS] + [_scale_graph("caterpillar-0")]
+    cases.append(_lateral_graph([(5 + 1.5e-6, 1.0, "a1", "b1"), (5.0, 2.0, "a2", "b2"),
+                                 (5 + 0.7e-6, 4.0, "a3", "b1"), (5 - 0.9e-6, 8.0, "a4", "b4"),
+                                 (5 + 2.4e-6, 0.0, "a5", "b5"), (5 + 3e-6, -0.0, "a6", "b6")]))
+    cases.append(_negative_zero_lateral())
+    lone = 0
+    for graph in cases:
+        runs = mg.chain_widths(graph)
+        assert _bits(runs) == _bits(oracles.chain_widths_union_find(graph))
+        lone += sum(count == 1 for _, _, count in runs)
+    assert lone > 500
+    assert (5 + 3e-6, 0.0, 1) in mg.chain_widths(cases[-2])
+    zero = [run for run in mg.chain_widths(cases[-1]) if run[1] == 0]
+    assert _bits(zero) == _bits([(zero[0][0], 0.0, 1)])
 
 
 def test_chain_width_cases_include_multi_segment_and_tied_runs():

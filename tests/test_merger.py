@@ -155,6 +155,34 @@ class TestSegmentGraph:
         assert str(exc.value) == f"{field} must be one of {', '.join(allowed)}"
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("make, message, field", [
+        (lambda: mg.SegmentEdge("a", "b", math.nan, mg.VERTICAL),
+         "segment lengths must be finite and >= 0", None),
+        (lambda: mg.SegmentEdge("a", "b", math.inf, mg.LATERAL),
+         "segment lengths must be finite and >= 0", None),
+        (lambda: mg.SegmentEdge("a", "b", -1e-300, mg.LATERAL, mg.PROV_B),
+         "segment lengths must be finite and >= 0", None),
+        (lambda: mg.SegmentEdge("a", "b", -1.0, "diagonal", "X"),
+         "segment lengths must be finite and >= 0", None),
+        (lambda: mg.SegmentEdge("a", "b", 1.0, "Vertical"),
+         "kind must be one of vertical, lateral, unresolved", "kind"),
+        (lambda: mg.SegmentEdge("a", "b", 1.0, "diagonal", "X"),
+         "kind must be one of vertical, lateral, unresolved", "kind"),
+        (lambda: mg.SegmentEdge("a", "b", 0.0, mg.UNRESOLVED_EDGE, "a"),
+         "provenance must be one of shared, A, B", "provenance"),
+        (lambda: mg.SegmentEdge("a", "b", -0.0, mg.VERTICAL, None),
+         "provenance must be one of shared, A, B", "provenance"),
+        (lambda: mg.SegmentNode("j0", math.nan), "segment node j0 needs a finite depth", None),
+        (lambda: mg.SegmentNode("x y", -math.inf, "x y"),
+         "segment node x y needs a finite depth", None),
+    ])
+    def test_every_edge_and_node_refusal(self, make, message, field):
+        """Each refusal's message and field, the length checked before the
+        kind and the kind before the provenance."""
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert (str(exc.value), exc.value.field) == (message, field)
+
     def test_segment_graph_refuses_an_unknown_provenance(self, tree_a):
         with pytest.raises(DomainError, match=r"^provenance must be one of shared, A, B$"):
             mg.segment_graph(tree_a, "X")

@@ -29,6 +29,12 @@ workload:
   timing wrapper stands in for the kernel in ``builder`` during that build,
   which calls its kernels by module name, so every call is counted,
   the final-link cross-check's ``lateral_offset`` included;
+- ``read_matrix_csv.precise``: reading the caterpillar's distances from
+  the CSV file build-planted writes (``repr`` of each float, "-" on the
+  diagonal); ``read_matrix_csv.paper``: reading the whole table's integer
+  percents, the iterate-paper workload's file;
+- ``render_dot``: the dot text of the caterpillar's precise build, as
+  ``build`` writes ``tree.dot``;
 - ``chain_widths`` (on the tree's segment graph), ``format_column``
   (paper mode, the restored upper triangle) and ``render_newick_lossy`` on
   the paper-mode build of the whole table;
@@ -117,9 +123,9 @@ IMPORT = ("import sys, time; import numpy, networkx; sys.path.insert(0, sys.argv
           "start = time.perf_counter(); import isolect; print(time.perf_counter() - start)")
 
 
-def layers(pkg, k: int) -> dict:
+def layers(pkg, k: int, work: Path) -> dict:
     """Each layer at size ``k`` on the package ``pkg``, as a call that runs
-    it once and returns its seconds."""
+    it once and returns its seconds; input files are written under ``work``."""
     builder, chronometry, cli, merger, model, refinement = (
         importlib.import_module(f"{pkg.__name__}.{name}")
         for name in ("builder", "chronometry", "cli", "merger", "model", "refinement"))
@@ -131,6 +137,10 @@ def layers(pkg, k: int) -> dict:
     measured = chronometry.matrix_to_distances(whole, "paper")
     caterpillar = planted.caterpillar(np.random.default_rng(SEED), k)
     cat_dist = model.DistanceMatrix(model.LanguageSet(caterpillar.labels), caterpillar.distances)
+    cat_csv, percent_csv = work / f"caterpillar_{k}.csv", work / f"percent_{k}.csv"
+    planted.write_matrix_csv(cat_csv, caterpillar.labels, caterpillar.distances, integer=False)
+    planted.write_matrix_csv(percent_csv, tree.labels, whole.values, integer=True)
+    cat_graph = merger.segment_graph(builder.build(cat_dist, mode="precise"))
     built = builder.build(measured, mode="paper")
     graph = merger.segment_graph(built)
     report = refinement.evaluate(built, measured)
@@ -179,6 +189,9 @@ def layers(pkg, k: int) -> dict:
         "restore_distance_matrix": (model.restore_distance_matrix, fresh),
         "meeting_junction.first": (lambda tree: tree.meeting_junction(a, b), fresh),
         "shared_consistency": (merger.shared_consistency, lambda: fresh(2)),
+        "read_matrix_csv.precise": (lambda: cli.read_matrix_csv(cat_csv, "distance"), once),
+        "read_matrix_csv.paper": (lambda: cli.read_matrix_csv(percent_csv, "coincidence"), once),
+        "render_dot": (lambda: cli.render_dot(cat_graph, "precise"), once),
         "chain_widths": (lambda: merger.chain_widths(graph), once),
         "format_column": (lambda: list(cli.format_column(upper, "paper")), once),
         "evaluation_csv": (evaluation_csv, once),
@@ -356,7 +369,7 @@ def main(argv=None) -> int:
             args.repeat)]
         runs: list[dict[str, dict[int, tuple[float, list[float]]]]] = [{} for _ in packages]
         for k in sizes:
-            sides = [layers(p, k) for p in packages]
+            sides = [layers(p, k, Path(tmp)) for p in packages]
             for side, found in zip(runs, run_layers(sides, args.repeat)):
                 for name, value in found.items():
                     side.setdefault(name, {})[k] = value
