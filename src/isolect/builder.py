@@ -133,24 +133,21 @@ class ClusterState:
     ``size`` counts the active clusters.  ``reduce`` updates all of them in
     place and takes only the state's next id, ``len(table) + 1 - size``.
     ``clusters``, the active records in ascending node id, is the one
-    cluster-order reader, built on first access after each reduce and never
-    by the join loop.
+    cluster-order reader, built on each access and never by the join loop.
     """
 
     __slots__ = ("table", "mode", "alive", "node_min", "node_arg", "size",
-                 "_weight", "_record", "_rows", "_clusters")
+                 "_weight", "_record", "_rows")
 
     def __init__(self, table, mode, alive, node_min, node_arg, size, weight, record):
         self.table, self.mode, self.size = table, mode, size
         self.alive, self.node_min, self.node_arg = alive, node_min, node_arg
         self._weight, self._record = weight, record
-        self._rows = self._clusters = None
+        self._rows = None
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
-        if self._clusters is None:  # kept until the next reduce
-            self._clusters = tuple(compress(self._record, self.alive.tolist()))
-        return self._clusters
+        return tuple(compress(self._record, self.alive.tolist()))
 
     def _pair_rows(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the externals of nodes ``x`` and ``y``, in cluster
@@ -413,7 +410,7 @@ def reduce(
         at = links.argmin(1)
         node_min[stale], node_arg[stale] = links[rows, at], at
     state.size -= 1
-    state._rows = state._clusters = None  # the pair's gather and the old clusters
+    state._rows = None  # the pair's gather
     return state, (FLAG_NEGATIVE_REDUCED,) * clamped
 
 

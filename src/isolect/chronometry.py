@@ -99,17 +99,9 @@ def _observed_pairs(matrix, invalid, scalar, mode: str):
 
 
 def _each(convert, cells: np.ndarray) -> np.ndarray:
-    """``convert`` of each cell, one scalar call per distinct value.
-
-    A table of whole numbers (paper-mode percents and distances) holds few
-    distinct values, so each is converted once and spread back; any other
-    table is converted cell by cell, because deduplicating distinct floats
-    costs more than it saves.
-    """
-    if np.array_equal(cells, np.trunc(cells)):
-        distinct, inverse = np.unique(cells, return_inverse=True)
-        return np.array([convert(c) for c in distinct.tolist()])[inverse]
-    return np.array([convert(c) for c in cells.tolist()])
+    """``convert`` of each cell, one scalar call per distinct value."""
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    return np.array([convert(c) for c in distinct.tolist()])[inverse]
 
 
 def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
@@ -125,8 +117,7 @@ def _symmetric(k: int, rows, cols, values, diagonal: float) -> np.ndarray:
 def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> DistanceMatrix:
     """Elementwise conversion of coincidences to svodesh distances.
 
-    Reads the observed upper-triangle cells; a table of whole percents (paper
-    mode's) converts each distinct value once, any other cell by cell.
+    Reads the observed upper-triangle cells and converts each distinct value once.
     """
     check_mode(mode)
     rows, cols, cells = _observed_pairs(
@@ -143,8 +134,7 @@ def matrix_to_distances(matrix: CoincidenceMatrix, mode: str = PRECISE) -> Dista
 def matrix_to_coincidences(matrix: DistanceMatrix, mode: str = PRECISE) -> CoincidenceMatrix:
     """Elementwise conversion of svodesh distances to coincidences.
 
-    Reads the observed upper-triangle cells; a table of whole distances
-    (paper mode's) converts each distinct value once, any other cell by cell.
+    Reads the observed upper-triangle cells and converts each distinct value once.
     """
     check_mode(mode)
     rows, cols, cells = _observed_pairs(

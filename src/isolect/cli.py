@@ -125,8 +125,6 @@ def _plain_lines(text: str) -> list[str] | None:
 def _csv_rows(path, text: str | None = None) -> list[list[str]]:
     """All rows of a UTF-8 CSV file, whose ``text`` may be given."""
     text = _read_text(path) if text is None else text
-    if (lines := _plain_lines(text)) is not None:
-        return [line.split(",") if line else [] for line in lines]
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return list(reader)
@@ -143,14 +141,20 @@ def _matrix_cell(cell: str, absent: float, where: str) -> float:
         raise ParseError(f"cell {cell!r} is not a number", where) from None
 
 
-def _one_pass(rows, labels, diagonal: float) -> np.ndarray | None:
-    """The values of plain ``rows`` (line numbers and lines) in one pass, or
-    None for any table but the common one: complete rows, an absent diagonal,
-    lower cells spelled as their mirrors and finite upper cells."""
-    k = len(labels)
+def _one_pass(text: str, diagonal: float):
+    """The labels and values of the common table in one pass, or None for any
+    other table: plain text, complete rows, an absent diagonal, lower cells
+    spelled as their mirrors and finite upper cells.  Never raises."""
+    if (lines := _plain_lines(text)) is None:
+        return None
+    rows = [line for line in lines if _FILLED.search(line)]
+    k = len(rows) - 1
+    if k < 1 or rows[0].count(",") != k:
+        return None
+    labels = [c.strip() for c in rows[0].split(",")[1:]]
     # Row i cut from the right only as far as its diagonal and shifted by i,
     # so that cut[i][i] holds its label and lower cells and cut[i][j + 1] its cell j >= i.
-    cut = [[None] * i + line.rsplit(",", k - i) for i, (_, line) in enumerate(rows)]
+    cut = [[None] * i + line.rsplit(",", k - i) for i, line in enumerate(rows[1:])]
     if any(len(row) != k + 1 for row in cut):
         return None
     columns = list(zip(*cut))  # columns[i + 1][:i]: the mirrors of row i's lower cells
@@ -167,7 +171,48 @@ def _one_pass(rows, labels, diagonal: float) -> np.ndarray | None:
     values = np.full((k, k), diagonal)
     upper = ~np.tri(k, dtype=bool)
     values[upper] = values.T[upper] = parsed  # row by row above, column by column below
-    return values if np.isfinite(parsed).all() else None
+    return (labels, values) if np.isfinite(parsed).all() else None
+
+
+def _walk(path, text: str, diagonal: float):
+    """The labels and values of any table, one cell at a time through
+    csv.reader, each error located: header, then each row's length, label
+    and cells, then the cells that are not finite numbers."""
+    rows = [(line, row) for line, row in enumerate(_csv_rows(path, text), start=1)
+            if any(c.strip() for c in row)]
+    if not rows:
+        raise ParseError("empty matrix file", str(path))
+    header_line, header = rows[0]
+    labels = [c.strip() for c in header[1:]]
+    k = len(labels)
+    if k == 0:
+        raise ParseError("header row names no languages", f"{path}:{header_line}")
+    if len(rows) != k + 1:
+        raise ParseError(
+            f"expected {k} data rows for {k} languages, found {len(rows) - 1}",
+            str(path),
+        )
+    values = np.full((k, k), np.nan)
+    for i, (line, row) in enumerate(rows[1:]):
+        if len(row) != k + 1:
+            raise ParseError(
+                f"row has {len(row) - 1} cells, expected {k}", f"{path}:{line}"
+            )
+        if (label := row[0].strip()) != labels[i]:
+            raise ParseError(
+                f"row label {label!r} does not match header order "
+                f"(expected {labels[i]!r})",
+                f"{path}:{line}",
+            )
+        values[i] = [_matrix_cell(c.strip(), diagonal if i == j else np.nan,
+                                  f"{path}:{line} column {labels[j]}")
+                     for j, c in enumerate(row[1:])]
+    for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
+        line, row = rows[i + 1]
+        if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
+            raise ParseError(f"cell {cell!r} is not a finite number",
+                             f"{path}:{line} column {labels[j]}")
+    return labels, values
 
 
 def read_matrix_csv(path, kind: str):
@@ -180,57 +225,8 @@ def read_matrix_csv(path, kind: str):
     if kind not in ("coincidence", "distance"):
         raise ValueError(f"unknown matrix kind {kind!r}")
     text = _read_text(path)
-    # The rows with a non-blank cell; a plain line is cut only to be read cell by cell.
-    if (lines := _plain_lines(text)) is None:
-        rows = [(line, row) for line, row in enumerate(_csv_rows(path, text), start=1)
-                if any(c.strip() for c in row)]
-    else:
-        rows = [(n, line) for n, line in enumerate(lines, start=1) if _FILLED.search(line)]
-    if not rows:
-        raise ParseError("empty matrix file", str(path))
-    header_line, header = rows[0]
-    labels = [c.strip() for c in (header if lines is None else header.split(","))[1:]]
-    k = len(labels)
-    if k == 0:
-        raise ParseError("header row names no languages", f"{path}:{header_line}")
-    if len(rows) != k + 1:
-        raise ParseError(
-            f"expected {k} data rows for {k} languages, found {len(rows) - 1}",
-            str(path),
-        )
-    diag_default = 100.0 if kind == "coincidence" else 0.0
-    values = None if lines is None else _one_pass(rows[1:], labels, diag_default)
-    if values is None:  # one cell at a time, each error located
-        if lines is not None:
-            rows = [(line, row.split(",")) for line, row in rows]
-        values = np.full((k, k), np.nan)
-        for i, (line, row) in enumerate(rows[1:]):
-            if len(row) != k + 1:
-                raise ParseError(
-                    f"row has {len(row) - 1} cells, expected {k}", f"{path}:{line}"
-                )
-            if (label := row[0].strip()) != labels[i]:
-                raise ParseError(
-                    f"row label {label!r} does not match header order "
-                    f"(expected {labels[i]!r})",
-                    f"{path}:{line}",
-                )
-            cells = row[1:]
-            if cells[i].strip() in ABSENT_TOKENS:
-                cells[i] = diag_default
-            try:  # float() strips the spaces itself
-                values[i] = list(map(float, cells))
-            except ValueError:  # absent pairs or a bad cell: one cell at a time
-                values[i] = [
-                    _matrix_cell(c.strip(), diag_default if i == j else np.nan,
-                                 f"{path}:{line} column {labels[j]}")
-                    for j, c in enumerate(row[1:])
-                ]
-        for i, j in np.argwhere(~np.isfinite(values)):  # absent pairs, or cells like nan, inf
-            line, row = rows[i + 1]
-            if (cell := row[j + 1].strip()) not in ABSENT_TOKENS:
-                raise ParseError(f"cell {cell!r} is not a finite number",
-                                 f"{path}:{line} column {labels[j]}")
+    diagonal = 100.0 if kind == "coincidence" else 0.0
+    labels, values = _one_pass(text, diagonal) or _walk(path, text, diagonal)
     try:
         languages = model.LanguageSet(tuple(labels))
         if kind == "coincidence":
@@ -240,12 +236,19 @@ def read_matrix_csv(path, kind: str):
         raise ParseError(str(exc), str(path)) from None
 
 
+def _matrix_number(x: float, mode: str) -> str:
+    """``format_number``, except that a positive value it would write as 0 is
+    written as its ``repr``, so that the file reads back in range."""
+    text = format_number(x, mode)
+    return repr(x) if x > 0 and float(text) == 0 else text
+
+
 def matrix_to_csv(matrix, mode: str) -> str:
     labels = matrix.languages.labels
     quoted = _csv_quote(labels)
     rows = (
-        [quoted[label]] + ["-" if i == j else "" if np.isnan(v) else format_number(v, mode)
-                           for j, v in enumerate(matrix.values[i])]
+        [quoted[label]] + ["-" if i == j else "" if np.isnan(v) else _matrix_number(v, mode)
+                           for j, v in enumerate(matrix.values[i].tolist())]
         for i, label in enumerate(labels)
     )
     return _csv_text([""] + list(labels), rows)

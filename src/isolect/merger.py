@@ -331,10 +331,13 @@ def shared_consistency(
     A pair whose junction is unresolved in one dendrogram, or resolved by the
     final-link cross-check in exactly one, is compared by distance only, with
     a note: a subset of the leaves cannot identify that root's
-    vertical/lateral split.
+    vertical/lateral split.  Both dendrograms must be of one mode.
     """
     if not 0 < tolerance < math.inf:
         raise DomainError("tolerance must be a finite number > 0", "tolerance")
+    if a.mode != b.mode:
+        raise DomainError(f"dendrograms of different modes ({a.mode} and {b.mode}) "
+                          f"cannot be compared")
     shared = tuple(sorted(set(a.languages.labels) & set(b.languages.labels)))
     if len(shared) < 2:
         raise DomainError(

@@ -161,9 +161,9 @@ class TestMatrixConversionAgainstScalar:
 
     @pytest.mark.parametrize("whole", [True, False])
     def test_whole_tables_convert_each_distinct_value_once(self, monkeypatch, whole):
-        # Whole percents and whole distances (paper mode's tables) call the
-        # scalar conversion once per distinct value, any other table once
-        # per observed cell; the cells equal the scalar conversion's.
+        # Every table, of whole numbers (paper mode's) or not, calls the
+        # scalar conversion once per distinct value; the cells equal the
+        # scalar conversion's.
         rng = np.random.default_rng(7)
         k = 30
         c = np.triu(rng.integers(1, 101, size=(k, k)).astype(float), 1)
@@ -180,7 +180,7 @@ class TestMatrixConversionAgainstScalar:
             monkeypatch.setattr(ch, name, lambda x, scalar=scalar: calls.append(x) or scalar(x))
         langs = LanguageSet(tuple(f"l{i}" for i in range(k)))
         out = ch.matrix_to_distances(CoincidenceMatrix(langs, c), "paper")
-        assert len(calls) == (len(np.unique(observed)) if whole else len(observed))
+        assert len(calls) == len(np.unique(observed))
         lengths = out.values[np.triu_indices(k, 1)]
         lengths = lengths[~np.isnan(lengths)]
         assert lengths.tolist() == [ch.coincidence_to_svodesh(x, "paper") for x in observed]

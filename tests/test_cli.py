@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from conftest import SALISH_A, SALISH_B, cyclic_graph_text
-from isolect import cli, merger, model
+from isolect import chronometry, cli, merger, model
 from isolect.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +60,28 @@ class TestConvert:
         )
         assert code == 0
         assert out == ",a,b\na,-,0\nb,0,-\n"
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    @pytest.mark.parametrize("distance", ["600", "1000"])
+    def test_sub_half_percent_coincidence_reads_back(self, capsys, tmp_path, mode, distance):
+        # 600 and 1000 svodesh are 0.248 % and 0.0045 %: format_number writes
+        # them as 0 in paper mode (and 1000 as 0.00 in precise mode), which
+        # reads back out of (0, 100]; such a cell is written as its repr.
+        src, coincidences = tmp_path / "far.csv", tmp_path / "far_c.csv"
+        src.write_text(f",a,b\na,-,{distance}\nb,{distance},-\n")
+        assert run(capsys, "convert", "--input", str(src), "--direction", "to-coincidence",
+                   "--mode", mode, "--output", str(coincidences))[0] == 0
+        exact = 100.0 * math.exp(-float(distance) / 100.0)
+        cell = repr(exact) if float(cli.format_number(exact, mode)) == 0 else (
+            cli.format_number(exact, mode))
+        assert coincidences.read_text() == f",a,b\na,-,{cell}\nb,{cell},-\n"
+        code, out, err = run(capsys, "convert", "--input", str(coincidences),
+                             "--direction", "to-svodesh", "--mode", mode)
+        back = cli.format_number(chronometry.coincidence_to_svodesh(float(cell), mode), mode)
+        assert mode == "precise" or back == distance
+        assert (code, out, err) == (0, f",a,b\na,-,{back}\nb,{back},-\n", "")
+        assert run(capsys, "build", "--input", str(coincidences), "--mode", mode,
+                   "--outdir", str(tmp_path / "out"))[0] == 0
 
     def test_absent_cells_preserved(self, capsys, tmp_path):
         src = tmp_path / "gap.csv"
@@ -542,6 +564,20 @@ class TestMerge:
         assert code == 0
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_two_modes_exit_one_and_write_nothing(self, capsys, tmp_path):
+        run(capsys, "build", "--input", str(BUNDLED / "salish_a.csv"),
+            "--mode", "paper", "--outdir", str(tmp_path / "a"))
+        run(capsys, "build", "--input", str(BUNDLED / "salish_b.csv"),
+            "--mode", "precise", "--outdir", str(tmp_path / "b"))
+        code, out, err = run(
+            capsys, "merge", "--a", str(tmp_path / "a" / "dendrogram.json"),
+            "--b", str(tmp_path / "b" / "dendrogram.json"),
+            "--outdir", str(tmp_path / "merged"),
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "error: dendrograms of different modes (paper and precise) cannot be compared\n"
+        assert not (tmp_path / "merged").exists()
 
     def test_merged_graph_independent_of_hash_seed(self, tmp_path):
         # Builds and merge in one child per string hash seed; 0 and 1 once

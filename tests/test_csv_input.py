@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import os
 import subprocess
@@ -106,10 +107,13 @@ def test_matrix_reader_matches_reference(scratch, text, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from("ab1 ,\n\t\x0b\x0c\x1c\x85\u2028\u3000é"), max_size=120))
-def test_row_splitter_matches_csv_reader(scratch, text):
-    path = scratch / "plain.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    assert cli._csv_rows(path) == list(csv.reader(io.StringIO(text, newline="")))
+def test_row_splitter_matches_csv_reader(text):
+    # The one pass splits the lines _plain_lines gives on ","; csv.reader reads
+    # an empty line as no cells.
+    lines = cli._plain_lines(text)
+    assert lines is not None
+    assert [line.split(",") if line else [] for line in lines] == list(
+        csv.reader(io.StringIO(text, newline="")))
 
 
 # -- the one-pass read of the common table -------------------------------------
@@ -201,6 +205,34 @@ def test_one_pass_agrees_with_the_per_cell_path(scratch, table, kind):
     # Blank lines are the one flaw that leaves a table the common one.
     assert [v is not None for v in taken] == ([True] if flaws <= {"blank-lines"} else
                                               [False] * len(taken))
+
+
+ROOT = Path(__file__).parent.parent
+BENCHMARK_KINDS = {"build-planted": "distance", "iterate-paper": "coincidence",
+                   "merge-overlap": "distance"}
+
+
+def test_benchmark_tables_take_the_one_pass(tmp_path, monkeypatch):
+    """Every table a benchmark workload reads is the common one: ``data/*.csv``
+    and the inputs perfbench's workloads write at seeds 0-2.  The reference
+    walk serves only other inputs; a table that reaches it fails this test."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tables = [(path, "coincidence") for path in sorted(BUNDLED.glob("*.csv"))]
+    for name, kind in BENCHMARK_KINDS.items():
+        for seed in range(3):
+            work = tmp_path / f"{name}-{seed}"
+            work.mkdir()
+            workloads.WORKLOADS[name](ROOT, work, seed).prepare()
+            tables += [(path, kind) for path in sorted(work.glob("*.csv"))]
+    taken = []
+    original = cli._one_pass
+    with mock.patch.object(cli, "_one_pass",
+                           lambda *args: taken.append(original(*args)) or taken[-1]):
+        for path, kind in tables:
+            cli.read_matrix_csv(path, kind)
+    assert len(taken) == len(tables) == 3 + 3 * (1 + 1 + 2)
+    assert [str(path) for (path, _), found in zip(tables, taken) if found is None] == []
 
 
 # -- over-long fields ---------------------------------------------------------

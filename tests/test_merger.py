@@ -294,6 +294,15 @@ class TestSharedConsistency:
             assert str(exc.value) == "tolerance must be a finite number > 0"
             assert exc.value.field == "tolerance"
 
+    def test_two_modes_are_refused(self, tree_a, salish_b):
+        precise_b = bl.build(ch.matrix_to_distances(salish_b, "precise"), mode="precise")
+        for a, b in ((tree_a, precise_b), (precise_b, tree_a)):
+            for check in (mg.shared_consistency, mg.merge):
+                with pytest.raises(DomainError) as exc:
+                    check(a, b)
+                assert str(exc.value) == (f"dendrograms of different modes ({a.mode} and "
+                                          f"{b.mode}) cannot be compared")
+
 
 class TestWindowMerges:
     """Two windows of one planted 9-leaf caterpillar, built separately.

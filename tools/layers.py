@@ -19,7 +19,8 @@ workload:
 - ``matrix_to_distances.whole``: paper mode on integer percents with
   log-normal noise, the workload's table kind;
 - ``matrix_to_distances.distinct``: precise mode on the tree's exact
-  coincidences, all distinct floats;
+  coincidences, all distinct floats, which no benchmark workload sends: the
+  one per-distinct-value conversion path on its worst input;
 - ``build.paper``: the paper-mode build of the whole table's distances, as
   each pass of ``build --weights iterate`` runs it;
 - ``build.precise_caterpillar``: the precise build of a planted caterpillar's
