@@ -112,7 +112,8 @@ def _read_text(path) -> str:
 
 
 def _plain_lines(text: str) -> list[str] | None:
-    """The lines of ``text``, or None when a quote, CR or NUL (an error before
+    """The lines of ``text``, a non-empty one read by csv.reader as its
+    comma-split cells, or None when a quote, CR or NUL (an error before
     Python 3.11) or a line over the field size limit needs csv.reader."""
     lines = text.split("\n")
     if lines[-1] == "":  # the final newline, or an empty file
@@ -141,7 +142,7 @@ def _matrix_cell(cell: str, absent: float, where: str) -> float:
         raise ParseError(f"cell {cell!r} is not a number", where) from None
 
 
-def _one_pass(text: str, diagonal: float):
+def _one_pass(text: str, diagonal: float) -> tuple[list[str], np.ndarray] | None:
     """The labels and values of the common table in one pass, or None for any
     other table: plain text, complete rows, an absent diagonal, lower cells
     spelled as their mirrors and finite upper cells.  Never raises."""
@@ -174,7 +175,7 @@ def _one_pass(text: str, diagonal: float):
     return (labels, values) if np.isfinite(parsed).all() else None
 
 
-def _walk(path, text: str, diagonal: float):
+def _walk(path, text: str, diagonal: float) -> tuple[list[str], np.ndarray]:
     """The labels and values of any table, one cell at a time through
     csv.reader, each error located: header, then each row's length, label
     and cells, then the cells that are not finite numbers."""

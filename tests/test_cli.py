@@ -72,8 +72,8 @@ class TestConvert:
         assert run(capsys, "convert", "--input", str(src), "--direction", "to-coincidence",
                    "--mode", mode, "--output", str(coincidences))[0] == 0
         exact = 100.0 * math.exp(-float(distance) / 100.0)
-        cell = repr(exact) if float(cli.format_number(exact, mode)) == 0 else (
-            cli.format_number(exact, mode))
+        cell = cli.format_number(exact, mode)
+        cell = repr(exact) if float(cell) == 0 else cell
         assert coincidences.read_text() == f",a,b\na,-,{cell}\nb,{cell},-\n"
         code, out, err = run(capsys, "convert", "--input", str(coincidences),
                              "--direction", "to-svodesh", "--mode", mode)
@@ -576,7 +576,8 @@ class TestMerge:
             "--outdir", str(tmp_path / "merged"),
         )
         assert (code, out) == (cli.EXIT_INPUT, "")
-        assert err == "error: dendrograms of different modes (paper and precise) cannot be compared\n"
+        assert err == ("error: dendrograms of different modes (paper and precise)"
+                       " cannot be compared\n")
         assert not (tmp_path / "merged").exists()
 
     def test_merged_graph_independent_of_hash_seed(self, tmp_path):
