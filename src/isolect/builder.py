@@ -514,9 +514,11 @@ def build(
     if k < 2:
         raise DomainError("need at least two languages to build a dendrogram")
     if not matrix.is_complete():
+        i, j = np.argwhere(np.isnan(matrix.values))[0]  # row-major: always i < j
         raise DomainError(
-            "distance matrix has absent entries; build requires a complete "
-            "matrix -- reconstruct per subsystem and use merge to combine"
+            f"distance matrix has absent entries, the first at ({langs.labels[i]}, "
+            f"{langs.labels[j]}); build requires a complete matrix -- reconstruct "
+            "per subsystem and use merge to combine"
         )
     if any(d != 0 for d in langs.depths):
         raise DomainError(

@@ -9,6 +9,7 @@ failure, 3 clamp/infeasibility flags under --strict.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import io
@@ -99,9 +100,10 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _read_text(path) -> str:
-    """A UTF-8 input file's text; undecodable bytes are reported by line."""
+    """A UTF-8 input file's text, less one leading byte-order mark;
+    undecodable bytes are reported by line."""
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
@@ -432,7 +434,7 @@ def render_newick_lossy(dendrogram: model.Dendrogram, mode: str) -> str:
     anchor = dendrogram.anchor_depth
     # Each node's text, by node id: a junction's children come before it.
     texts = [_quote_newick(label) for label in dendrogram.languages.labels]
-    for jn in dendrogram.junctions:
+    for jn, (near_len, far_len) in zip(dendrogram.junctions, dendrogram.gains()):
         if jn.status == model.UNRESOLVED:
             # Split the fixed total so the two displayed branches sum to it
             # exactly even after integer-mode formatting.
@@ -440,9 +442,6 @@ def render_newick_lossy(dendrogram: model.Dendrogram, mode: str) -> str:
             if mode == PAPER:
                 near_len = float(format_number(near_len, mode))
             far_len = jn.total_length - near_len
-        else:
-            near_len = jn.depth - anchor(jn.near)
-            far_len = (jn.depth - anchor(jn.far)) + jn.lateral
         texts.append(
             f"({texts[jn.near]}:{format_number(near_len, mode)},"
             f"{texts[jn.far]}:{format_number(far_len, mode)})"

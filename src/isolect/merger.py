@@ -222,11 +222,12 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
         nodes.append(SegmentNode(name, depth))
         return name
 
+    gains = dendrogram.gains()
     for idx, jn in enumerate(dendrogram.junctions):
         nid = k + idx
         near_node = node_for[jn.near]
         far_node = node_for[jn.far]
-        a = dendrogram.anchor_depth(jn.near)
+        gain_near = gains[idx][0]
         b = dendrogram.anchor_depth(jn.far)
         if jn.status == UNRESOLVED:
             edges.append(
@@ -235,9 +236,9 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
             )
             node_for[nid] = near_node
             continue
-        if jn.depth - a > _EPS:
+        if gain_near > _EPS:
             anchor = add_node(f"j{idx}", jn.depth)
-            edges.append(SegmentEdge(near_node, anchor, jn.depth - a,
+            edges.append(SegmentEdge(near_node, anchor, gain_near,
                                      VERTICAL, provenance))
         else:
             anchor = near_node

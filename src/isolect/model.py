@@ -6,7 +6,10 @@ axis) and a lateral width ``h`` (svodesh along the synchronic chain axis).
 The junction's anchor point sits on the *near* child's lineage at depth
 ``D``; the far child's lineage rises vertically to depth ``D`` and then runs
 laterally ``h`` svodesh to the anchor.  Path lengths between leaves are sums
-of vertical and lateral segment lengths.
+of vertical and lateral segment lengths.  A ``Dendrogram`` walks its
+junctions once, at construction, and records each node's parent, carrier
+and anchor depth and each junction's near and far gains; the tree queries,
+the merger and the CLI read that record.
 """
 
 from __future__ import annotations
@@ -263,50 +266,49 @@ class Dendrogram:
     weights: WeightVector | None = None
 
     def __post_init__(self):
+        """One walk in junction order checks each junction's children, the
+        unresolved-root rule and its anchors, so the first fault in that
+        order is reported, and records each node's parent (-1 at the root),
+        carrier and anchor depth and each junction's gains."""
         check_mode(self.mode)
         k = len(self.languages)
-        if len(self.junctions) != k - 1:
-            raise DomainError(
-                f"{k} languages require {k - 1} junctions, got {len(self.junctions)}"
-            )
-        object.__setattr__(self, "junctions", tuple(self.junctions))
-        seen_child: set[int] = set()
-        for idx, jn in enumerate(self.junctions):
-            nid = k + idx
+        junctions = tuple(self.junctions)
+        if len(junctions) != k - 1:
+            raise DomainError(f"{k} languages require {k - 1} junctions, got {len(junctions)}")
+        parent = [-1] * (2 * k - 1)
+        carrier = list(range(k))
+        depth = list(self.languages.depths)
+        gains = []
+        for nid, jn in enumerate(junctions, start=k):
             for child in (jn.near, jn.far):
                 if not (0 <= child < nid):
-                    raise DomainError(
-                        f"junction {idx} references node {child} out of order"
-                    )
-                if child in seen_child:
+                    raise DomainError(f"junction {nid - k} references node {child} out of order")
+                if parent[child] >= 0:
                     raise DomainError(f"node {child} used as a child twice")
-                seen_child.add(child)
-            if jn.status == UNRESOLVED and idx != len(self.junctions) - 1:
+                parent[child] = nid
+            if jn.status == UNRESOLVED and nid != 2 * k - 2:
                 raise DomainError("only the root junction may be unresolved",
-                                  f"junctions[{idx}].status")
-        for idx, jn in enumerate(self.junctions):
-            lo = max(self.anchor_depth(jn.near), self.anchor_depth(jn.far))
-            if jn.resolved and jn.depth < lo - 1e-9:
+                                  f"junctions[{nid - k}].status")
+            a, b = depth[jn.near], depth[jn.far]
+            if jn.resolved and jn.depth < max(a, b) - 1e-9:
                 raise DomainError(
-                    f"junction {idx} depth {jn.depth} above a child anchor ({lo})"
-                )
+                    f"junction {nid - k} depth {jn.depth} above a child anchor ({max(a, b)})")
+            carrier.append(carrier[jn.near])
+            depth.append(jn.depth)
+            gains.append((jn.depth - a, (jn.depth - b) + jn.lateral))
+        for name, record in (("junctions", junctions), ("_parent", parent),
+                             ("_carrier", carrier), ("_depth", depth), ("_gains", gains)):
+            object.__setattr__(self, name, tuple(record))
 
     # -- tree queries -------------------------------------------------------
 
     def anchor_depth(self, node_id: int) -> float:
         """Depth of a node's anchor: a leaf's attestation depth or a junction's D."""
-        k = len(self.languages)
-        if node_id < k:
-            return self.languages.depths[node_id]
-        return self.junctions[node_id - k].depth
+        return self._depth[node_id]
 
-    @cached_property
-    def _parent(self) -> tuple[int, ...]:
-        """Each node's parent id, -1 at the root; one pass, no member sort."""
-        parent = [-1] * (len(self.languages) + len(self.junctions))
-        for nid, jn in enumerate(self.junctions, start=len(self.languages)):
-            parent[jn.near] = parent[jn.far] = nid
-        return tuple(parent)
+    def gains(self) -> tuple[tuple[float, float], ...]:
+        """Per junction: near gain ``D - a``, far gain ``(D - b) + h``; nominal if unresolved."""
+        return self._gains
 
     @cached_property
     def _members(self) -> tuple[tuple[int, ...], ...]:
@@ -316,18 +318,9 @@ class Dendrogram:
         return tuple(members)
 
     @cached_property
-    def _carrier(self) -> tuple[int, ...]:
-        carrier = list(range(len(self.languages)))
-        for jn in self.junctions:
-            carrier.append(carrier[jn.near])
-        return tuple(carrier)
-
-    @cached_property
     def _anchor_tables(self) -> tuple[dict[int, float], ...]:
         tables = [{i: 0.0} for i in range(len(self.languages))]
-        for jn in self.junctions:
-            gain_near = jn.depth - self.anchor_depth(jn.near)
-            gain_far = (jn.depth - self.anchor_depth(jn.far)) + jn.lateral
+        for jn, (gain_near, gain_far) in zip(self.junctions, self._gains):
             table = {leaf: d + gain_near for leaf, d in tables[jn.near].items()}
             table.update({leaf: d + gain_far for leaf, d in tables[jn.far].items()})
             tables.append(table)
@@ -350,7 +343,8 @@ class Dendrogram:
     def anchor_tables(self) -> tuple[dict[int, float], ...]:
         """Per node id: leaf id -> path length from the leaf to the node's anchor.
 
-        Unresolved junctions contribute their nominal decomposition here;
+        Each junction adds the gains recorded at construction, so an
+        unresolved one contributes its nominal decomposition here;
         ``leaf_distance`` never consults the table across an unresolved root.
         Each table lists near members before far ones.  Filled on first
         call and cached, so a build that never asks pays nothing: read only.
@@ -471,22 +465,23 @@ def restore_distance_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
     junction (its lowest common one), where its distance is the sum of the
     two anchor distances; in the layout the pairs meeting at a junction
     form one near x far block.  One sweep up the junctions adds each one's
-    near and far gains to its near and far leaves in place, the same sums in
-    the same order as the anchor tables, and fills the junction's block.
+    near and far gains, as the tree recorded them at construction, to its
+    near and far leaves in place, the same sums in the same order as the
+    anchor tables, and fills the junction's block.
     """
     k = len(dendrogram.languages)
     layout = dendrogram._layout
-    depth = (*dendrogram.languages.depths, *(jn.depth for jn in dendrogram.junctions))
     to_anchor = np.zeros(k)  # per place in the layout: path length to the current anchor
     out = np.zeros((k, k))
     with np.errstate(over="ignore"):  # inf beyond float range, rejected below
-        for jn, (lo, mid, hi) in zip(dendrogram.junctions, layout.blocks):
+        for jn, (gain_near, gain_far), (lo, mid, hi) in zip(
+                dendrogram.junctions, dendrogram.gains(), layout.blocks):
             near, far = to_anchor[lo:mid], to_anchor[mid:hi]
             if jn.status == UNRESOLVED:  # only the root: its children's anchors are final
                 near = near + jn.total_length
             else:
-                near += jn.depth - depth[jn.near]
-                far += (jn.depth - depth[jn.far]) + jn.lateral
+                near += gain_near
+                far += gain_far
             np.add.outer(near, far, out=out[lo:mid, mid:hi])
         out += out.T  # each block was filled above the diagonal only
     where = np.array(layout.position)

@@ -599,6 +599,23 @@ class TestBuild:
         with pytest.raises(DomainError, match="merge"):
             bl.build(dm)
 
+    @pytest.mark.parametrize("absent, first", [
+        ([(0, 2), (1, 3)], "(1, 3)"),
+        ([(1, 3), (2, 3)], "(2, 4)"),
+        ([(2, 3)], "(3, 4)"),
+    ])
+    def test_incomplete_matrix_names_the_first_absent_pair(self, absent, first):
+        # Row-major order over a symmetric table meets the upper cell first.
+        values = np.full((4, 4), 10.0) - 10 * np.eye(4)
+        for i, j in absent:
+            values[i, j] = values[j, i] = np.nan
+        dm = DistanceMatrix(LanguageSet(("1", "2", "3", "4")), values)
+        with pytest.raises(DomainError) as caught:
+            bl.build(dm)
+        assert str(caught.value) == (
+            f"distance matrix has absent entries, the first at {first}; build requires "
+            "a complete matrix -- reconstruct per subsystem and use merge to combine")
+
     def test_attested_leaves_rejected(self):
         dm = DistanceMatrix(
             LanguageSet(("a", "b"), (0.0, 5.0)),
@@ -671,6 +688,32 @@ class TestBuild:
                 assert [j[:4] for j in got] == [j[:4] for j in want]
                 np.testing.assert_allclose([j[4:] for j in got], [j[4:] for j in want],
                                            rtol=0, atol=1e-9)
+
+    def test_relabelling_envelope(self, baltoslavic):
+        # Labels decide tied joins, so renaming the languages can change the
+        # tree.  Each row keeps its language and takes another's name, by
+        # default_rng(seed).permutation(15); the clades are read back under
+        # the original names.  Seeds 0-199 give five paper-mode topologies,
+        # the unrenamed one the most often.
+        labels = baltoslavic.languages.labels
+
+        def clades(matrix):
+            tree = bl.build(distances(matrix), mode="paper")
+            return frozenset(frozenset(labels[i] for i in tree.members(node))
+                             for node in range(15, 29))
+
+        seeds: dict[frozenset, list[int]] = {}
+        for seed in range(200):
+            renamed = tuple(labels[i] for i in np.random.default_rng(seed).permutation(15))
+            seeds.setdefault(clades(coincidence(renamed, baltoslavic.values)), []).append(seed)
+        by_count = sorted(seeds.values(), key=len, reverse=True)
+        assert [len(found) for found in by_count] == [91, 49, 47, 11, 2]
+        assert seeds[clades(baltoslavic)] == by_count[0]
+        assert by_count[0][:5] == [2, 4, 9, 12, 13]
+        assert by_count[1][:5] == [0, 6, 11, 14, 15]
+        assert by_count[2][:5] == [1, 3, 5, 7, 8]
+        assert by_count[3] == [50, 55, 56, 74, 80, 137, 144, 145, 151, 166, 193]
+        assert by_count[4] == [133, 173]
 
     def test_relabeling_invariance(self, salish_a):
         perm = [2, 0, 3, 1]

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import itertools
 import json
@@ -201,6 +202,18 @@ class TestBuild:
             assert "merge" in err and err.count("\n") == 1
             assert out == "" and not (tmp_path / "out").exists()
 
+    def test_absent_entries_name_the_first_pair(self, capsys, tmp_path):
+        src = tmp_path / "gap.csv"
+        src.write_text(",a,b,c,d\na,-,50,40,30\nb,50,-,40,\nc,40,40,-,\nd,30,,,-\n")
+        message = ("error: distance matrix has absent entries, the first at (b, d); build "
+                   "requires a complete matrix -- reconstruct per subsystem and use merge "
+                   "to combine")
+        for argv in (["build", "--weights", "unit", "--outdir", str(tmp_path / "out")],
+                     ["build", "--weights", "iterate", "--outdir", str(tmp_path / "out")],
+                     ["perturb", "--pair", "a:b", "--delta", "1"]):
+            code, out, err = run(capsys, *argv, "--input", str(src), "--mode", "paper")
+            assert (code, out, err.splitlines()) == (1, "", [message])
+
     def test_strict_escalates_clamp_flags(self, capsys, tmp_path):
         src = tmp_path / "clamped.csv"
         src.write_text(",a,b,c\na,-,77,68\nb,77,-,50\nc,68,50,-\n")
@@ -391,6 +404,67 @@ class TestBuild:
             f"error: --weights must be 'unit', 'iterate', or a CSV file; {str(missing)!r} "
             f"is none of these"]
         assert not (tmp_path / "out").exists()
+
+
+class TestByteOrderMark:
+    """An input file that starts with a UTF-8 byte-order mark reads as the
+    same file without one: the same exit code, stdout, stderr and files."""
+
+    @pytest.fixture
+    def trees(self, capsys, tmp_path):
+        for name in ("salish_a", "salish_b"):
+            code, _, _ = run(capsys, "build", "--input", str(BUNDLED / f"{name}.csv"),
+                             "--mode", "paper", "--outdir", str(tmp_path / name))
+            assert code == 0
+        return tmp_path / "salish_a" / "dendrogram.json", tmp_path / "salish_b" / "dendrogram.json"
+
+    def _same_with_and_without_mark(self, capsys, tmp_path, source, argv):
+        """Run ``argv(input, outdir)`` on a plain copy of ``source`` and on a
+        copy with a byte-order mark, each copy and outdir at the same path."""
+        copy, outdir = tmp_path / "side" / source.name, tmp_path / "side" / "out"
+        seen = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            copy.parent.mkdir(exist_ok=True)
+            copy.write_bytes(prefix + source.read_bytes())
+            code, out, err = run(capsys, *argv(copy, outdir))
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+            seen.append((code, out, err, files))
+            for p in files:
+                (outdir / p).unlink()
+        assert seen[0] == seen[1]
+        return seen[0]
+
+    def test_matrix_csv(self, capsys, tmp_path):
+        code, out, err, files = self._same_with_and_without_mark(
+            capsys, tmp_path, BUNDLED / "salish_a.csv",
+            lambda src, outdir: ("build", "--input", str(src), "--mode", "paper",
+                                 "--outdir", str(outdir)))
+        assert code == 0 and err == "" and "dendrogram.json" in files
+
+    def test_weights_csv(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,2\n2,1\n3,3\n4,1\n")
+        code, out, err, files = self._same_with_and_without_mark(
+            capsys, tmp_path, weights,
+            lambda src, outdir: ("build", "--input", str(BUNDLED / "salish_a.csv"),
+                                 "--mode", "paper", "--weights", str(src),
+                                 "--outdir", str(outdir)))
+        assert code == 0 and err == "" and "dendrogram.json" in files
+
+    @pytest.mark.parametrize("command", [
+        lambda tree, other, outdir: ("evaluate", "--tree", str(tree), "--input",
+                                     str(BUNDLED / "salish_a.csv"),
+                                     "--output", str(outdir / "evaluation.csv")),
+        lambda tree, other, outdir: ("merge", "--a", str(tree), "--b", str(other),
+                                     "--outdir", str(outdir)),
+        lambda tree, other, outdir: ("render", "--tree", str(tree), "--format", "newick-lossy"),
+    ], ids=["evaluate", "merge", "render"])
+    def test_dendrogram_json(self, capsys, tmp_path, trees, command):
+        tree, other = trees
+        (tmp_path / "side" / "out").mkdir(parents=True)
+        code, out, err, _ = self._same_with_and_without_mark(
+            capsys, tmp_path, tree, lambda src, outdir: command(src, other, outdir))
+        assert code == 0 and out
 
 
 def test_schema_example_is_what_build_writes(capsys, tmp_path):

@@ -13,7 +13,8 @@ LAYERS = {"matrix_to_distances.whole", "matrix_to_distances.distinct", "build.pa
           "shared_consistency", "chain_widths", "format_column", "evaluation_csv",
           "render_newick_lossy", "lca_junction.table", "deserialize", "deserialize_graph",
           "build.min_link", "build.lateral_offset", "build.reduce", "segment_graph", "merge",
-          "predict_missing", "read_matrix_csv.precise", "read_matrix_csv.paper", "render_dot"}
+          "predict_missing", "read_matrix_csv.precise", "read_matrix_csv.paper", "render_dot",
+          "dendrogram_init"}
 KEYS = {"commit", "dirty", "python", "numpy", "seed", "repeat", "sizes", "ref_s", "seconds",
         "scaled", "slope", "import"}
 

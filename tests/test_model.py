@@ -382,6 +382,18 @@ class TestDendrogramValidation:
                  Junction(near=3, far=2, depth=4, lateral=0)),
             )
 
+    def test_first_fault_in_junction_order_is_reported(self):
+        # Junction 0 sits above leaf b's anchor; junction 1 names a node that
+        # does not exist yet.  One walk in junction order meets junction 0's
+        # anchor fault first, as documents report their first fault.
+        with pytest.raises(DomainError) as caught:
+            Dendrogram(
+                LanguageSet(("a", "b", "c"), (0.0, 30.0, 0.0)),
+                (Junction(near=0, far=1, depth=10.0, lateral=0.0),
+                 Junction(near=3, far=4, depth=40.0, lateral=0.0)),
+            )
+        assert str(caught.value) == "junction 0 depth 10.0 above a child anchor (30.0)"
+
     @pytest.mark.parametrize("depth_range", [None, (20.0, 10.0)], ids=["none", "reversed"])
     def test_unresolved_requires_an_ordered_depth_range(self, depth_range):
         # Either one used to load and then fail in serialize (TypeError) or

@@ -79,6 +79,27 @@ class TestEvaluate:
         assert all(np.isfinite(d) for d in report.dispersions)
         assert all(("1", "3") != (a, b) for a, b, _ in report.worst_pairs)
 
+    def test_dispersions_of_rows_with_absent_cells_by_value(self, baltoslavic):
+        # A row with absent cells takes the sample variance of its observed
+        # off-diagonal cells, bit for bit, and 0.0 when fewer than two remain.
+        complete = ch.matrix_to_distances(baltoslavic, "precise")
+        values = np.array(complete.values)
+        holes = [(0, j) for j in range(1, 14)] + [(1, j) for j in range(2, 15)]
+        holes += [(2, 5), (2, 9), (6, 11)]  # rows 0 and 1: one and no observed cell
+        for i, j in holes:
+            values[i, j] = values[j, i] = np.nan
+        measured = DistanceMatrix(complete.languages, values)
+        report = rf.evaluate(bl.build(complete, mode="precise"), measured)
+        rows = sorted({i for pair in holes for i in pair})
+        assert rows == list(range(15))
+        for i in rows:
+            cells = np.delete(report.residuals[i], i)
+            cells = cells[~np.isnan(cells)]
+            want = np.var(cells, ddof=1) if cells.size >= 2 else 0.0
+            assert report.dispersions[i].hex() == float(want).hex(), i
+        assert report.dispersions[:2] == (0.0, 0.0)
+        assert all(d > 0 for d in report.dispersions[2:])
+
     def test_mean_residual_near_zero(self, salish_a_tree, salish_a_dist):
         report = rf.evaluate(salish_a_tree, salish_a_dist)
         upper = report.residuals[np.triu_indices(4, 1)]
@@ -168,6 +189,18 @@ class TestIterateBuild:
         for rec in trace.passes[1:]:
             again = restore_distance_matrix(rec.dendrogram)
             assert np.allclose(first.values, again.values, atol=1e-9)
+
+
+    def test_tree_metric_input_stops_early_after_two_passes(self):
+        # Pass 2's dispersions all sit under the floor, so the weights they
+        # give are pass 2's own: no change, and no third build.
+        dm = planted_matrix(seed=77, k=6)
+        trace = rf.iterate_build(dm, mode="precise")
+        assert len(trace.passes) == 2 < rf.MAX_PASSES
+        second = trace.passes[1]
+        assert second.weight_change > rf.WEIGHT_CHANGE_TOL
+        again = rf.weights_from_dispersions(dm.languages, second.report.dispersions, "precise")
+        assert again == second.weights
 
 
 class TestPerturb:

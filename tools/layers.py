@@ -42,6 +42,10 @@ workload:
 - ``evaluation_csv``: the text of ``evaluation.csv`` for that build against
   the whole table, as ``evaluate`` writes it: ``format_column`` of the three
   number columns and the CSV writer (planted labels need no quoting);
+- ``dendrogram_init``: a fresh ``Dendrogram`` over that build's junctions,
+  the one walk that checks them and records each node's parent, carrier
+  and anchor depth and each junction's gains, as every build and
+  ``deserialize`` pay it;
 - ``restore_distance_matrix``, as ``evaluate`` calls it, and
   ``meeting_junction.first``, the one query ``perturb`` asks of each
   rebuild, each on a fresh ``Dendrogram`` over that build's junctions, so
@@ -187,6 +191,7 @@ def layers(pkg, k: int, work: Path) -> dict:
             (lambda: chronometry.matrix_to_distances(distinct, "precise"), once),
         "build.paper": (lambda: builder.build(measured, mode="paper"), once),
         "build.precise_caterpillar": (lambda: builder.build(cat_dist, mode="precise"), once),
+        "dendrogram_init": (fresh, once),
         "restore_distance_matrix": (model.restore_distance_matrix, fresh),
         "meeting_junction.first": (lambda tree: tree.meeting_junction(a, b), fresh),
         "shared_consistency": (merger.shared_consistency, lambda: fresh(2)),
