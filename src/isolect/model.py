@@ -295,7 +295,8 @@ class Dendrogram:
                     f"junction {nid - k} depth {jn.depth} above a child anchor ({max(a, b)})")
             carrier.append(carrier[jn.near])
             depth.append(jn.depth)
-            gains.append((jn.depth - a, (jn.depth - b) + jn.lateral))
+            gains.append((jn.total_length, 0.0) if jn.status == UNRESOLVED
+                         else (jn.depth - a, (jn.depth - b) + jn.lateral))
         for name, record in (("junctions", junctions), ("_parent", parent),
                              ("_carrier", carrier), ("_depth", depth), ("_gains", gains)):
             object.__setattr__(self, name, tuple(record))
@@ -307,7 +308,8 @@ class Dendrogram:
         return self._depth[node_id]
 
     def gains(self) -> tuple[tuple[float, float], ...]:
-        """Per junction: near gain ``D - a``, far gain ``(D - b) + h``; nominal if unresolved."""
+        """Per junction: near gain ``D - a``, far gain ``(D - b) + h``; at an
+        unresolved root, whose total alone is known, ``(total_length, 0.0)``."""
         return self._gains
 
     @cached_property
@@ -319,6 +321,7 @@ class Dendrogram:
 
     @cached_property
     def _anchor_tables(self) -> tuple[dict[int, float], ...]:
+        """Summed up the junctions' ``gains``: an unresolved root's near side gains its total."""
         tables = [{i: 0.0} for i in range(len(self.languages))]
         for jn, (gain_near, gain_far) in zip(self.junctions, self._gains):
             table = {leaf: d + gain_near for leaf, d in tables[jn.near].items()}
@@ -343,9 +346,8 @@ class Dendrogram:
     def anchor_tables(self) -> tuple[dict[int, float], ...]:
         """Per node id: leaf id -> path length from the leaf to the node's anchor.
 
-        Each junction adds the gains recorded at construction, so an
-        unresolved one contributes its nominal decomposition here;
-        ``leaf_distance`` never consults the table across an unresolved root.
+        Each junction adds its ``gains``, so an unresolved root's table holds
+        paths to its far child's anchor, a near leaf's across the whole link.
         Each table lists near members before far ones.  Filled on first
         call and cached, so a build that never asks pays nothing: read only.
         """
@@ -427,8 +429,11 @@ class Dendrogram:
 
 
 def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
-    """Path length from a leaf up to the anchor of the cluster at ``node_id``."""
+    """Path length from a leaf up to the anchor of the cluster at ``node_id``;
+    an unresolved root, whose total alone is known, has no anchor."""
     i = dendrogram.languages.index(leaf)
+    if node_id >= len(dendrogram.languages) and not dendrogram.junction_at(node_id).resolved:
+        raise DomainError(f"node {node_id} is an unresolved root and has no anchor")
     table = dendrogram.anchor_tables()[node_id]
     if i not in table:
         raise DomainError(f"leaf {leaf!r} is not in the requested cluster")
@@ -436,24 +441,15 @@ def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
 
 
 def leaf_distance(dendrogram: Dendrogram, a: str, b: str) -> float:
-    """Tree-path distance between two leaves, in svodesh.
-
-    An unresolved root contributes its fixed total length, which makes the
-    result independent of how that link would split into vertical and
-    lateral parts.
+    """Tree-path distance between two leaves, in svodesh: the sum of their
+    entries in the anchor table of the junction where they meet.  An
+    unresolved root's table carries its fixed total length, whatever its split.
     """
     ia = dendrogram.languages.index(a)
     ib = dendrogram.languages.index(b)
     if ia == ib:
         return 0.0
-    tables = dendrogram.anchor_tables()
-    lca = dendrogram.lca_junction(ia, ib)
-    jn = dendrogram.junction_at(lca)
-    if jn.status == UNRESOLVED:
-        near_t, far_t = tables[jn.near], tables[jn.far]
-        first, second = (ia, ib) if ia in near_t else (ib, ia)
-        return near_t[first] + jn.total_length + far_t[second]
-    table = tables[lca]
+    table = dendrogram.anchor_tables()[dendrogram.lca_junction(ia, ib)]
     return table[ia] + table[ib]
 
 
@@ -465,23 +461,19 @@ def restore_distance_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
     junction (its lowest common one), where its distance is the sum of the
     two anchor distances; in the layout the pairs meeting at a junction
     form one near x far block.  One sweep up the junctions adds each one's
-    near and far gains, as the tree recorded them at construction, to its
-    near and far leaves in place, the same sums in the same order as the
-    anchor tables, and fills the junction's block.
+    ``gains`` (an unresolved root's total on its near side) to its near and
+    far leaves in place, the same sums in the same order as the anchor
+    tables, and fills the junction's block.
     """
     k = len(dendrogram.languages)
     layout = dendrogram._layout
     to_anchor = np.zeros(k)  # per place in the layout: path length to the current anchor
     out = np.zeros((k, k))
     with np.errstate(over="ignore"):  # inf beyond float range, rejected below
-        for jn, (gain_near, gain_far), (lo, mid, hi) in zip(
-                dendrogram.junctions, dendrogram.gains(), layout.blocks):
+        for (gain_near, gain_far), (lo, mid, hi) in zip(dendrogram.gains(), layout.blocks):
             near, far = to_anchor[lo:mid], to_anchor[mid:hi]
-            if jn.status == UNRESOLVED:  # only the root: its children's anchors are final
-                near = near + jn.total_length
-            else:
-                near += gain_near
-                far += gain_far
+            near += gain_near
+            far += gain_far
             np.add.outer(near, far, out=out[lo:mid, mid:hi])
         out += out.T  # each block was filled above the diagonal only
     where = np.array(layout.position)

@@ -219,6 +219,8 @@ def perturb(
         raise DomainError(f"pair {tuple(pair)} is a diagonal cell: it names one language twice")
     track = tuple(track) if track is not None else tuple(pair)
     baseline_c = measured.value(*pair)
+    if np.isnan(baseline_c):
+        raise DomainError(f"pair {tuple(pair)} is absent from the matrix: nothing to perturb")
     baseline = chronometry.matrix_to_distances(measured, mode)
     rows = []
     for delta in (0.0, *deltas):

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,39 @@ from oracles import (
 
 def distances(matrix, mode="paper"):
     return ch.matrix_to_distances(matrix, mode)
+
+
+def relabelled_clades(matrix, mode):
+    """The build's clades as sets of row indices: each row keeps its
+    language under any renaming, so a renamed table's tree reads back
+    under the original names."""
+    k = len(matrix.languages)
+    tree = bl.build(distances(matrix, mode), mode=mode)
+    return frozenset(frozenset(tree.members(node)) for node in range(k, 2 * k - 1))
+
+
+def relabelling_envelope(matrix, mode, seeds=200):
+    """The renaming seeds that give each topology, the most common first,
+    and those that give the unrenamed one; seed s renames the rows by
+    ``default_rng(s).permutation(k)``."""
+    labels = matrix.languages.labels
+    found: dict[frozenset, list[int]] = {}
+    for seed in range(seeds):
+        renamed = [labels[i] for i in np.random.default_rng(seed).permutation(len(labels))]
+        found.setdefault(relabelled_clades(coincidence(renamed, matrix.values), mode),
+                         []).append(seed)
+    return (sorted(found.values(), key=len, reverse=True),
+            found.get(relabelled_clades(matrix, mode), []))
+
+
+def planted():
+    """The benchmark's table generator, ``perfbench/planted.py``, imported by path."""
+    if "planted" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
+        spec = importlib.util.spec_from_file_location("planted", path)
+        sys.modules["planted"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["planted"]
 
 
 @pytest.fixture
@@ -56,6 +93,12 @@ class TestMinLink:
             )
             node += 1
         assert order == [((("5",)), ("6",)), ((("1",)), ("2",))]
+
+    def test_one_cluster_has_no_link(self):
+        one = DistanceMatrix(LanguageSet(("a",)), np.zeros((1, 1)))
+        with pytest.raises(DomainError) as exc:
+            bl.min_link(bl.initial_state(one, None, "precise"))
+        assert str(exc.value) == "need at least two active clusters"
 
     def test_tie_breaks_lexicographically(self):
         dm = DistanceMatrix(
@@ -367,6 +410,12 @@ class TestLateralOffset:
         with pytest.raises(bl.FinalLinkError):
             bl.lateral_offset(state, bl.min_link(state))
 
+    def test_unknown_external_means_rejected(self, salish_a_dist):
+        state = bl.initial_state(salish_a_dist, None, "paper")
+        with pytest.raises(DomainError) as exc:
+            bl.lateral_offset(state, bl.min_link(state), "median")
+        assert str(exc.value) == "external_means must be one of ('weighted', 'simple')"
+
     def test_weighted_vs_simple_external_means(self):
         # One heavy external cluster pulls the weighted mean toward itself.
         dm = DistanceMatrix(
@@ -419,6 +468,12 @@ class TestJoinGeometry:
         assert d == 19
         # anchor-to-anchor path length kept: (d - 0) + h + (d - 19) == 54
         assert 2 * d + h - 0 - 19 == 54
+
+    @pytest.mark.parametrize("link, offset", [(-1.0, 0.0), (10.0, -1.0)])
+    def test_negative_input_rejected(self, link, offset):
+        with pytest.raises(DomainError) as exc:
+            bl.join_geometry(link, offset, 0, 0, "precise")
+        assert str(exc.value) == "link length and offset must be >= 0"
 
     def test_precise_mode_never_adjusts_parity(self):
         d, h, flags, offset = bl.join_geometry(58, 21, 0, 14, "precise")
@@ -695,25 +750,38 @@ class TestBuild:
         # default_rng(seed).permutation(15); the clades are read back under
         # the original names.  Seeds 0-199 give five paper-mode topologies,
         # the unrenamed one the most often.
-        labels = baltoslavic.languages.labels
-
-        def clades(matrix):
-            tree = bl.build(distances(matrix), mode="paper")
-            return frozenset(frozenset(labels[i] for i in tree.members(node))
-                             for node in range(15, 29))
-
-        seeds: dict[frozenset, list[int]] = {}
-        for seed in range(200):
-            renamed = tuple(labels[i] for i in np.random.default_rng(seed).permutation(15))
-            seeds.setdefault(clades(coincidence(renamed, baltoslavic.values)), []).append(seed)
-        by_count = sorted(seeds.values(), key=len, reverse=True)
+        by_count, unrenamed = relabelling_envelope(baltoslavic, "paper")
         assert [len(found) for found in by_count] == [91, 49, 47, 11, 2]
-        assert seeds[clades(baltoslavic)] == by_count[0]
+        assert unrenamed == by_count[0]
         assert by_count[0][:5] == [2, 4, 9, 12, 13]
         assert by_count[1][:5] == [0, 6, 11, 14, 15]
         assert by_count[2][:5] == [1, 3, 5, 7, 8]
         assert by_count[3] == [50, 55, 56, 74, 80, 137, 144, 145, 151, 166, 193]
         assert by_count[4] == [133, 173]
+
+    def test_relabelling_envelope_precise(self, baltoslavic):
+        # The same 200 renamings in precise mode give two topologies, the
+        # unrenamed one the more common.
+        by_count, unrenamed = relabelling_envelope(baltoslavic, "precise")
+        assert [len(found) for found in by_count] == [102, 98]
+        assert unrenamed == by_count[0]
+        assert by_count[0][:5] == [2, 4, 9, 12, 13]
+        assert by_count[1][:5] == [0, 1, 3, 5, 6]
+
+    @pytest.mark.parametrize("table_seed, changed", [
+        (0, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (1, [0, 1, 3, 4, 5, 6, 7, 8, 9]),
+        (2, [0, 1, 3, 4, 5, 6, 7, 8]),
+    ])
+    def test_relabelling_envelope_at_k96(self, table_seed, changed):
+        # A k = 96 paper table, iterate-paper's kind, has dozens of tied
+        # joins: most renamings by default_rng(seed).permutation(96), seeds
+        # 0-9, change its topology.
+        rng = np.random.default_rng(table_seed)
+        tree = planted().chain_tree(rng, 96)
+        table = coincidence(tree.labels, planted().noisy_percent(rng, tree.distances))
+        _, unrenamed = relabelling_envelope(table, "paper", seeds=10)
+        assert sorted(set(range(10)) - set(unrenamed)) == changed
 
     def test_relabeling_invariance(self, salish_a):
         perm = [2, 0, 3, 1]

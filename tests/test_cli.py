@@ -803,6 +803,15 @@ class TestPerturb:
         )
         assert code == 1
 
+    def test_absent_pair_exits_one_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "holes.csv"
+        path.write_text(",a,b,c\na,-,48,\nb,48,-,50\nc,,50,-\n", encoding="utf-8")
+        code, out, err = run(capsys, "perturb", "--input", str(path), "--pair", "a:c",
+                             "--delta", "5", "--mode", "paper")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: pair ('a', 'c') is absent from the matrix: nothing to perturb"]
+
     def test_pair_naming_one_language_twice_exits_one_before_a_build(self, capsys,
                                                                       monkeypatch):
         base = ["perturb", "--input", str(BUNDLED / "salish_a.csv"), "--mode", "paper"]
@@ -1520,6 +1529,20 @@ class TestCsvOutputsMatchCsvWriter:
         text = (tmp_path / "merged" / "predictions.csv").read_bytes().decode("utf-8")
         assert text == want
         assert '"lf\nx"' in text
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        target = tmp_path / "out.txt"
+        target.write_text("old\n", encoding="utf-8")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cli.atomic_write(target, "new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        assert target.read_text(encoding="utf-8") == "old\n"
 
 
 class TestOutputModes:

@@ -240,6 +240,12 @@ def test_benchmark_tables_take_the_one_pass(tmp_path, monkeypatch):
 LONG = "1" * (csv.field_size_limit() + 1)
 
 
+def test_unknown_matrix_kind_is_refused_before_reading():
+    with pytest.raises(ValueError) as exc:
+        cli.read_matrix_csv(BUNDLED / "no-such-file.csv", "weights")
+    assert str(exc.value) == "unknown matrix kind 'weights'"
+
+
 def test_overlong_matrix_field_is_one_located_error(tmp_path):
     src = tmp_path / "long.csv"
     src.write_text(f",a,b\na,-,{LONG}\nb,5,-\n")

@@ -28,7 +28,7 @@ from isolect.model import (
     leaf_distance,
     restore_distance_matrix,
 )
-from isolect.modes import quantize_array, round_half_away
+from isolect.modes import check_mode, quantize, quantize_array, round_half_away
 
 from conftest import BALTOSLAVIC, BALTOSLAVIC_LABELS, SALISH_A, SALISH_A_LABELS, coincidence
 import oracles
@@ -76,6 +76,13 @@ class TestRounding:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             quantize_array(np.zeros(2), "exact")
+
+    def test_unknown_mode_named_by_check_mode_and_quantize(self):
+        message = "unknown mode 'exact'; expected one of ('precise', 'paper')"
+        for call in (lambda: check_mode("exact"), lambda: quantize(1.5, "exact")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def _cases():

@@ -67,6 +67,16 @@ class TestLanguageSet:
         with pytest.raises(DomainError):
             LanguageSet(("x",), (-1.0,))
 
+    @pytest.mark.parametrize("labels, depths, message", [
+        ((), (), "language set must not be empty"),
+        (("x", "y"), (1.0,), "one attestation depth per language required"),
+        (("x",), (1.0, 2.0), "one attestation depth per language required"),
+    ], ids=["empty", "too-few-depths", "too-many-depths"])
+    def test_refusal_messages(self, labels, depths, message):
+        with pytest.raises(DomainError) as exc:
+            LanguageSet(labels, depths)
+        assert str(exc.value) == message
+
 
 class TestMatrices:
     def test_asymmetry_rejected(self):
@@ -119,6 +129,12 @@ class TestMatrices:
         with pytest.raises(DomainError, match="distances must be finite"):
             before.with_value("a", "b", -1.0)
 
+    @pytest.mark.parametrize("cls", [model.CoincidenceMatrix, DistanceMatrix])
+    def test_shape_refused(self, cls):
+        with pytest.raises(DomainError) as exc:
+            cls(LanguageSet(("a", "b")), np.zeros((2, 3)))
+        assert str(exc.value) == "matrix must be 2x2, got (2, 3)"
+
     def test_values_frozen(self, salish_a):
         with pytest.raises(ValueError):
             salish_a.values[0, 1] = 3
@@ -146,6 +162,23 @@ class TestAnchorDistance:
         tree = salish_tree()
         with pytest.raises(DomainError):
             anchor_distance(tree, 4, "1")
+
+    def test_unresolved_root_has_no_anchor(self):
+        # Only the root's total is known: its leaves' anchor distances are
+        # refused, while its children's and the leaves' own stay answerable.
+        langs = LanguageSet(("a", "b", "c"))
+        root = Junction(near=3, far=2, depth=20.0, lateral=0.0, status=model.UNRESOLVED,
+                        total_length=40.0, depth_range=(10.0, 30.0))
+        tree = Dendrogram(langs, (Junction(near=0, far=1, depth=10, lateral=6), root))
+        assert tree.gains()[-1] == (40.0, 0.0)
+        for leaf in "abc":
+            with pytest.raises(DomainError, match=re.escape(
+                    "node 4 is an unresolved root and has no anchor")):
+                anchor_distance(tree, 4, leaf)
+        assert (anchor_distance(tree, 3, "a"), anchor_distance(tree, 3, "b")) == (10.0, 16.0)
+        assert anchor_distance(tree, 2, "c") == 0.0
+        # A one-leaf tree's leaf 0 is no root.
+        assert anchor_distance(Dendrogram(LanguageSet(("x",)), ()), 0, "x") == 0.0
 
 
 class TestLeafDistance:
@@ -217,12 +250,23 @@ class TestRestore:
         assert np.array_equal(np.diag(out.values), np.zeros(4))
 
     def test_matches_pairwise_leaf_distance(self):
-        tree = salish_tree()
-        out = restore_distance_matrix(tree)
-        labels = tree.languages.labels
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                assert out.values[i, j] == leaf_distance(tree, a, b)
+        # Bit for bit, on the hand-built tree and on builds of whole-percent
+        # tables at k = 2..13 in both modes, which end in unresolved roots.
+        trees = [salish_tree()]
+        for mode, k in itertools.product(("paper", "precise"), range(2, 14)):
+            rng = np.random.default_rng(k)
+            upper = np.triu(rng.integers(1, 101, size=(k, k)).astype(float), 1)
+            values = upper + upper.T + np.diag(np.full(k, 100.0))
+            langs = LanguageSet(tuple(f"L{i}" for i in range(k)))
+            trees.append(builder.build(chronometry.matrix_to_distances(
+                model.CoincidenceMatrix(langs, values), mode), mode=mode))
+        assert sum(not t.junctions[-1].resolved for t in trees) >= 20
+        for tree in trees:
+            out = restore_distance_matrix(tree)
+            labels = tree.languages.labels
+            for i, a in enumerate(labels):
+                for j, b in enumerate(labels):
+                    assert out.values[i, j].hex() == leaf_distance(tree, a, b).hex()
 
 
 class TestSerialization:
@@ -277,6 +321,13 @@ class TestSerialization:
         text = serialize(salish_tree()).replace('"near": "3"', '"near": "9"')
         with pytest.raises(ParseError, match="unknown leaf"):
             deserialize(text)
+
+    def test_rejects_junction_index_out_of_range(self):
+        doc = json.loads(serialize(salish_tree()))
+        doc["junctions"][2]["near"] = 7
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert str(exc.value) == "junction index 7 out of range (at junctions[2].near)"
 
     def test_parse_error_has_location(self):
         with pytest.raises(ParseError, match="line"):
@@ -428,6 +479,14 @@ class TestDendrogramValidation:
             assert set(range(2 * k - 1)) - children == {2 * k - 2}
         # Ordered pairs from the n open nodes, n = k..2: 1, 2, 2*6 and 2*6*12.
         assert accepted == [1, 2, 12, 144][k - 1]
+
+    def test_queries_without_a_junction_are_refused(self):
+        with pytest.raises(DomainError) as exc:
+            salish_tree().junction_at(3)
+        assert str(exc.value) == "node 3 is a leaf"
+        with pytest.raises(DomainError) as exc:
+            Dendrogram(LanguageSet(("alone",)), ()).lca_junction(0, 0)
+        assert str(exc.value) == "leaves do not share a junction"
 
     def test_carrier_follows_near_lineage(self):
         tree = salish_tree()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -127,6 +129,13 @@ class TestWeights:
         w = rf.weights_from_dispersions(langs, (0.6, 0.6, 600.0), mode="paper")
         assert all(v == int(v) and v >= 1 for v in w.values)
 
+    @pytest.mark.parametrize("dispersions", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
+    def test_one_dispersion_per_language(self, dispersions):
+        langs = LanguageSet(("a", "b", "c"))
+        with pytest.raises(DomainError) as exc:
+            rf.weights_from_dispersions(langs, dispersions)
+        assert str(exc.value) == "one dispersion per language required"
+
     def test_floor_avoids_infinite_weight(self):
         langs = LanguageSet(("a", "b"))
         w = rf.weights_from_dispersions(langs, (0.0, 1.0))
@@ -230,6 +239,15 @@ class TestPerturb:
             rf.perturb(salish_a, ("3", "4"), (50.0,), mode="paper")
         with pytest.raises(DomainError):
             rf.perturb(salish_a, ("1", "4"), (-25.0,), mode="paper")
+
+    def test_absent_pair_is_named(self):
+        langs = LanguageSet(("a", "b", "c"))
+        measured = CoincidenceMatrix(langs, np.array(
+            [[100.0, 48.0, np.nan], [48.0, 100.0, 50.0], [np.nan, 50.0, 100.0]]))
+        for pair in (("a", "c"), ("c", "a")):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"pair {pair} is absent from the matrix: nothing to perturb")):
+                rf.perturb(measured, pair, (5.0,), mode="paper")
 
     def test_unknown_external_means_rejected_at_two_languages(self):
         # Two languages leave no external cluster, so no offset is ever
