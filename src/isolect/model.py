@@ -432,6 +432,8 @@ def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
     """Path length from a leaf up to the anchor of the cluster at ``node_id``;
     an unresolved root, whose total alone is known, has no anchor."""
     i = dendrogram.languages.index(leaf)
+    if not 0 <= node_id < len(dendrogram._parent):  # a negative id would wrap to the root
+        raise DomainError(f"node ids must lie in 0..{len(dendrogram._parent) - 1} (got {node_id})")
     if node_id >= len(dendrogram.languages) and not dendrogram.junction_at(node_id).resolved:
         raise DomainError(f"node {node_id} is an unresolved root and has no anchor")
     table = dendrogram.anchor_tables()[node_id]

@@ -177,6 +177,10 @@ class TestAnchorDistance:
                 anchor_distance(tree, 4, leaf)
         assert (anchor_distance(tree, 3, "a"), anchor_distance(tree, 3, "b")) == (10.0, 16.0)
         assert anchor_distance(tree, 2, "c") == 0.0
+        for node_id in (-1, -2, 5):  # no id outside the tree reaches its root's table
+            with pytest.raises(DomainError, match=re.escape(
+                    f"node ids must lie in 0..4 (got {node_id})")):
+                anchor_distance(tree, node_id, "a")
         # A one-leaf tree's leaf 0 is no root.
         assert anchor_distance(Dendrogram(LanguageSet(("x",)), ()), 0, "x") == 0.0
 
