@@ -24,17 +24,17 @@ the cross-check.
 
 A build has one working state, indexed by node id as the reduced
 distances are: one float table sized (2k-1) x (2k-1), per node its weight
-and its ``Cluster`` record, and over all 2k-1 ids a mask of the active nodes
-and each active row's shortest link and its other end.  Join j makes node
-k + j (Muellner's stepwise numbering, the only one a ``Dendrogram``
-accepts), and ``reduce`` takes no other id.  ``reduce`` updates the state in
-place: it writes the new node's row and column, weight and record, and
-retires the joined pair.  It never writes the leaf block (ids below k), so
-``build`` keeps the initial state for the cross-check as a snapshot taken
-before the first join: copies of the three per-node arrays over the shared
-table, weights and records.  These node-indexed arrays are the state; its
-one cluster-order reader, ``clusters`` (ascending node id), is for callers,
-never the join loop.
+and its ``Cluster`` record (flat: it names its children by node id), and
+over all 2k-1 ids a mask of the active nodes and each active row's shortest
+link and its other end.  Join j makes node k + j (Muellner's stepwise
+numbering, the only one a ``Dendrogram`` accepts), and ``reduce`` takes no
+other id.  ``reduce`` updates the state in place: it writes the new node's
+row and column, weight and record, and retires the joined pair.  It never
+writes the leaf block (ids below k), so ``build`` keeps the initial state
+for the cross-check as a snapshot taken before the first join: copies of
+the three per-node arrays over the shared table, weights and records.
+These node-indexed arrays are the state; its one cluster-order reader,
+``clusters`` (ascending node id), is for callers, never the join loop.
 
 A join costs O(n) element work over its n active clusters, so a build
 costs O(k^2), as in the generic agglomerative loop with a nearest-neighbour
@@ -89,14 +89,16 @@ class FinalLinkError(IsolectError):
 
 
 class Cluster(NamedTuple):
-    """An active cluster during agglomeration.
+    """An active cluster during agglomeration, a flat record.
 
     ``first_label`` is the smallest member label (a leaf's own label).
     Active clusters are disjoint, so it orders them, and pairs of them, as
     their sorted member labels do: it breaks every tie.  ``children`` holds
-    the joined near and far clusters (empty for a leaf, whose node id is its
-    language index).  Equality, hash and repr cover the other four fields
-    only, so none of them walks the subtree.  The tree's members and anchor
+    the node ids of the joined near and far clusters, as a ``Junction`` does
+    (empty for a leaf, whose node id is its language index); ``carrier`` is
+    the record of the leaf whose lineage carries the anchor (None for a
+    leaf, which carries its own).  No field nests a deeper record, so
+    equality, hash and repr are O(1).  The tree's members and anchor
     distances belong to the finished ``Dendrogram``.
     """
 
@@ -104,20 +106,8 @@ class Cluster(NamedTuple):
     anchor_depth: float
     weight: float
     first_label: str
-    children: tuple["Cluster", ...] = ()
-
-    def __eq__(self, other):
-        return other.__class__ is Cluster and self[:4] == other[:4]
-
-    def __ne__(self, other):
-        return other.__class__ is not Cluster or self[:4] != other[:4]
-
-    def __hash__(self):
-        return hash(self[:4])
-
-    def __repr__(self):
-        return "Cluster(node={!r}, anchor_depth={!r}, weight={!r}, first_label={!r})".format(
-            *self[:4])
+    children: tuple[int, ...] = ()
+    carrier: Cluster | None = None
 
 
 class ClusterState:
@@ -348,11 +338,12 @@ def reduce(
     """Replace the joined pair by the merged cluster, in place on ``state``.
 
     Each external entry becomes the weight-weighted mean of the two
-    anchor-corrected child distances; the merged cluster keeps both
-    children.  An external row keeps its shortest link unless the new one
-    is no longer, and is searched again only when its shortest link led to
-    a joined node and the new one is longer.  The pair must be two distinct
-    active clusters and ``new_node`` the state's next id,
+    anchor-corrected child distances; the merged cluster names both
+    children by node id and takes its near child's carrier leaf.  An
+    external row keeps its shortest link unless the new one is no longer,
+    and is searched again only when its shortest link led to a joined node
+    and the new one is longer.  The pair must be two distinct active
+    clusters and ``new_node`` the state's next id,
     ``len(state.table) + 1 - state.size``, so the merged cluster comes last
     in cluster order; either refusal comes before any write.  Returns the
     updated state itself and the clamp flags.
@@ -364,7 +355,8 @@ def reduce(
     delta_near = geometry.depth - near.anchor_depth
     delta_far = (geometry.depth - far.anchor_depth) + geometry.lateral
     merged = Cluster(new_node, geometry.depth, near.weight + far.weight,
-                     min(near.first_label, far.first_label), (near, far))
+                     min(near.first_label, far.first_label), (near.node, far.node),
+                     near.carrier or near)
     ext_nodes, (d_near, d_far) = state._pair_rows(near.node, far.node)
     values = quantize_array(
         (near.weight * (d_near - delta_near) + far.weight * (d_far - delta_far))
@@ -440,8 +432,8 @@ def resolve_last_link(
     remaining length lateral) and the geometry the link acquires when the
     build is redone with that link joined first, so that it picks up a
     lateral offset from the then-external points.  That first join is the
-    join of the root clusters' carrier leaves (reached through each near
-    child) on ``start``, the build's initial state: ``build`` passes the
+    join of the root clusters' carrier leaves (each record's ``carrier``)
+    on ``start``, the build's initial state: ``build`` passes the
     snapshot it took before the first join, which is still valid after the
     build, because a reduce writes only the rows and columns of new nodes
     and the leaf block of the shared table stays as ``initial_state`` wrote
@@ -456,16 +448,13 @@ def resolve_last_link(
             "resolve_last_link needs an initial state (every cluster a leaf "
             "at its own index)"
         )
-    pair = []
-    for carrier in root:
-        while carrier.children:
-            carrier = carrier.children[0]
+    pair = tuple(c.carrier or c for c in root)
+    for carrier in pair:
         if carrier.node >= len(leaves) or carrier != leaves[carrier.node]:
             raise DomainError(
                 f"carrier leaf {carrier.first_label!r} of the root is not "
                 f"cluster {carrier.node} of the initial state"
             )
-        pair.append(carrier)
     a, b = (c.anchor_depth for c in root)
     depth_simple = max(a, b)
     lateral_simple = total - 2 * depth_simple + a + b
@@ -477,7 +466,7 @@ def resolve_last_link(
     elif len(leaves) <= 2:
         reason = "no external points exist for a cross-check"
     else:
-        alt = _join(start, tuple(pair), external_means)
+        alt = _join(start, pair, external_means)
         alternate = (alt.depth, alt.lateral)
         deviation = (abs(alt.depth - depth_simple), abs(alt.lateral - lateral_simple))
         resolved = deviation[0] <= tolerance and deviation[1] <= tolerance

@@ -303,9 +303,14 @@ class Dendrogram:
 
     # -- tree queries -------------------------------------------------------
 
+    def _node(self, node_id: int) -> int:
+        if not 0 <= node_id < len(self._parent):  # a negative id would wrap to the root
+            raise DomainError(f"node ids must lie in 0..{len(self._parent) - 1} (got {node_id})")
+        return node_id
+
     def anchor_depth(self, node_id: int) -> float:
         """Depth of a node's anchor: a leaf's attestation depth or a junction's D."""
-        return self._depth[node_id]
+        return self._depth[self._node(node_id)]
 
     def gains(self) -> tuple[tuple[float, float], ...]:
         """Per junction: near gain ``D - a``, far gain ``(D - b) + h``; at an
@@ -330,18 +335,17 @@ class Dendrogram:
         return tuple(tables)
 
     def junction_at(self, node_id: int) -> Junction:
-        k = len(self.languages.labels)
-        if node_id < k:
+        if self._node(node_id) < len(self.languages):
             raise DomainError(f"node {node_id} is a leaf")
-        return self.junctions[node_id - k]
+        return self.junctions[node_id - len(self.languages)]
 
     def members(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids under a node, in language order."""
-        return self._members[node_id]
+        return self._members[self._node(node_id)]
 
     def carrier(self, node_id: int) -> int:
         """The leaf whose lineage carries the node's anchor."""
-        return self._carrier[node_id]
+        return self._carrier[self._node(node_id)]
 
     def anchor_tables(self) -> tuple[dict[int, float], ...]:
         """Per node id: leaf id -> path length from the leaf to the node's anchor.
@@ -432,11 +436,9 @@ def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
     """Path length from a leaf up to the anchor of the cluster at ``node_id``;
     an unresolved root, whose total alone is known, has no anchor."""
     i = dendrogram.languages.index(leaf)
-    if not 0 <= node_id < len(dendrogram._parent):  # a negative id would wrap to the root
-        raise DomainError(f"node ids must lie in 0..{len(dendrogram._parent) - 1} (got {node_id})")
     if node_id >= len(dendrogram.languages) and not dendrogram.junction_at(node_id).resolved:
         raise DomainError(f"node {node_id} is an unresolved root and has no anchor")
-    table = dendrogram.anchor_tables()[node_id]
+    table = dendrogram.anchor_tables()[dendrogram._node(node_id)]
     if i not in table:
         raise DomainError(f"leaf {leaf!r} is not in the requested cluster")
     return table[i]

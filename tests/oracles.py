@@ -194,14 +194,15 @@ def quantize(x: float, mode: str) -> float:
     return round_half_away(x) if mode == "paper" else float(x)
 
 
-def cluster_key(cluster) -> tuple[str, ...]:
-    """Sorted member labels of a builder cluster, walked without recursion
-    (a caterpillar is k levels deep)."""
+def cluster_key(cluster, state) -> tuple[str, ...]:
+    """Sorted member labels of a builder cluster, its children's records
+    read by node id from the state's shared record list and walked without
+    recursion (a caterpillar is k levels deep)."""
     labels, pending = [], [cluster]
     while pending:
         cluster = pending.pop()
         if cluster.children:
-            pending.extend(cluster.children)
+            pending.extend(state._record[node] for node in cluster.children)
         else:
             labels.append(cluster.first_label)
     return tuple(sorted(labels))

@@ -128,7 +128,7 @@ def test_criterion_02b_second_group_cluster_rows(salish_b):
         state, bl.JoinGeometry(near, far, link, offset, d, h, flags), 4
     )
     merged = state.clusters[-1]
-    assert cluster_key(merged) == ("5", "6")
+    assert cluster_key(merged, state) == ("5", "6")
     assert state_dist(state)[frozenset((merged.node, 1))] == 139
     assert state_dist(state)[frozenset((merged.node, 0))] == 104
 

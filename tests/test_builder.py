@@ -73,7 +73,7 @@ class TestMinLink:
     def test_four_language_start(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
         a, b = bl.min_link(state)
-        assert {cluster_key(a)[0], cluster_key(b)[0]} == {"3", "4"}
+        assert {cluster_key(a, state)[0], cluster_key(b, state)[0]} == {"3", "4"}
         assert state_distance(state, a, b) == 62
 
     def test_join_order_second_group(self, salish_b_dist):
@@ -82,7 +82,7 @@ class TestMinLink:
         node = 4
         while len(state.clusters) > 2:
             pair = bl.min_link(state)
-            order.append(tuple(sorted(cluster_key(c) for c in pair)))
+            order.append(tuple(sorted(cluster_key(c, state) for c in pair)))
             offset, near, far = bl.lateral_offset(state, pair)
             link = state_distance(state, near, far)
             d, h, flags, offset = bl.join_geometry(
@@ -112,7 +112,7 @@ class TestMinLink:
         )
         state = bl.initial_state(dm, None, "paper")
         a, b = bl.min_link(state)
-        assert (cluster_key(a)[0], cluster_key(b)[0]) == ("a", "b")
+        assert (cluster_key(a, state)[0], cluster_key(b, state)[0]) == ("a", "b")
 
 
 def _join(state, pair, node, mode, external_means="weighted"):
@@ -146,7 +146,8 @@ def _tied_matrix(seed, k=30):
 def _ranks(state):
     """(distance, sorted key pair, pair) of every active pair."""
     return [
-        (state_distance(state, a, b), tuple(sorted((cluster_key(a), cluster_key(b)))), (a, b))
+        (state_distance(state, a, b),
+         tuple(sorted((cluster_key(a, state), cluster_key(b, state)))), (a, b))
         for i, a in enumerate(state.clusters)
         for b in state.clusters[i + 1 :]
     ]
@@ -322,7 +323,7 @@ def _snapshot(state):
     """What a state reads: its clusters and their members, its active nodes'
     weights, row minima and table block."""
     nodes = np.flatnonzero(state.alive)
-    return (state.clusters, [cluster_key(c) for c in state.clusters], nodes.tolist(),
+    return (state.clusters, [cluster_key(c, state) for c in state.clusters], nodes.tolist(),
             *(a.tobytes() for a in (state._weight[nodes], state.node_min[nodes],
                                     state.node_arg[nodes],
                                     state.table[np.ix_(nodes, nodes)])))
@@ -375,7 +376,7 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 34
-        assert cluster_key(near) == ("3",) and cluster_key(far) == ("4",)
+        assert cluster_key(near, state) == ("3",) and cluster_key(far, state) == ("4",)
 
     def test_single_external_offset(self, salish_a_dist):
         state = bl.initial_state(salish_a_dist, None, "paper")
@@ -388,8 +389,8 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 21  # becomes 20 after the integer-parity adjustment
-        assert cluster_key(near) == ("2",)
-        assert cluster_key(far) == ("3", "4")
+        assert cluster_key(near, state) == ("2",)
+        assert cluster_key(far, state) == ("3", "4")
 
     def test_equidistant_pair(self):
         dm = DistanceMatrix(
@@ -400,7 +401,7 @@ class TestLateralOffset:
         pair = bl.min_link(state)
         offset, near, far = bl.lateral_offset(state, pair)
         assert offset == 0.0
-        assert cluster_key(near) == ("a",) and cluster_key(far) == ("b",)
+        assert cluster_key(near, state) == ("a",) and cluster_key(far, state) == ("b",)
 
     def test_no_externals_signals_final_link(self):
         dm = DistanceMatrix(
@@ -490,7 +491,7 @@ class TestReduce:
         geom = bl.JoinGeometry(near, far, 62, 34, 14, 34)
         state, flags = bl.reduce(state, geom, 4)
         merged = state.clusters[-1]
-        by = {cluster_key(c): c for c in state.clusters}
+        by = {cluster_key(c, state): c for c in state.clusters}
         assert state_dist(state)[frozenset((merged.node, 0))] == 94
         assert state_dist(state)[frozenset((merged.node, 1))] == 58
         assert flags == ()
@@ -502,8 +503,8 @@ class TestReduce:
         state, _ = bl.reduce(
             state, bl.JoinGeometry(near, far, 62, 34, 14, 34), 4
         )
-        near = next(c for c in state.clusters if cluster_key(c) == ("2",))
-        far = next(c for c in state.clusters if cluster_key(c) == ("3", "4"))
+        near = next(c for c in state.clusters if cluster_key(c, state) == ("2",))
+        far = next(c for c in state.clusters if cluster_key(c, state) == ("3", "4"))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(near, far, 58, 20, 19, 34), 5
         )
@@ -512,20 +513,20 @@ class TestReduce:
 
     def test_second_group_reductions(self, salish_b_dist):
         state = bl.initial_state(salish_b_dist, None, "paper")
-        five = next(c for c in state.clusters if cluster_key(c) == ("5",))
-        six = next(c for c in state.clusters if cluster_key(c) == ("6",))
+        five = next(c for c in state.clusters if cluster_key(c, state) == ("5",))
+        six = next(c for c in state.clusters if cluster_key(c, state) == ("6",))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(five, six, 54, 4, 25, 4), 4
         )
-        merged = next(c for c in state.clusters if cluster_key(c) == ("5", "6"))
+        merged = next(c for c in state.clusters if cluster_key(c, state) == ("5", "6"))
         assert state_dist(state)[frozenset((merged.node, 1))] == 139
         assert state_dist(state)[frozenset((merged.node, 0))] == 104
-        one = next(c for c in state.clusters if cluster_key(c) == ("1",))
-        two = next(c for c in state.clusters if cluster_key(c) == ("2",))
+        one = next(c for c in state.clusters if cluster_key(c, state) == ("1",))
+        two = next(c for c in state.clusters if cluster_key(c, state) == ("2",))
         state, _ = bl.reduce(
             state, bl.JoinGeometry(one, two, 73, 35, 19, 35), 5
         )
-        pair = next(c for c in state.clusters if cluster_key(c) == ("1", "2"))
+        pair = next(c for c in state.clusters if cluster_key(c, state) == ("1", "2"))
         assert state_dist(state)[frozenset((pair.node, merged.node))] == 85
 
     def test_negative_entry_clamped(self):
@@ -543,28 +544,42 @@ class TestReduce:
 
 
 class TestRecords:
-    """Clusters and join geometries are named tuples whose equality, hash
-    and repr skip a cluster's children; states have no ``__dict__``; a state
-    keeps its last row gather, keyed by the pair."""
+    """Clusters and join geometries are flat named tuples, a cluster naming
+    its children by node id and carrying its carrier leaf's record, so
+    equality, hash and repr cover every field in O(1); states have no
+    ``__dict__``; a state keeps its last row gather, keyed by the pair."""
 
-    def test_cluster_equality_and_hash_ignore_children(self):
+    def test_cluster_equality_and_hash_cover_every_field(self, salish_a_dist):
         a, b = bl.Cluster(0, 0.0, 1.0, "a"), bl.Cluster(1, 0.0, 1.0, "b")
-        joined, bare = bl.Cluster(2, 5.0, 2.0, "a", (a, b)), bl.Cluster(2, 5.0, 2.0, "a")
-        assert joined == bare and not joined != bare
-        assert hash(joined) == hash(bare) and len({joined, bare}) == 1
-        for other in (bl.Cluster(3, 5.0, 2.0, "a", (a, b)), bl.Cluster(2, 5.5, 2.0, "a"),
-                      bl.Cluster(2, 5.0, 3.0, "a"), bl.Cluster(2, 5.0, 2.0, "b", (a, b)),
-                      tuple(joined)):
-            assert joined != other and not joined == other
-        assert repr(joined) == "Cluster(node=2, anchor_depth=5.0, weight=2.0, first_label='a')"
-        assert joined.children == (a, b) and bare.children == ()
+        joined = bl.Cluster(2, 5.0, 2.0, "a", (0, 1), a)
+        assert joined == (2, 5.0, 2.0, "a", (0, 1), a) and hash(joined) == hash(tuple(joined))
+        assert a.children == () and a.carrier is None
+        for other in (joined._replace(node=3), joined._replace(anchor_depth=5.5),
+                      joined._replace(weight=3.0), joined._replace(first_label="b"),
+                      joined._replace(children=(1, 0)), joined._replace(carrier=b),
+                      bl.Cluster(2, 5.0, 2.0, "a")):
+            assert joined != other and not joined == other and len({joined, other}) == 2
+        assert repr(joined) == (
+            "Cluster(node=2, anchor_depth=5.0, weight=2.0, first_label='a', children=(0, 1), "
+            "carrier=Cluster(node=0, anchor_depth=0.0, weight=1.0, first_label='a', "
+            "children=(), carrier=None))")
         geometry = bl.JoinGeometry(joined, b, 9.0, 1.0, 6.0, 2.0)
-        assert geometry == bl.JoinGeometry(bare, b, 9.0, 1.0, 6.0, 2.0, ())
+        assert geometry == bl.JoinGeometry(bl.Cluster(*joined), b, 9.0, 1.0, 6.0, 2.0, ())
         assert repr(geometry).startswith(f"JoinGeometry(near={joined!r}, far={b!r}, ")
+        # reduce names the joined pair by node id and takes the near child's
+        # carrier: leaf 3 joins far onto leaf 2, then that cluster far onto leaf 1.
+        state = bl.initial_state(salish_a_dist, None, "paper")
+        leaves = state.clusters
+        state, _ = bl.reduce(state, bl.JoinGeometry(leaves[2], leaves[3], 62, 34, 14, 34), 4)
+        assert state.clusters[-1][4:] == ((2, 3), leaves[2])
+        state, _ = bl.reduce(
+            state, bl.JoinGeometry(leaves[1], state.clusters[-1], 58, 20, 19, 34), 5)
+        assert state.clusters[-1][4:] == ((1, 4), leaves[1])
 
     def test_root_clusters_of_a_deep_caterpillar(self):
-        # d(i, j) = max(i, j) joins leaf after leaf onto one cluster, nested
-        # k - 1 levels deep: past the recursion limit for a recursive repr.
+        # d(i, j) = max(i, j) joins leaf after leaf onto one cluster, k - 1
+        # joins deep: no record nests more than its carrier leaf, so the
+        # root's repr reads two records and no recursion limit.
         k = 2000
         i = np.arange(k)
         values = np.maximum.outer(i, i).astype(float)
@@ -574,11 +589,19 @@ class TestRecords:
         for node in range(k, 2 * k - 2):
             state, _ = bl.reduce(state, bl._join(state, bl.min_link(state), "weighted"), node)
         leaf, root = state.clusters
-        assert len(cluster_key(leaf)) == 1 and len(cluster_key(root)) == k - 1
+        assert len(cluster_key(leaf, state)) == 1 and len(cluster_key(root, state)) == k - 1
         assert repr(state.clusters) == (
-            "(Cluster(node=1999, anchor_depth=0.0, weight=1.0, first_label='x1999'), "
-            "Cluster(node=3997, anchor_depth=999.0, weight=1999.0, first_label='x0'))")
-        copy = bl.Cluster(*root[:4], root.children)
+            "(Cluster(node=1999, anchor_depth=0.0, weight=1.0, first_label='x1999', "
+            "children=(), carrier=None), "
+            "Cluster(node=3997, anchor_depth=999.0, weight=1999.0, first_label='x0', "
+            "children=(3996, 1998), carrier=Cluster(node=0, anchor_depth=0.0, weight=1.0, "
+            "first_label='x0', children=(), carrier=None)))")
+        # The carrier is the leaf reached down the near children.
+        near = root
+        while near.children:
+            near = state._record[near.children[0]]
+        assert root.carrier is near is state._record[0]
+        copy = bl.Cluster(*root)
         assert copy == root and hash(copy) == hash(root) and not copy != root
 
     def test_state_refuses_assignment(self, salish_a_dist):
@@ -1160,4 +1183,5 @@ class TestLazyAnchorTables:
             node += 1
         labels = dm.languages.labels
         for cluster in state.clusters:
-            assert cluster_key(cluster) == tuple(sorted(labels[i] for i in tree.members(cluster.node)))
+            assert cluster_key(cluster, state) == tuple(
+                sorted(labels[i] for i in tree.members(cluster.node)))

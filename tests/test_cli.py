@@ -305,6 +305,13 @@ class TestBuild:
             f"error: file is not UTF-8 text (at {src}:4)"
         ]
 
+    def test_header_only_table_located(self, capsys, tmp_path):
+        src = tmp_path / "x.csv"
+        src.write_text("x\n")
+        code, out, err = run(capsys, "build", "--input", str(src), "--outdir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: header row names no languages (at {src}:1)"]
+
     def test_bad_cell_located_by_file_line_after_blank_lines(self, capsys, tmp_path):
         src = tmp_path / "blank.csv"
         src.write_text(",a,b,c\n\n\na,-,50,40\nb,50,-,x\nc,40,x,-\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from isolect import cli
@@ -97,6 +97,7 @@ def _outcome(read, path, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(text=matrix_csvs(), kind=st.sampled_from(("coincidence", "distance")))
+@example(text="x\n", kind="coincidence")  # a header naming no languages
 def test_matrix_reader_matches_reference(scratch, text, kind):
     path = scratch / "matrix.csv"
     path.write_text(text, encoding="utf-8", newline="")

@@ -61,7 +61,9 @@ class TestLanguageSet:
             LanguageSet(("x", ""))
 
     def test_default_depths_are_zero(self):
-        assert LanguageSet(("x", "y")).depths == (0.0, 0.0)
+        languages = LanguageSet(("x", "y"))
+        assert languages.depths == (0.0, 0.0)
+        assert tuple(languages) == languages.labels == ("x", "y")
 
     def test_rejects_negative_depth(self):
         with pytest.raises(DomainError):
@@ -491,6 +493,17 @@ class TestDendrogramValidation:
         with pytest.raises(DomainError) as exc:
             Dendrogram(LanguageSet(("alone",)), ()).lca_junction(0, 0)
         assert str(exc.value) == "leaves do not share a junction"
+
+    @pytest.mark.parametrize("query", ["members", "carrier", "anchor_depth", "junction_at"])
+    @pytest.mark.parametrize("node_id", [-1, -7, 7])
+    def test_queries_refuse_node_ids_outside_the_tree(self, query, node_id):
+        # k = 4: ids 0..6.  A negative id would wrap to the root's entry.
+        tree = salish_tree()
+        with pytest.raises(DomainError) as exc:
+            getattr(tree, query)(node_id)
+        assert str(exc.value) == f"node ids must lie in 0..6 (got {node_id})"
+        assert (tree.members(6), tree.carrier(0), tree.anchor_depth(6)) == ((0, 1, 2, 3), 0, 19)
+        assert tree.junction_at(6) is tree.junctions[-1]
 
     def test_carrier_follows_near_lineage(self):
         tree = salish_tree()

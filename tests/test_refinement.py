@@ -43,6 +43,9 @@ class TestEvaluate:
             i, j = labels.index(a), labels.index(b)
             assert report.residuals[i, j] == want
         assert report.max_abs_residual() == 3
+        assert tuple(report.dispersion(label) for label in labels) == report.dispersions
+        with pytest.raises(DomainError, match=re.escape("unknown language 'x'")):
+            report.dispersion("x")
 
     def test_perfect_tree_has_zero_dispersions(self):
         dm = planted_matrix()
