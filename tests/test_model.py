@@ -497,7 +497,7 @@ class TestDendrogramValidation:
     @pytest.mark.parametrize("query", ["members", "carrier", "anchor_depth", "junction_at"])
     @pytest.mark.parametrize("node_id", [-1, -7, 7])
     def test_queries_refuse_node_ids_outside_the_tree(self, query, node_id):
-        # k = 4: ids 0..6.  A negative id would wrap to the root's entry.
+        # k = 4: ids 0..6.  A negative id would wrap to an entry counted from the end.
         tree = salish_tree()
         with pytest.raises(DomainError) as exc:
             getattr(tree, query)(node_id)
