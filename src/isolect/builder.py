@@ -59,6 +59,7 @@ tuples ``Cluster``, ``JoinGeometry`` and ``ResolutionResult``.
 from __future__ import annotations
 
 from itertools import compress
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -306,6 +307,9 @@ def join_geometry(
     check_mode(mode)
     if link_length < 0 or offset < 0:
         raise DomainError("link length and offset must be >= 0")
+    if not (isfinite(link_length) and isfinite(offset) and isfinite(near_depth)
+            and isfinite(far_depth)):
+        raise DomainError("link length, offset and anchor depths must be finite")
     a, b = near_depth, far_depth
     flags: list[str] = []
     if mode == PAPER and (round(link_length) - round(offset)) % 2 == 1:

@@ -201,13 +201,14 @@ def _fresh(name: str, taken) -> str:
     return name
 
 
-def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGraph:
+def segment_graph(dendrogram: Dendrogram) -> SegmentGraph:
     """Flatten a dendrogram into its segment graph.
 
     Junction anchors become nodes; zero-length vertical runs are collapsed
     so anchors that coincide with a child anchor reuse its node.  A leaf's
     node id is its label; junction ``idx``'s anchor and rise nodes are
     ``j<idx>`` and ``j<idx>.rise``, primed past any label or earlier id.
+    Every edge is of provenance A, and the sides are ``(labels, ())``.
     """
     langs = dendrogram.languages
     k = len(langs)
@@ -230,37 +231,26 @@ def segment_graph(dendrogram: Dendrogram, provenance: str = PROV_A) -> SegmentGr
         gain_near = gains[idx][0]
         b = dendrogram.anchor_depth(jn.far)
         if jn.status == UNRESOLVED:
-            edges.append(
-                SegmentEdge(near_node, far_node, jn.total_length,
-                            UNRESOLVED_EDGE, provenance)
-            )
+            edges.append(SegmentEdge(near_node, far_node, jn.total_length, UNRESOLVED_EDGE))
             node_for[nid] = near_node
             continue
         if gain_near > _EPS:
             anchor = add_node(f"j{idx}", jn.depth)
-            edges.append(SegmentEdge(near_node, anchor, gain_near,
-                                     VERTICAL, provenance))
+            edges.append(SegmentEdge(near_node, anchor, gain_near, VERTICAL))
         else:
             anchor = near_node
         if jn.lateral > _EPS:
             if jn.depth - b > _EPS:
                 rise = add_node(f"j{idx}.rise", jn.depth)
-                edges.append(SegmentEdge(far_node, rise, jn.depth - b,
-                                         VERTICAL, provenance))
+                edges.append(SegmentEdge(far_node, rise, jn.depth - b, VERTICAL))
             else:
                 rise = far_node
-            edges.append(SegmentEdge(rise, anchor, jn.lateral, LATERAL, provenance))
+            edges.append(SegmentEdge(rise, anchor, jn.lateral, LATERAL))
         else:
-            edges.append(SegmentEdge(far_node, anchor, max(jn.depth - b, 0.0),
-                                     VERTICAL, provenance))
+            edges.append(SegmentEdge(far_node, anchor, max(jn.depth - b, 0.0), VERTICAL))
         node_for[nid] = anchor
-    return SegmentGraph(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        leaves_a=dendrogram.languages.labels if provenance != PROV_B else (),
-        leaves_b=dendrogram.languages.labels if provenance == PROV_B else (),
-        mode=dendrogram.mode,
-    )
+    return SegmentGraph(nodes=tuple(nodes), edges=tuple(edges),
+                        leaves_a=langs.labels, leaves_b=(), mode=dendrogram.mode)
 
 
 def chain_widths(graph: SegmentGraph) -> tuple[tuple[float, float, int], ...]:
@@ -437,7 +427,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
     re-expressed in ``a``'s frame: on ``a``'s path from the first shared leaf
     to the first shared leaf whose path in ``b`` passes through ``p``, at
     ``p``'s distance from the first shared leaf in ``b``, clamped to the
-    path's end.  Unresolved links carry over as fixed-length edges.
+    path's end.  Unresolved links carry over as fixed-length edges.  Edges on
+    the shared span are marked shared, and grafted edges B.
     """
     report = shared_consistency(a, b, tolerance)
     if not report.passed:
@@ -447,8 +438,8 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
             report,
         )
     shared = report.shared
-    ga = segment_graph(a, PROV_A)
-    gb = segment_graph(b, PROV_B)
+    ga = segment_graph(a)
+    gb = segment_graph(b)
     dist, parent, ends, span = _frame(ga, shared)
     lengths_b, _, _, leg_of = _frame(gb, shared)
 
@@ -483,7 +474,7 @@ def merge(a: Dendrogram, b: Dendrogram, tolerance: float = 3.0) -> SegmentGraph:
             new_id = _fresh(node.id if node.leaf is not None else f"b:{node.id}", nodes)
             rename[nid] = new_id
             nodes[new_id] = SegmentNode(new_id, node.depth, node.leaf)
-    grafted = tuple(SegmentEdge(rename[e.a], rename[e.b], e.length, e.kind, e.provenance)
+    grafted = tuple(SegmentEdge(rename[e.a], rename[e.b], e.length, e.kind, PROV_B)
                     for e in only_b)
 
     return SegmentGraph(tuple(nodes.values()), tuple(edges.values()) + grafted,

@@ -417,6 +417,8 @@ class Dendrogram:
         as one block of the k x k meeting table (built here if the tree has
         none): entry [i][j] for ``labels[i]`` and ``labels[j]``, a leaf's
         parent on the diagonal.  The tree needs two or more leaves."""
+        if not self.junctions:
+            raise DomainError("leaves do not share a junction")
         ids = [self.languages.index(label) for label in labels]
         junctions = np.empty(len(self.junctions), dtype=object)
         junctions[:] = self.junctions
@@ -435,10 +437,10 @@ class Dendrogram:
 def anchor_distance(dendrogram: Dendrogram, node_id: int, leaf: str) -> float:
     """Path length from a leaf up to the anchor of the cluster at ``node_id``;
     an unresolved root, whose total alone is known, has no anchor."""
-    i = dendrogram.languages.index(leaf)
-    if node_id >= len(dendrogram.languages) and not dendrogram.junction_at(node_id).resolved:
+    i, k = dendrogram.languages.index(leaf), len(dendrogram.languages)
+    if dendrogram._node(node_id) >= k and not dendrogram.junction_at(node_id).resolved:
         raise DomainError(f"node {node_id} is an unresolved root and has no anchor")
-    table = dendrogram.anchor_tables()[dendrogram._node(node_id)]
+    table = dendrogram.anchor_tables()[node_id]
     if i not in table:
         raise DomainError(f"leaf {leaf!r} is not in the requested cluster")
     return table[i]

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -475,6 +476,19 @@ class TestJoinGeometry:
         with pytest.raises(DomainError) as exc:
             bl.join_geometry(link, offset, 0, 0, "precise")
         assert str(exc.value) == "link length and offset must be >= 0"
+
+    @pytest.mark.parametrize("mode", ["paper", "precise"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_input_rejected(self, mode, value, position):
+        args = [10.0, 2.0, 0.0, 0.0]
+        args[position] = value
+        with pytest.raises(DomainError) as exc:
+            bl.join_geometry(*args, mode)
+        # -inf as a link length or offset is negative first.
+        assert str(exc.value) == ("link length and offset must be >= 0"
+                                  if value == -math.inf and position < 2 else
+                                  "link length, offset and anchor depths must be finite")
 
     def test_precise_mode_never_adjusts_parity(self):
         d, h, flags, offset = bl.join_geometry(58, 21, 0, 14, "precise")

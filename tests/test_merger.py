@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -63,6 +64,9 @@ class TestSegmentGraph:
         graph = mg.segment_graph(tree_a)
         lengths = sorted(e.length for e in graph.edges)
         assert lengths == [5, 14, 14, 19, 19, 34, 34, 36]
+        # A dendrogram's own graph is all A, on the A side alone.
+        assert {e.provenance for e in graph.edges} == {mg.PROV_A}
+        assert (graph.leaves_a, graph.leaves_b) == (tree_a.languages.labels, ())
 
     def test_distances_match_leaf_distance(self, tree_a):
         graph = mg.segment_graph(tree_a)
@@ -183,13 +187,9 @@ class TestSegmentGraph:
             make()
         assert (str(exc.value), exc.value.field) == (message, field)
 
-    def test_segment_graph_refuses_an_unknown_provenance(self, tree_a):
-        with pytest.raises(DomainError, match=r"^provenance must be one of shared, A, B$"):
-            mg.segment_graph(tree_a, "X")
-
     def test_every_kind_and_provenance_round_trips(self, tree_a, tree_b):
         graphs = [mg.merge(tree_a, tree_b)]
-        graphs += [mg.segment_graph(tree_b, p) for p in mg.PROVENANCES]
+        graphs.append(mg.segment_graph(tree_b))
         seen = set()
         for graph in graphs:
             text = mg.serialize_graph(graph)
@@ -218,7 +218,12 @@ class TestSerializeGraphMatchesJsonDumps:
         trees = [bl.build(ch.matrix_to_distances(
             cli.read_matrix_csv(Path(__file__).parent.parent / "data" / f"salish_{s}.csv",
                                 "coincidence"), mode), mode=mode) for s in "ab"]
-        return [mg.merge(*trees), mg.segment_graph(trees[1], mg.PROV_B)]
+        plain = mg.segment_graph(trees[1])
+        # A graph with empty leaves_a, as the B side alone.
+        side_b = mg.SegmentGraph(
+            plain.nodes, tuple(dataclasses.replace(e, provenance=mg.PROV_B) for e in plain.edges),
+            (), plain.leaves_a, plain.mode)
+        return [mg.merge(*trees), side_b]
 
     @staticmethod
     def _planted(labels=None):

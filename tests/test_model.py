@@ -186,6 +186,14 @@ class TestAnchorDistance:
         # A one-leaf tree's leaf 0 is no root.
         assert anchor_distance(Dendrogram(LanguageSet(("x",)), ()), 0, "x") == 0.0
 
+    def test_node_id_is_checked_before_the_anchor_tables_fill(self, monkeypatch):
+        def unexpected(tree):
+            raise AssertionError("anchor tables filled")
+
+        monkeypatch.setattr(model.Dendrogram, "_anchor_tables", property(unexpected))
+        with pytest.raises(DomainError, match=re.escape("node ids must lie in 0..6 (got -1)")):
+            anchor_distance(salish_tree(), -1, "1")
+
 
 class TestLeafDistance:
     @pytest.mark.parametrize(
@@ -490,9 +498,11 @@ class TestDendrogramValidation:
         with pytest.raises(DomainError) as exc:
             salish_tree().junction_at(3)
         assert str(exc.value) == "node 3 is a leaf"
-        with pytest.raises(DomainError) as exc:
-            Dendrogram(LanguageSet(("alone",)), ()).lca_junction(0, 0)
-        assert str(exc.value) == "leaves do not share a junction"
+        for query in (lambda tree: tree.lca_junction(0, 0),
+                      lambda tree: tree.meeting_junctions(["alone"])):
+            with pytest.raises(DomainError) as exc:
+                query(Dendrogram(LanguageSet(("alone",)), ()))
+            assert str(exc.value) == "leaves do not share a junction"
 
     @pytest.mark.parametrize("query", ["members", "carrier", "anchor_depth", "junction_at"])
     @pytest.mark.parametrize("node_id", [-1, -7, 7])
